@@ -318,8 +318,7 @@ def _cmd_attack_baseline(args) -> int:
             seed=resolved["seed"])
     elif kind == "random-seq":
         vocab = generator.vocab if generator else victim.vocab
-        other = victim.vocab if generator else victim.vocab
-        mask = td.intersect_vocab(other, vocab, exclude=exclude)
+        mask = td.intersect_vocab(victim.vocab, vocab, exclude=exclude)
         selected, candidates = random_sequence_attack(
             vocab, mask, victim, lm, dev_subset, n, L,
             seed=resolved["seed"])

@@ -8,6 +8,9 @@ Design constraints, fixed on purpose:
   creation order is already a topological order for backward;
 * every op validates shapes eagerly and checks its output for NaN/Inf
   (a silent non-finite value is always a bug upstream);
+* an LSTM step is one fused op, lstm_cell, on a packed [h | c] state with
+  a hand-written backward; it also checks its internal gates, because a
+  saturated sigmoid would hide an overflow from the output check;
 * float64 everywhere, no implicit broadcasting beyond the few ops that
   document it (add_bias, tile_rows) -- shape mismatches raise instead
   of broadcasting wrong;
@@ -27,7 +30,8 @@ __all__ = [
     "matmul", "transpose", "tanh", "sigmoid", "absolute", "sqrt",
     "softmax", "log_softmax", "embed", "concat", "narrow",
     "sum_all", "mean_all", "sum_axis", "cross_entropy",
-    "tile_rows", "straight_through", "gumbel_softmax", "l2_project",
+    "tile_rows", "straight_through", "lstm_cell", "gumbel_softmax",
+    "l2_project",
 ]
 
 
@@ -202,11 +206,12 @@ def rows_scale(a: Node, s: Node) -> Node:
     av, sv = a.value, s.value
     if av.ndim != 2 or sv.shape != (av.shape[0],):
         raise ContractViolation(f"rows_scale: {av.shape} vs {sv.shape}")
-    req = a.requires_grad or s.requires_grad
+    a_req, s_req = a.requires_grad, s.requires_grad
+    req = a_req or s_req
 
     def back(go):
-        ga = go * sv[:, None] if a.requires_grad else None
-        gs = (go * av).sum(axis=1) if s.requires_grad else None
+        ga = go * sv[:, None] if a_req else None
+        gs = (go * av).sum(axis=1) if s_req else None
         return (ga, gs)
 
     return g._push("rows_scale", (a.idx, s.idx), av * sv[:, None],
@@ -227,11 +232,12 @@ def matmul(a: Node, b: Node) -> Node:
     av, bv = a.value, b.value
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ContractViolation(f"matmul: {av.shape} @ {bv.shape}")
-    req = a.requires_grad or b.requires_grad
+    a_req, b_req = a.requires_grad, b.requires_grad
+    req = a_req or b_req
 
     def back(go):
-        ga = go @ bv.T if a.requires_grad else None
-        gb = av.T @ go if b.requires_grad else None
+        ga = go @ bv.T if a_req else None
+        gb = av.T @ go if b_req else None
         return (ga, gb)
 
     return g._push("matmul", (a.idx, b.idx), av @ bv, back if req else None, req)
@@ -450,6 +456,80 @@ def straight_through(soft: Node, hard) -> Node:
     back = (lambda go: (go,)) if soft.requires_grad else None
     return soft.graph._push("straight_through", (soft.idx,), hard, back,
                             soft.requires_grad)
+
+
+def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
+              keep=None) -> Node:
+    """One LSTM step as a single node.
+
+    x (B x E), state (B x 2H) packed as [h | c], w_ih (E x 4H), w_hh
+    (H x 4H), b (4H,) with gates in the order i, f, u, o. Returns the
+    packed next state. With keep (B,), each row becomes
+    new * keep + old * (1 - keep), so padded rows carry their state.
+
+    The forward evaluates the numpy expressions of the matmul, add_bias,
+    narrow, sigmoid, tanh, mul and rows_scale composition it replaces, in
+    the same order, and the backward forms each gradient with the same
+    expressions, so values and gradients are bit-identical to that
+    composition. The gates are checked for non-finite values as well as
+    the output: a saturated sigmoid would otherwise hide an overflow.
+    """
+    g = _same_graph(x, state, w_ih, w_hh, b)
+    xv, sv, ih, hh, bv = x.value, state.value, w_ih.value, w_hh.value, b.value
+    H = hh.shape[0]
+    if (xv.ndim != 2 or ih.shape != (xv.shape[1], 4 * H)
+            or hh.shape != (H, 4 * H) or bv.shape != (4 * H,)
+            or sv.shape != (xv.shape[0], 2 * H)):
+        raise ContractViolation(f"lstm_cell: x {xv.shape}, state {sv.shape}, "
+                                f"w_ih {ih.shape}, w_hh {hh.shape}, "
+                                f"b {bv.shape}")
+    if keep is not None:
+        keep = np.asarray(keep, dtype=np.float64)
+        if keep.shape != (xv.shape[0],):
+            raise ContractViolation(f"lstm_cell: keep {keep.shape} for "
+                                    f"{xv.shape[0]} rows")
+        drop = 1.0 - keep
+    h = np.ascontiguousarray(sv[:, :H])
+    c = sv[:, H:]
+    gates = (xv @ ih + h @ hh) + bv
+    if g.check_finite and not np.all(np.isfinite(gates)):
+        raise NumericError("op 'lstm_cell' produced non-finite gates")
+    i, f, o = (0.5 * (1.0 + np.tanh(0.5 * gates[:, k * H:(k + 1) * H]))
+               for k in (0, 1, 3))
+    u = np.tanh(gates[:, 2 * H:3 * H])
+    c2 = f * c + i * u
+    tc = np.tanh(c2)
+    out = np.concatenate([o * tc, c2], axis=1)
+    if keep is not None:
+        out = out * keep[:, None] + sv * drop[:, None]
+
+    reqs = tuple(n.requires_grad for n in (x, state, w_ih, w_hh, b))
+    x_req, s_req, ih_req, hh_req, b_req = reqs
+
+    def back(go):
+        dh, dc = go[:, :H], go[:, H:]
+        if keep is not None:
+            dh_old, dc_old = dh * drop[:, None], dc * drop[:, None]
+            dh, dc = dh * keep[:, None], dc * keep[:, None]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dgates = np.concatenate([dc * u * i * (1.0 - i),
+                                 dc * c * f * (1.0 - f),
+                                 dc * i * (1.0 - u * u),
+                                 dh * tc * o * (1.0 - o)], axis=1)
+        dstate = None
+        if s_req:
+            dh_prev, dc_prev = dgates @ hh.T, dc * f
+            if keep is not None:
+                dh_prev, dc_prev = dh_old + dh_prev, dc_old + dc_prev
+            dstate = np.concatenate([dh_prev, dc_prev], axis=1)
+        return (dgates @ ih.T if x_req else None, dstate,
+                xv.T @ dgates if ih_req else None,
+                h.T @ dgates if hh_req else None,
+                dgates.sum(axis=0) if b_req else None)
+
+    req = any(reqs)
+    return g._push("lstm_cell", (x.idx, state.idx, w_ih.idx, w_hh.idx, b.idx),
+                   out, back if req else None, req)
 
 
 # ---------------------------------------------------------------------------

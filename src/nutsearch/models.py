@@ -63,42 +63,30 @@ def _init_lstm(rng, in_dim: int, hidden: int) -> dict[str, Tensor]:
     }
 
 
-def _lstm_cell(P, prefix, x: Node, h: Node, c: Node, hidden: int):
-    gates = gc.add_bias(gc.add(gc.matmul(x, P[prefix + ".ih"]),
-                               gc.matmul(h, P[prefix + ".hh"])),
-                        P[prefix + ".b"])
-    i = gc.sigmoid(gc.narrow(gates, 1, 0, hidden))
-    f = gc.sigmoid(gc.narrow(gates, 1, hidden, hidden))
-    u = gc.tanh(gc.narrow(gates, 1, 2 * hidden, hidden))
-    o = gc.sigmoid(gc.narrow(gates, 1, 3 * hidden, hidden))
-    c2 = gc.add(gc.mul(f, c), gc.mul(i, u))
-    h2 = gc.mul(o, gc.tanh(c2))
-    return h2, c2
+def _lstm_cell(P, prefix, x: Node, state: Node, keep=None) -> Node:
+    return gc.lstm_cell(x, state, P[prefix + ".ih"], P[prefix + ".hh"],
+                        P[prefix + ".b"], keep)
 
 
-def run_lstm(g: Graph, P, prefix: str, inputs: list[Node], hidden: int,
-             masks=None, state=None):
-    """Unroll an LSTM over step inputs (each B x E). Masked steps carry
-    the previous state through, so padded rows freeze at their last
-    real step. Returns (per-step h list, final h, final c)."""
-    batch = inputs[0].value.shape[0]
-    if state is None:
-        h = g.constant(np.zeros((batch, hidden)))
-        c = g.constant(np.zeros((batch, hidden)))
-    else:
-        h, c = state
-    hs = []
+def _hidden(state: Node) -> Node:
+    """The h half of a packed [h | c] LSTM state."""
+    return gc.narrow(state, 1, 0, state.value.shape[1] // 2)
+
+
+def run_lstm(g: Graph, P, prefix: str, inputs: list[Node],
+             masks=None) -> list[Node]:
+    """Unroll an LSTM over step inputs (each B x E) from a zero state.
+    Masked steps carry the previous state through, so padded rows freeze
+    at their last real step. Returns the packed [h | c] state after each
+    step."""
+    hidden = P[prefix + ".hh"].value.shape[0]
+    state = g.constant(np.zeros((inputs[0].value.shape[0], 2 * hidden)))
+    states = []
     for t, x in enumerate(inputs):
-        h2, c2 = _lstm_cell(P, prefix, x, h, c, hidden)
-        if masks is not None and not masks[t].all():
-            keep = g.constant(masks[t])
-            drop = g.constant(1.0 - masks[t])
-            h = gc.add(gc.rows_scale(h2, keep), gc.rows_scale(h, drop))
-            c = gc.add(gc.rows_scale(c2, keep), gc.rows_scale(c, drop))
-        else:
-            h, c = h2, c2
-        hs.append(h)
-    return hs, h, c
+        keep = masks[t] if masks is not None and not masks[t].all() else None
+        state = _lstm_cell(P, prefix, x, state, keep)
+        states.append(state)
+    return states
 
 
 class _ModelBase:
@@ -190,7 +178,7 @@ class ARAEModel(_ModelBase):
         training uses it to keep the decoder dependent on the latent."""
         masks = step_masks(lengths, ids.shape[1])
         inputs = [gc.embed(P["emb_enc"], ids[:, t]) for t in range(ids.shape[1])]
-        _, h_last, _ = run_lstm(g, P, "enc", inputs, self.hidden_dim, masks)
+        h_last = _hidden(run_lstm(g, P, "enc", inputs, masks)[-1])
         proj = gc.add_bias(gc.matmul(h_last, P["enc_proj.w"]), P["enc_proj.b"])
         if noise_rows is not None:
             proj = gc.add(proj, g.constant(noise_rows))
@@ -241,24 +229,26 @@ class ARAEModel(_ModelBase):
 
     # -- decoder
 
-    def dec_init_state(self, g: Graph, P, z: Node):
+    def dec_init_state(self, g: Graph, P, z: Node) -> Node:
+        """Packed [h | c] decoder state: h from the latent, c zero."""
         h0 = gc.tanh(gc.add_bias(gc.matmul(z, P["dec_init.w"]), P["dec_init.b"]))
         c0 = g.constant(np.zeros((z.value.shape[0], self.hidden_dim)))
-        return h0, c0
+        return gc.concat([h0, c0], axis=1)
 
-    def dec_step(self, g: Graph, P, emb_row: Node, z: Node, h: Node, c: Node):
+    def dec_step(self, g: Graph, P, emb_row: Node, z: Node, state: Node):
         x = gc.concat([emb_row, z], axis=1)
-        h2, c2 = _lstm_cell(P, "dec", x, h, c, self.hidden_dim)
-        logits = gc.add_bias(gc.matmul(h2, P["dec_out.w"]), P["dec_out.b"])
-        return h2, c2, logits
+        state = _lstm_cell(P, "dec", x, state)
+        logits = gc.add_bias(gc.matmul(_hidden(state), P["dec_out.w"]),
+                             P["dec_out.b"])
+        return state, logits
 
     def teacher_logits(self, g: Graph, P, z: Node, in_ids: np.ndarray) -> list[Node]:
         """Teacher-forced decoder logits, one (B, V) node per step."""
-        h, c = self.dec_init_state(g, P, z)
+        state = self.dec_init_state(g, P, z)
         out = []
         for t in range(in_ids.shape[1]):
             emb = gc.embed(P["emb_dec"], in_ids[:, t])
-            h, c, logits = self.dec_step(g, P, emb, z, h, c)
+            state, logits = self.dec_step(g, P, emb, z, state)
             out.append(logits)
         return out
 
@@ -281,11 +271,11 @@ class ARAEModel(_ModelBase):
         if z.value.shape[0] != 1:
             raise ContractViolation("decode_soft operates on a single latent row")
         penalty = g.constant(self._ban_vector(allowed_mask))
-        h, c = self.dec_init_state(g, P, z)
+        state = self.dec_init_state(g, P, z)
         emb_row = gc.embed(P["emb_dec"], np.array([self.vocab.bos_id]))
         steps = []
         for _ in range(length):
-            h, c, logits = self.dec_step(g, P, emb_row, z, h, c)
+            state, logits = self.dec_step(g, P, emb_row, z, state)
             masked = gc.add_bias(logits, penalty)
             soft, sample = gc.gumbel_softmax(masked, tau, rng, hard=hard)
             steps.append((soft, sample))
@@ -299,12 +289,12 @@ class ARAEModel(_ModelBase):
         P = self.lift(g)
         zn = g.leaf(z[None, :])
         penalty = self._ban_vector(allowed_mask)
-        h, c = self.dec_init_state(g, P, zn)
+        state = self.dec_init_state(g, P, zn)
         tok = self.vocab.bos_id
         out = []
         for _ in range(length):
             emb = gc.embed(P["emb_dec"], np.array([tok]))
-            h, c, logits = self.dec_step(g, P, emb, zn, h, c)
+            state, logits = self.dec_step(g, P, emb, zn, state)
             tok = int((logits.value[0] + penalty).argmax())
             out.append(tok)
         return out
@@ -317,12 +307,12 @@ class ARAEModel(_ModelBase):
         zn = g.leaf(z[None, :])
         penalty = np.zeros(len(self.vocab))
         penalty[[self.vocab.pad_id, self.vocab.unk_id, self.vocab.bos_id]] = LOGIT_BAN
-        h, c = self.dec_init_state(g, P, zn)
+        state = self.dec_init_state(g, P, zn)
         tok = self.vocab.bos_id
         out = []
         for _ in range(max_len):
             emb = gc.embed(P["emb_dec"], np.array([tok]))
-            h, c, logits = self.dec_step(g, P, emb, zn, h, c)
+            state, logits = self.dec_step(g, P, emb, zn, state)
             tok = int((logits.value[0] + penalty).argmax())
             if tok == self.vocab.eos_id:
                 break
@@ -385,8 +375,7 @@ class VictimClassifier(_ModelBase):
         return [gc.embed(P["emb"], ids[:, t]) for t in range(ids.shape[1])]
 
     def _encode_lstm(self, g, P, prefix, emb_steps, masks):
-        _, h_last, _ = run_lstm(g, P, prefix, emb_steps, self.hidden_dim, masks)
-        return h_last
+        return _hidden(run_lstm(g, P, prefix, emb_steps, masks)[-1])
 
     def forward_embs(self, g: Graph, P, emb_steps: list[Node], masks,
                      premise: tuple[np.ndarray, np.ndarray] | None = None) -> Node:
@@ -397,7 +386,7 @@ class VictimClassifier(_ModelBase):
         weights and fused as [u, v, |u-v|, u*v].
         """
         if self.kind == "lstm2":
-            hs, _, _ = run_lstm(g, P, "l1", emb_steps, self.hidden_dim, masks)
+            hs = [_hidden(s) for s in run_lstm(g, P, "l1", emb_steps, masks)]
             h_last = self._encode_lstm(g, P, "l2", hs, masks)
             return gc.add_bias(gc.matmul(h_last, P["head.w"]), P["head.b"])
         if self.kind == "bag":
@@ -488,8 +477,8 @@ class ScoringLM(_ModelBase):
     def step_logits(self, g: Graph, P, in_ids: np.ndarray) -> list[Node]:
         """Next-token logits for each position of a (B, T) input batch."""
         inputs = [gc.embed(P["emb"], in_ids[:, t]) for t in range(in_ids.shape[1])]
-        hs, _, _ = run_lstm(g, P, "lstm", inputs, self.hidden_dim)
-        return [gc.add_bias(gc.matmul(h, P["out.w"]), P["out.b"]) for h in hs]
+        return [gc.add_bias(gc.matmul(_hidden(s), P["out.w"]), P["out.b"])
+                for s in run_lstm(g, P, "lstm", inputs)]
 
     def avg_ce(self, tokens: list[str]) -> float:
         """Mean per-token cross-entropy of a token sequence under the LM,

@@ -326,18 +326,21 @@ def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
             recon_losses.append(float(loss.value))
             opt_ae.step(grads)
 
-            # (2) critic
-            for _ in range(cfg.critic_steps):
+            # (2) critic; only the critic's weights move in this phase, so
+            # the batch is encoded once and enters each step as a constant
+            try:
                 g = Graph()
-                P = model.lift(g, trainable=("critic.",))
-                try:
-                    c_lat = encode_batch(g, P, batch)
+                real = encode_batch(g, model.lift(g), batch).value
+                for _ in range(cfg.critic_steps):
+                    g = Graph()
+                    P = model.lift(g, trainable=("critic.",))
+                    c_lat = g.constant(real)
                     noise = noise_rng.standard_normal((B, model.noise_dim))
                     z_lat = model.generate_node(g, P, g.constant(noise))
                     d_real = gc.mean_all(model.critic_score(g, P, c_lat))
                     d_fake = gc.mean_all(model.critic_score(g, P, z_lat))
                     alpha = noise_rng.random((B, 1))
-                    x_hat = g.constant(alpha * c_lat.value
+                    x_hat = g.constant(alpha * real
                                        + (1.0 - alpha) * z_lat.value)
                     gradx = model.critic_input_grad(g, P, x_hat)
                     nrm = gc.sqrt(gc.add_const(
@@ -347,12 +350,12 @@ def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
                     loss = gc.add(gc.sub(d_fake, d_real),
                                   gc.scale(gp, cfg.gp_weight))
                     grads = _grads_by_name(g, P, loss)
-                except NumericError as err:
-                    raise TrainingDiverged(
-                        f"arae critic epoch {epoch}: {err}") from err
-                critic_losses.append(float(loss.value))
-                gp_vals.append(float(gp.value))
-                opt_critic.step(grads)
+                    critic_losses.append(float(loss.value))
+                    gp_vals.append(float(gp.value))
+                    opt_critic.step(grads)
+            except NumericError as err:
+                raise TrainingDiverged(
+                    f"arae critic epoch {epoch}: {err}") from err
 
             # (3) adversarial: encoder makes real latents look fake,
             # generator makes fake latents look real

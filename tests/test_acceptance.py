@@ -147,6 +147,22 @@ def _op_cases():
     pos34 = r.uniform(0.8, 2.0, (3, 4))
     away34 = np.where(np.abs(M) < 0.3, np.sign(M) * 0.5 + M, M)
 
+    # lstm_cell parents: x (B x E), state (B x 2H), w_ih, w_hh, b; H = 2
+    cell_args = [r.standard_normal(shape)
+                 for shape in ((3, 2), (3, 4), (2, 8), (2, 8), (8,))]
+
+    def cell_case(pos, keep):
+        def build(g, l):
+            args = [l if k == pos else g.constant(v)
+                    for k, v in enumerate(cell_args)]
+            return wsum(gc.lstm_cell(*args, keep=keep), W34)
+        return build
+
+    cell_cases = [(f"lstm_cell/{part}" + ("" if keep is None else "/masked"),
+                   cell_args[pos], cell_case(pos, keep))
+                  for pos, part in enumerate(("x", "state", "w_ih", "w_hh", "b"))
+                  for keep in (None, np.array([1.0, 0.0, 1.0]))]
+
     return [
         ("add/a", M, lambda g, l: wsum(gc.add(l, g.constant(W34)), W34)),
         ("add/b", M, lambda g, l: wsum(gc.add(g.constant(W34), l), W34)),
@@ -210,7 +226,7 @@ def _op_cases():
         ("gumbel_soft", W35,
          lambda g, l: wsum(gc.gumbel_softmax(l, tau=0.7, rng=RNG(6),
                                              hard=False)[0], W35)),
-    ]
+    ] + cell_cases
 
 
 def _softmax_rows(x):

@@ -1,6 +1,9 @@
 """Attack engine: projected step algebra, candidate determinism, ball
 invariants, rerank selection, and parallel/sequential equivalence."""
 
+import gc as cycle_collector
+import weakref
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,26 @@ class TestAttackStep:
         got = gc.backward(g, loss)[leaf.idx].data
         want = fd_grad(f, n0.copy(), h=1e-5)
         assert rel_err(got, want) <= 1e-3
+
+    def test_loss_graph_freed_without_cycle_collector(self, tiny_models,
+                                                      tiny_dev):
+        # backward closures hold arrays and flags, never Nodes, so a graph
+        # is no reference cycle and goes as soon as its last handle does
+        def step():
+            g = Graph()
+            leaf = g.leaf(RNG(11).standard_normal((1, 6)), requires_grad=True)
+            loss = tiny_models.build_loss(g, leaf, tiny_dev[:2], tau=1.0,
+                                          rng=RNG(5), cfg=_cfg())
+            gc.backward(g, loss)
+            return weakref.ref(g)
+
+        was_enabled = cycle_collector.isenabled()
+        cycle_collector.disable()
+        try:
+            assert step()() is None
+        finally:
+            if was_enabled:
+                cycle_collector.enable()
 
     def test_normalized_gradient_step_length(self, tiny_dev):
         cfg = _cfg(eps=50.0, eta=0.25, normalize_gradient=True)

@@ -378,3 +378,102 @@ class TestGumbelSoftmax:
         logits = g.constant(np.zeros((1, 3)))
         with pytest.raises(ContractViolation):
             gc.gumbel_softmax(logits, tau=0.0, rng=RNG(0))
+
+
+def _unfused_cell(x, h, c, w_ih, w_hh, b, keep=None):
+    """The matmul/narrow/sigmoid/tanh/mul/rows_scale composition that
+    lstm_cell replaces, kept as the reference it must match bit for bit."""
+    H = w_hh.value.shape[0]
+    gates = gc.add_bias(gc.add(gc.matmul(x, w_ih), gc.matmul(h, w_hh)), b)
+    i = gc.sigmoid(gc.narrow(gates, 1, 0, H))
+    f = gc.sigmoid(gc.narrow(gates, 1, H, H))
+    u = gc.tanh(gc.narrow(gates, 1, 2 * H, H))
+    o = gc.sigmoid(gc.narrow(gates, 1, 3 * H, H))
+    c2 = gc.add(gc.mul(f, c), gc.mul(i, u))
+    h2 = gc.mul(o, gc.tanh(c2))
+    if keep is not None:
+        g = x.graph
+        k, d = g.constant(keep), g.constant(1.0 - keep)
+        h2 = gc.add(gc.rows_scale(h2, k), gc.rows_scale(h, d))
+        c2 = gc.add(gc.rows_scale(c2, k), gc.rows_scale(c, d))
+    return h2, c2
+
+
+class TestLSTMCell:
+    B, E, H, T, V = 5, 3, 4, 6, 7
+
+    def _run(self, fused):
+        """Two stacked layers over padded steps. Layer 1 starts from a
+        trainable h, and its h feeds the next step, layer 2 and the loss,
+        as in the models. Returns (loss, each step's (h, c), leaf grads)."""
+        B, E, H, T, V = self.B, self.E, self.H, self.T, self.V
+        r = RNG(31)
+        init = {"emb": (V, E), "h0": (B, H), "head": (H, 3),
+                "l1.ih": (E, 4 * H), "l1.hh": (H, 4 * H), "l1.b": (4 * H,),
+                "l2.ih": (H, 4 * H), "l2.hh": (H, 4 * H), "l2.b": (4 * H,)}
+        g = gc.Graph()
+        P = {k: g.leaf(r.standard_normal(s), requires_grad=True)
+             for k, s in init.items()}
+        ids = r.integers(0, V, (B, T))
+        lengths = np.array([6, 3, 1, 6, 4])
+        masks = [(t < lengths).astype(np.float64) for t in range(T)]
+
+        def layer(prefix, xs, h):
+            c = g.constant(np.zeros((B, H)))
+            w = [P[prefix + s] for s in (".ih", ".hh", ".b")]
+            state = gc.concat([h, c], axis=1) if fused else None
+            out = []
+            for t, x in enumerate(xs):
+                keep = None if masks[t].all() else masks[t]
+                if fused:
+                    state = gc.lstm_cell(x, state, *w, keep=keep)
+                    out.append(state)
+                else:
+                    h, c = _unfused_cell(x, h, c, *w, keep=keep)
+                    out.append((h, c))
+            if fused:
+                out = [(gc.narrow(s, 1, 0, H), gc.narrow(s, 1, H, H))
+                       for s in out]
+            return out
+
+        xs = [gc.embed(P["emb"], ids[:, t]) for t in range(T)]
+        l1 = layer("l1", xs, P["h0"])
+        l2 = layer("l2", [h for h, _ in l1], g.constant(np.zeros((B, H))))
+        loss = gc.cross_entropy(gc.matmul(l2[-1][0], P["head"]),
+                                r.integers(0, 3, B))
+        for h, _ in l1:
+            loss = gc.add(loss, gc.mean_all(gc.mul(h, h)))
+        grads = gc.backward(g, loss)
+        return (float(loss.value),
+                [(h.value, c.value) for h, c in l1 + l2],
+                {k: grads[n.idx].data for k, n in P.items()})
+
+    def test_bit_identical_to_unfused_composition(self):
+        loss_f, states_f, grads_f = self._run(fused=True)
+        loss_u, states_u, grads_u = self._run(fused=False)
+        assert loss_f == loss_u
+        for (hf, cf), (hu, cu) in zip(states_f, states_u):
+            assert np.array_equal(hf, hu) and np.array_equal(cf, cu)
+        for k in grads_u:
+            assert np.array_equal(grads_f[k], grads_u[k]), k
+
+    def test_overflowing_gates_name_the_op(self):
+        g = gc.Graph()
+        x = g.leaf(np.full((2, 3), 1e200))
+        state = g.leaf(np.zeros((2, 4)))
+        w_ih = g.leaf(np.full((3, 8), 1e200))
+        w_hh = g.leaf(np.zeros((2, 8)))
+        b = g.leaf(np.zeros(8))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="lstm_cell"):
+            gc.lstm_cell(x, state, w_ih, w_hh, b)
+
+    def test_bad_shapes_rejected(self):
+        g = gc.Graph()
+        x = g.leaf(np.zeros((2, 3)))
+        w_ih, w_hh, b = (g.leaf(np.zeros(s)) for s in ((3, 8), (2, 8), (8,)))
+        with pytest.raises(ContractViolation):
+            gc.lstm_cell(x, g.leaf(np.zeros((2, 2))), w_ih, w_hh, b)
+        with pytest.raises(ContractViolation):
+            gc.lstm_cell(x, g.leaf(np.zeros((2, 4))), w_ih, w_hh, b,
+                         keep=np.ones(3))
