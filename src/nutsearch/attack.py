@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore as gc
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 from .evaluation import accuracy_under_trigger
 from .gradcore import Graph, Node, Tensor, l2_project
-from .models import ARAEModel, ScoringLM, VictimClassifier, pad_batch, step_masks
+from .models import ARAEModel, ScoringLM, VictimClassifier
 from .textdata import Example, align_vocab
 
 
@@ -106,20 +106,10 @@ class AttackModels:
         steps = gen.decode_soft(g, PG, z, cfg.trigger_length, tau, rng,
                                 self.allowed_mask, hard=hard)
         PV = victim.lift(g)
-        B = len(batch)
         emb_node = g.constant(self._emb_map)
-        trig_steps = [gc.tile_rows(gc.matmul(fed, emb_node), B)
-                      for _, fed in steps]
-        ids, lengths = pad_batch([list(ex.text) for ex in batch],
-                                 victim.vocab.pad_id)
-        emb_steps = trig_steps + victim.embed_steps(g, PV, ids)
-        masks = ([np.ones(B)] * cfg.trigger_length
-                 + step_masks(lengths, ids.shape[1]))
-        premise = None
-        if victim.kind == "pair":
-            premise = pad_batch([list(ex.premise) for ex in batch],
-                                victim.vocab.pad_id)
-        logits = victim.forward_embs(g, PV, emb_steps, masks, premise=premise)
+        rows = [gc.matmul(fed, emb_node) for _, fed in steps]
+        logits = victim.logits_ids(g, PV, [ex.text for ex in batch],
+                                   [ex.premise for ex in batch], prefix=rows)
         labels = np.array([ex.label for ex in batch])
         return gc.cross_entropy(logits, labels)
 
@@ -207,9 +197,13 @@ def nuts_attack(models: AttackModels, dev_subset: list[Example],
 
     Returns (selected, candidates); the candidate list order follows the
     derived seed order no matter how execution was scheduled."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     _check_subset(dev_subset, cfg.attacked_class)
     seeds = derive_init_seeds(cfg.seed, cfg.n_inits)
-    if workers <= 1:
+    # the pool starts every worker up front, so never more than there are jobs
+    workers = min(workers, len(seeds))
+    if workers == 1:
         candidates = [run_candidate(s, dev_subset, models, cfg)
                       for s in seeds]
     else:

@@ -15,7 +15,6 @@ from .attack import AttackConfig, AttackModels, TriggerCandidate, nuts_attack, r
 from .errors import ContractViolation
 from .evaluation import accuracy_under_trigger
 from .gradcore import Graph, Tensor
-from .models import pad_batch, step_masks
 from .textdata import Example, Vocab
 
 
@@ -48,20 +47,11 @@ def _trigger_loss(victim, trig_ids: list[int], batch: list[Example],
     loss gradient w.r.t. each trigger position's embedding row."""
     g = Graph()
     PV = victim.lift(g)
-    B = len(batch)
     emb = victim.weights["emb"].data
     leaves = [g.leaf(emb[t][None, :].copy(), requires_grad=True)
               for t in trig_ids]
-    trig_steps = [gc.tile_rows(leaf, B) for leaf in leaves]
-    ids, lengths = pad_batch([list(ex.text) for ex in batch],
-                             victim.vocab.pad_id)
-    emb_steps = trig_steps + victim.embed_steps(g, PV, ids)
-    masks = [np.ones(B)] * len(trig_ids) + step_masks(lengths, ids.shape[1])
-    premise = None
-    if victim.kind == "pair":
-        premise = pad_batch([list(ex.premise) for ex in batch],
-                            victim.vocab.pad_id)
-    logits = victim.forward_embs(g, PV, emb_steps, masks, premise=premise)
+    logits = victim.logits_ids(g, PV, [ex.text for ex in batch],
+                               [ex.premise for ex in batch], prefix=leaves)
     labels = np.array([ex.label for ex in batch])
     loss = gc.cross_entropy(logits, labels)
     if not want_grads:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import logging
-import subprocess
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,26 +155,3 @@ class EvalReport:
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
-
-def run_grammar_checker(command: list[str],
-                        sentences: list[list[str]]) -> list[int]:
-    """Pipe one space-joined sentence per line into an external checker
-    command; read back one integer error count per line."""
-    if not sentences:
-        return []
-    payload = "\n".join(" ".join(s) for s in sentences) + "\n"
-    proc = subprocess.run(command, input=payload, capture_output=True,
-                          text=True)
-    if proc.returncode != 0:
-        raise ContractViolation(
-            f"grammar checker exited {proc.returncode}: {proc.stderr.strip()}")
-    lines = proc.stdout.splitlines()
-    if len(lines) != len(sentences):
-        raise ContractViolation(
-            f"grammar checker returned {len(lines)} lines for "
-            f"{len(sentences)} sentences")
-    try:
-        return [int(line.strip()) for line in lines]
-    except ValueError as err:
-        raise ContractViolation(
-            f"grammar checker output not integers: {err}") from err

@@ -28,7 +28,7 @@ __all__ = [
     "add", "add_bias", "sub", "mul", "scale", "add_const",
     "rows_scale", "reciprocal",
     "matmul", "transpose", "tanh", "sigmoid", "absolute", "sqrt",
-    "softmax", "log_softmax", "embed", "concat", "narrow",
+    "softmax", "embed", "concat", "narrow",
     "sum_all", "mean_all", "sum_axis", "cross_entropy",
     "tile_rows", "straight_through", "lstm_cell", "gumbel_softmax",
     "l2_project",
@@ -101,21 +101,18 @@ class Node:
 
 
 class Graph:
-    """Append-only computation record.
+    """Append-only computation record. Every op's output is checked for
+    non-finite values as it is pushed, so a NumericError names the first
+    op that produced one."""
 
-    check_finite=False skips the per-op output scan; training and the
-    attack keep it on, it exists so microbenchmarks can measure op cost.
-    """
-
-    def __init__(self, check_finite: bool = True):
+    def __init__(self):
         self._entries: list[_Entry] = []
-        self.check_finite = check_finite
 
     def __len__(self):
         return len(self._entries)
 
     def _push(self, kind, parents, value, back, requires_grad) -> Node:
-        if self.check_finite and not np.all(np.isfinite(value)):
+        if not np.all(np.isfinite(value)):
             raise NumericError(f"op '{kind}' produced a non-finite value")
         self._entries.append(_Entry(kind, parents, value, requires_grad, back))
         return Node(self, len(self._entries) - 1)
@@ -136,10 +133,6 @@ def _same_graph(*nodes) -> Graph:
         if n.graph is not g:
             raise ContractViolation("nodes belong to different graphs")
     return g
-
-
-def _entry(node: Node) -> _Entry:
-    return node.graph._entries[node.idx]
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +288,6 @@ def softmax(a: Node, axis: int = -1) -> Node:
         return (out * (go - dot),)
 
     return a.graph._push("softmax", (a.idx,), out,
-                         back if a.requires_grad else None, a.requires_grad)
-
-
-def log_softmax(a: Node, axis: int = -1) -> Node:
-    av = a.value
-    shifted = av - av.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    sm = np.exp(out)
-
-    def back(go):
-        return (go - sm * go.sum(axis=axis, keepdims=True),)
-
-    return a.graph._push("log_softmax", (a.idx,), out,
                          back if a.requires_grad else None, a.requires_grad)
 
 
@@ -492,7 +471,7 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
     h = np.ascontiguousarray(sv[:, :H])
     c = sv[:, H:]
     gates = (xv @ ih + h @ hh) + bv
-    if g.check_finite and not np.all(np.isfinite(gates)):
+    if not np.all(np.isfinite(gates)):
         raise NumericError("op 'lstm_cell' produced non-finite gates")
     i, f, o = (0.5 * (1.0 + np.tanh(0.5 * gates[:, k * H:(k + 1) * H]))
                for k in (0, 1, 3))
@@ -561,11 +540,10 @@ def backward(graph: Graph, loss: Node) -> dict[int, Tensor]:
         if e.back is None:
             continue
         pgrads = e.back(go)
-        if graph.check_finite:
-            for pg in pgrads:
-                if pg is not None and not np.all(np.isfinite(pg)):
-                    raise NumericError(f"backward through '{e.kind}' produced a "
-                                       "non-finite gradient")
+        for pg in pgrads:
+            if pg is not None and not np.all(np.isfinite(pg)):
+                raise NumericError(f"backward through '{e.kind}' produced a "
+                                   "non-finite gradient")
         for pid, pg in zip(e.parents, pgrads):
             if pg is None or not entries[pid].requires_grad:
                 continue

@@ -11,9 +11,9 @@ one engine carries every gradient in the pipeline:
 * a single-layer LSTM language model whose output layer starts at zero,
   so its untrained average cross-entropy is exactly ln |V|.
 
-Every text input accepts either token ids or per-position probability
-rows over the vocabulary; probability rows multiply the embedding
-table, which is what lets trigger gradients flow end to end.
+Victim texts are token ids, optionally preceded by embedding rows such
+as a trigger's; the attack passes decoded probability rows times the
+embedding table, which is what lets trigger gradients flow end to end.
 """
 
 from __future__ import annotations
@@ -284,29 +284,21 @@ class ARAEModel(_ModelBase):
 
     def decode_greedy(self, z, length: int, allowed_mask) -> list[int]:
         """Deterministic argmax decode of exactly `length` tokens."""
-        z = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
-        g = Graph()
-        P = self.lift(g)
-        zn = g.leaf(z[None, :])
-        penalty = self._ban_vector(allowed_mask)
-        state = self.dec_init_state(g, P, zn)
-        tok = self.vocab.bos_id
-        out = []
-        for _ in range(length):
-            emb = gc.embed(P["emb_dec"], np.array([tok]))
-            state, logits = self.dec_step(g, P, emb, zn, state)
-            tok = int((logits.value[0] + penalty).argmax())
-            out.append(tok)
-        return out
+        return self._argmax_decode(z, length, self._ban_vector(allowed_mask),
+                                   stop_at_eos=False)
 
     def decode_until_eos(self, z, max_len: int = 12) -> list[int]:
         """Greedy decode with EOS enabled; used for sample-quality checks."""
+        penalty = np.zeros(len(self.vocab))
+        penalty[[self.vocab.pad_id, self.vocab.unk_id, self.vocab.bos_id]] = LOGIT_BAN
+        return self._argmax_decode(z, max_len, penalty, stop_at_eos=True)
+
+    def _argmax_decode(self, z, max_len: int, penalty: np.ndarray,
+                       stop_at_eos: bool) -> list[int]:
         z = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
         g = Graph()
         P = self.lift(g)
         zn = g.leaf(z[None, :])
-        penalty = np.zeros(len(self.vocab))
-        penalty[[self.vocab.pad_id, self.vocab.unk_id, self.vocab.bos_id]] = LOGIT_BAN
         state = self.dec_init_state(g, P, zn)
         tok = self.vocab.bos_id
         out = []
@@ -314,7 +306,7 @@ class ARAEModel(_ModelBase):
             emb = gc.embed(P["emb_dec"], np.array([tok]))
             state, logits = self.dec_step(g, P, emb, zn, state)
             tok = int((logits.value[0] + penalty).argmax())
-            if tok == self.vocab.eos_id:
+            if stop_at_eos and tok == self.vocab.eos_id:
                 break
             out.append(tok)
         return out
@@ -412,24 +404,32 @@ class VictimClassifier(_ModelBase):
 
     def logits_ids(self, g: Graph, P, texts: list[list[int]],
                    premises: list[list[int]] | None = None,
-                   emb_noise: np.ndarray | None = None) -> Node:
-        """Logits for a batch of id sequences. `emb_noise`, shaped
-        (T, B, E), is added to the embedded steps; training uses it to
-        smooth the model's response to off-manifold embedding inputs."""
+                   emb_noise: np.ndarray | None = None,
+                   prefix: list[Node] = ()) -> Node:
+        """Logits for a batch of id sequences.
+
+        `prefix` holds (1, E) embedding rows, such as a trigger, put in
+        front of every text and never masked. `emb_noise`, shaped
+        (T, B, E), is added to the embedded text steps; training uses it
+        to smooth the model's response to off-manifold embedding inputs.
+        Only the pair model reads `premises`."""
         ids, lengths = pad_batch(texts, self.vocab.pad_id)
-        emb_steps = self.embed_steps(g, P, ids)
+        B, T = ids.shape
+        prefix_steps = [gc.tile_rows(row, B) for row in prefix]
+        text_steps = self.embed_steps(g, P, ids)
         if emb_noise is not None:
-            if emb_noise.shape != (ids.shape[1], ids.shape[0], self.emb_dim):
+            if emb_noise.shape != (T, B, self.emb_dim):
                 raise ContractViolation("emb_noise must be (T, B, E)")
-            emb_steps = [gc.add(e, g.constant(emb_noise[t]))
-                         for t, e in enumerate(emb_steps)]
-        masks = step_masks(lengths, ids.shape[1])
+            text_steps = [gc.add(e, g.constant(emb_noise[t]))
+                          for t, e in enumerate(text_steps)]
+        masks = [np.ones(B)] * len(prefix) + step_masks(lengths, T)
         prem = None
         if self.kind == "pair":
             if premises is None:
                 raise ContractViolation("pair model needs premises")
             prem = pad_batch(premises, self.vocab.pad_id)
-        return self.forward_embs(g, P, emb_steps, masks, premise=prem)
+        return self.forward_embs(g, P, prefix_steps + text_steps, masks,
+                                 premise=prem)
 
     def logits_batch(self, texts, premises=None, batch_size: int = 512) -> np.ndarray:
         out = []
@@ -480,20 +480,30 @@ class ScoringLM(_ModelBase):
         return [gc.add_bias(gc.matmul(_hidden(s), P["out.w"]), P["out.b"])
                 for s in run_lstm(g, P, "lstm", inputs)]
 
+    def batch_ce(self, g: Graph, P, texts: list[list[int]]) -> Node:
+        """Token-weighted mean next-token cross-entropy of a batch of id
+        sequences, teacher-forced from BOS; padding carries no weight."""
+        ids, lengths = pad_batch(texts, self.vocab.pad_id)
+        B, T = ids.shape
+        in_ids = np.concatenate([np.full((B, 1), self.vocab.bos_id), ids[:, :-1]],
+                                axis=1)
+        logits = self.step_logits(g, P, in_ids)
+        flat = gc.concat(logits, axis=0) if len(logits) > 1 else logits[0]
+        # concat is step-major: row t*B + i holds batch row i at step t
+        targets = ids.T.reshape(-1)
+        weights = np.concatenate(step_masks(lengths, T))
+        targets = np.where(weights > 0, targets, 0)
+        return gc.cross_entropy(flat, targets, weights)
+
     def avg_ce(self, tokens: list[str]) -> float:
-        """Mean per-token cross-entropy of a token sequence under the LM,
-        teacher-forced from BOS; unknown words map to <unk>."""
+        """Mean per-token cross-entropy of a token sequence under the LM:
+        the one-row case of batch_ce; unknown words map to <unk>."""
         if not tokens:
             raise ContractViolation("avg_ce of an empty sequence")
         if not all(isinstance(t, str) for t in tokens):
             raise ContractViolation("avg_ce expects token strings")
-        ids = self.vocab.encode(list(tokens))
-        in_ids = np.array([[self.vocab.bos_id] + ids[:-1]], dtype=np.int64)
         g = Graph()
-        P = self.lift(g)
-        logits = self.step_logits(g, P, in_ids)
-        flat = gc.concat(logits, axis=0) if len(logits) > 1 else logits[0]
-        ce = gc.cross_entropy(flat, np.array(ids))
+        ce = self.batch_ce(g, self.lift(g), [self.vocab.encode(list(tokens))])
         return float(ce.value)
 
 

@@ -190,20 +190,6 @@ def classifier_accuracy(model: VictimClassifier, examples) -> float:
 # scoring language model
 
 
-def _lm_batch(model: ScoringLM, texts, g: Graph, P):
-    ids, lengths = pad_batch(texts, model.vocab.pad_id)
-    B, T = ids.shape
-    in_ids = np.concatenate([np.full((B, 1), model.vocab.bos_id), ids[:, :-1]],
-                            axis=1)
-    logits = model.step_logits(g, P, in_ids)
-    flat = gc.concat(logits, axis=0) if len(logits) > 1 else logits[0]
-    # concat is step-major: row t*B + i holds batch row i at step t
-    targets = ids.T.reshape(-1)
-    weights = np.concatenate(step_masks(lengths, T))
-    targets = np.where(weights > 0, targets, 0)
-    return gc.cross_entropy(flat, targets, weights)
-
-
 def lm_corpus_ce(model: ScoringLM, examples, batch_size: int = 256) -> float:
     """Token-weighted mean CE over a list of Examples."""
     tot_ce, tot_tok = 0.0, 0
@@ -211,7 +197,7 @@ def lm_corpus_ce(model: ScoringLM, examples, batch_size: int = 256) -> float:
         texts = [ex.text for ex in examples[lo : lo + batch_size]]
         g = Graph()
         P = model.lift(g)
-        ce = _lm_batch(model, texts, g, P)
+        ce = model.batch_ce(g, P, texts)
         n = sum(len(t) for t in texts)
         tot_ce += float(ce.value) * n
         tot_tok += n
@@ -235,7 +221,7 @@ def train_lm(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
             g = Graph()
             P = model.lift(g, trainable=True)
             try:
-                loss = _lm_batch(model, [texts[i] for i in idx], g, P)
+                loss = model.batch_ce(g, P, [texts[i] for i in idx])
                 grads = _grads_by_name(g, P, loss)
             except NumericError as err:
                 raise TrainingDiverged(f"lm epoch {epoch}: {err}") from err

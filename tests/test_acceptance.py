@@ -195,8 +195,6 @@ def _op_cases():
          lambda g, l: wsum(gc.softmax(l, axis=-1), W34)),
         ("softmax/cols", M,
          lambda g, l: wsum(gc.softmax(l, axis=0), W34)),
-        ("log_softmax", M,
-         lambda g, l: wsum(gc.log_softmax(l, axis=-1), W34)),
         ("embed", Wids,
          lambda g, l: wsum(gc.embed(l, ids), RNG(9).standard_normal((5, 3)))),
         ("concat/axis1", M,

@@ -13,7 +13,7 @@ from nutsearch import textdata as td
 from nutsearch.attack import (AttackConfig, AttackModels, TriggerCandidate,
                               attack_step, derive_init_seeds, nuts_attack,
                               rerank, run_candidate)
-from nutsearch.errors import ContractViolation
+from nutsearch.errors import ConfigError, ContractViolation
 from nutsearch.gradcore import Graph, Tensor, l2_project
 from nutsearch.models import ARAEModel, ScoringLM, VictimClassifier
 from nutsearch.textdata import Example
@@ -292,6 +292,40 @@ class TestNutsAttack:
         for a, b in zip(seq, par):
             assert a.tokens == b.tokens and a.m1 == b.m1 and a.m2 == b.m2
             assert np.array_equal(a.n_final.data, b.n_final.data)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, tiny_models, tiny_dev,
+                                        workers):
+        with pytest.raises(ConfigError):
+            nuts_attack(tiny_models, tiny_dev, _cfg(n_inits=2),
+                        workers=workers)
+
+    @pytest.mark.parametrize("workers,n_inits,pools", [
+        (8, 3, [3]), (2, 3, [2]), (5, 1, [])])
+    def test_pool_never_larger_than_jobs(self, tiny_models, tiny_dev,
+                                         monkeypatch, workers, n_inits,
+                                         pools):
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(attack_mod, "ProcessPoolExecutor", RecordingPool)
+        cfg = _cfg(steps=1, n_inits=n_inits)
+        _, got = nuts_attack(tiny_models, tiny_dev, cfg, workers=workers)
+        _, want = nuts_attack(tiny_models, tiny_dev, cfg, workers=1)
+        assert made == pools
+        assert [c.tokens for c in got] == [c.tokens for c in want]
 
     def test_derived_seeds_deterministic(self):
         assert derive_init_seeds(9, 5) == derive_init_seeds(9, 5)

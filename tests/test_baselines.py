@@ -59,11 +59,8 @@ class _LinearVictim:
         return {"emb": g.constant(self.weights["emb"]),
                 "w": g.constant(self.w)}
 
-    def embed_steps(self, g, P, ids):
-        return [gc.embed(P["emb"], ids[:, t]) for t in range(ids.shape[1])]
-
-    def forward_embs(self, g, P, emb_steps, masks, premise=None):
-        z1 = gc.matmul(emb_steps[0], P["w"])
+    def logits_ids(self, g, P, texts, premises=None, prefix=()):
+        z1 = gc.matmul(gc.tile_rows(prefix[0], len(texts)), P["w"])
         zeros = g.constant(np.zeros((z1.value.shape[0], 1)))
         return gc.concat([zeros, z1], axis=1)
 

@@ -111,6 +111,13 @@ def test_bad_attacked_class_exits_two(tmp_path, workbench):
     assert run_cli(*argv) == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_attack_workers_below_one_exits_two(tmp_path, workbench, workers):
+    out = tmp_path / "atk"
+    assert run_cli(*_attack_args(workbench, out, "--workers", workers)) == 2
+    assert not (out / "candidates.jsonl").exists()
+
+
 def test_random_arae_without_generator_exits_two(tmp_path, workbench):
     assert run_cli("attack-baseline", "--kind", "random-arae", "--data-dir",
                    str(workbench["data"]), "--victim",

@@ -13,8 +13,8 @@ from nutsearch import textdata as td
 from nutsearch.errors import ContractViolation
 from nutsearch.evaluation import (EvalReport, TransferResult,
                                   accuracy_under_trigger, avg_word_frequency,
-                                  candidate_stats, run_grammar_checker,
-                                  stat_delta, transfer_eval)
+                                  candidate_stats, stat_delta,
+                                  transfer_eval)
 from nutsearch.models import VictimClassifier
 from nutsearch.textdata import Example
 
@@ -192,32 +192,3 @@ class TestEvalReport:
         assert "m1 test" in text and "0.3000" in text
         assert "config hash" in text
 
-
-class TestGrammarChecker:
-    CAT = ["python3", "-c",
-           "import sys\n"
-           "for line in sys.stdin:\n"
-           "    print(sum(1 for w in line.split() if w.startswith('x')))"]
-
-    def test_counts_per_line(self):
-        out = run_grammar_checker(
-            self.CAT, [["a", "xb"], ["xc", "xd", "e"], ["ok"]])
-        assert out == [1, 2, 0]
-
-    def test_empty_input(self):
-        assert run_grammar_checker(self.CAT, []) == []
-
-    def test_wrong_line_count_rejected(self):
-        cmd = ["python3", "-c", "print(0)"]
-        with pytest.raises(ContractViolation):
-            run_grammar_checker(cmd, [["a"], ["b"]])
-
-    def test_nonzero_exit_rejected(self):
-        cmd = ["python3", "-c", "import sys; sys.exit(3)"]
-        with pytest.raises(ContractViolation):
-            run_grammar_checker(cmd, [["a"]])
-
-    def test_non_integer_output_rejected(self):
-        cmd = ["python3", "-c", "print('boom')"]
-        with pytest.raises(ContractViolation):
-            run_grammar_checker(cmd, [["a"]])

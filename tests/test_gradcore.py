@@ -115,12 +115,6 @@ class TestOpGradients:
         _check_op(lambda g, x: gc.sum_all(gc.mul(gc.softmax(x, axis=1), g.constant(w))),
                   r.standard_normal((2, 5)))
 
-    def test_log_softmax(self):
-        r = RNG(10)
-        w = r.standard_normal((2, 5))
-        _check_op(lambda g, x: gc.sum_all(gc.mul(gc.log_softmax(x, axis=1), g.constant(w))),
-                  r.standard_normal((2, 5)))
-
     def test_embed(self):
         r = RNG(11)
         ids = np.array([0, 2, 2, 1])
