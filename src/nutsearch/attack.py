@@ -64,7 +64,7 @@ class AttackConfig:
 @dataclass
 class TriggerCandidate:
     init_seed: int
-    n_final: Tensor
+    n_final: Tensor | None  # the ascent's end point; None without an ascent
     tokens: list[str]
     m1: float
     m2: float
@@ -141,13 +141,28 @@ def attack_step(n_t: Tensor, n0: Tensor, batch: list[Example], models,
     return l2_project(Tensor(n_t.data + cfg.eta * grad), n0, cfg.eps)
 
 
-def _check_subset(dev_subset: list[Example], y: int) -> None:
+def _check_subset(dev_subset: list[Example], y: int | None = None) -> int:
+    """The one class of a non-empty dev subset; it must be y when given."""
     if not dev_subset:
         raise ContractViolation("dev subset is empty")
-    bad = {ex.label for ex in dev_subset} - {y}
-    if bad:
+    labels = {ex.label for ex in dev_subset}
+    if len(labels) != 1 or (y is not None and labels != {y}):
+        want = "a single class" if y is None else f"only class {y}"
         raise ContractViolation(
-            f"dev subset must contain only class {y}; found {sorted(bad)}")
+            f"dev subset must contain {want}; found {sorted(labels)}")
+    return labels.pop()
+
+
+def score_trigger(victim: VictimClassifier, lm: ScoringLM,
+                  dev_subset: list[Example], y: int, tokens: list[str],
+                  lam: float, init_seed: int,
+                  n_final: Tensor | None = None) -> TriggerCandidate:
+    """Score a trigger by m1 (class-y accuracy on `dev_subset` with the
+    trigger prepended) and m2 (LM cross-entropy): m1 + lam * m2."""
+    m1 = accuracy_under_trigger(victim, dev_subset, tokens, y)
+    m2 = lm.avg_ce(tokens)
+    return TriggerCandidate(init_seed=init_seed, n_final=n_final,
+                            tokens=tokens, m1=m1, m2=m2, score=m1 + lam * m2)
 
 
 def run_candidate(init_seed: int, dev_subset: list[Example],
@@ -165,11 +180,8 @@ def run_candidate(init_seed: int, dev_subset: list[Example],
         batch = [dev_subset[i] for i in idx]
         n = attack_step(n, n0, batch, models, cfg, tau=cfg.tau_at(t), rng=rng)
     tokens = models.decode_trigger(n, cfg.trigger_length)
-    m1 = accuracy_under_trigger(models.victim, dev_subset, tokens,
-                                cfg.attacked_class)
-    m2 = models.lm.avg_ce(tokens)
-    return TriggerCandidate(init_seed=init_seed, n_final=n, tokens=tokens,
-                            m1=m1, m2=m2, score=m1 + cfg.lam * m2)
+    return score_trigger(models.victim, models.lm, dev_subset,
+                         cfg.attacked_class, tokens, cfg.lam, init_seed, n)
 
 
 def rerank(candidates: list[TriggerCandidate], lam: float) -> TriggerCandidate:

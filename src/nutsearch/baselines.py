@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore as gc
-from .attack import AttackConfig, AttackModels, TriggerCandidate, nuts_attack, rerank
+from .attack import (AttackConfig, AttackModels, _check_subset,
+                     derive_init_seeds, nuts_attack, rerank, score_trigger)
 from .errors import ContractViolation
-from .evaluation import accuracy_under_trigger
-from .gradcore import Graph, Tensor
+from .gradcore import Graph
 from .textdata import Example, Vocab
 
 
@@ -29,16 +29,6 @@ class TokenGradientConfig:
         if self.top_k < 1 or self.beam_width < 1 or self.max_sweeps < 1:
             raise ContractViolation("top_k, beam_width, max_sweeps must be "
                                     ">= 1")
-
-
-def _single_class(dev_subset: list[Example]) -> int:
-    if not dev_subset:
-        raise ContractViolation("dev subset is empty")
-    labels = {ex.label for ex in dev_subset}
-    if len(labels) != 1:
-        raise ContractViolation(f"dev subset must be single-class; "
-                                f"found {sorted(labels)}")
-    return labels.pop()
 
 
 def _trigger_loss(victim, trig_ids: list[int], batch: list[Example],
@@ -68,7 +58,7 @@ def token_gradient_attack(victim, dev_subset: list[Example], length: int,
     Returns (trigger tokens, final dev loss). The trigger lives in the
     victim's vocabulary; `vocab_mask` is boolean over that vocabulary."""
     cfg = cfg or TokenGradientConfig()
-    _single_class(dev_subset)
+    _check_subset(dev_subset)
     mask = np.asarray(vocab_mask, dtype=bool)
     vocab: Vocab = victim.vocab
     if mask.shape != (len(vocab),):
@@ -120,7 +110,7 @@ def random_arae_attack(generator, victim, lm, dev_subset: list[Example],
     """Best-of-N greedy decodes of random generator noise, selected by dev
     attacked-class accuracy. Identical to the main attack at 0 steps with
     reranking off, sharing its seed derivation."""
-    y = _single_class(dev_subset)
+    y = _check_subset(dev_subset)
     models = AttackModels(generator, victim, lm, allowed_mask)
     cfg = AttackConfig(attacked_class=y, trigger_length=length, steps=0,
                        n_inits=n_candidates, lam=0.0, seed=seed)
@@ -134,7 +124,7 @@ def random_sequence_attack(vocab: Vocab, allowed_mask, victim, lm,
     selected by dev attacked-class accuracy."""
     if n_candidates < 1:
         raise ContractViolation("n_candidates must be >= 1")
-    y = _single_class(dev_subset)
+    y = _check_subset(dev_subset)
     mask = np.asarray(allowed_mask, dtype=bool)
     if mask.shape != (len(vocab),):
         raise ContractViolation("allowed_mask must cover the vocabulary")
@@ -143,16 +133,11 @@ def random_sequence_attack(vocab: Vocab, allowed_mask, victim, lm,
                                      vocab.bos_id, vocab.eos_id)])
     if allowed.size == 0:
         raise ContractViolation("allowed_mask admits no usable tokens")
-    from .attack import derive_init_seeds
     candidates = []
     for s in derive_init_seeds(seed, n_candidates):
         rng = np.random.default_rng(np.random.SeedSequence(s))
         ids = [int(allowed[i])
                for i in rng.integers(0, allowed.size, size=length)]
-        tokens = vocab.decode(ids)
-        m1 = accuracy_under_trigger(victim, dev_subset, tokens, y)
-        m2 = lm.avg_ce(tokens)
-        candidates.append(TriggerCandidate(
-            init_seed=s, n_final=Tensor(np.zeros(1)), tokens=tokens,
-            m1=m1, m2=m2, score=m1))
+        candidates.append(score_trigger(victim, lm, dev_subset, y,
+                                        vocab.decode(ids), 0.0, s))
     return rerank(candidates, 0.0), candidates

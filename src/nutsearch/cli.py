@@ -8,6 +8,7 @@ logs go to standard error. Exit codes: 0 success, 2 bad flags/config,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -17,8 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import textdata as td
-from .attack import (AttackConfig, AttackModels, TriggerCandidate,
-                     nuts_attack, write_candidates, write_selected)
+from .attack import (AttackConfig, AttackModels, nuts_attack,
+                     score_trigger, write_candidates, write_selected)
 from .baselines import (TokenGradientConfig, random_arae_attack,
                         random_sequence_attack, token_gradient_attack)
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -27,40 +28,43 @@ from .errors import ConfigError, NutsearchError
 from .evaluation import (EvalReport, accuracy_under_trigger,
                          avg_word_frequency, candidate_stats, stat_delta,
                          transfer_eval)
-from .gradcore import Tensor
 from .textdata import Example, Split, Vocab
 from .trainers import TrainConfig, train_arae, train_classifier, train_lm
 
 log = logging.getLogger("nutsearch")
 
-# pinned training recipes; any key can be overridden per run
-_TRAIN_COMMON = dict(batch_size=32, gan_lr=0.05, gan_momentum=0.5,
-                     clip_norm=5.0, critic_steps=5, gp_weight=10.0,
-                     enc_noise=0.0, enc_noise_anneal=0.95, lr_anneal=1.0,
-                     augment_prefixes=0.0, emb_noise=0.0,
-                     seed=0, emb_dim=32, hidden_dim=64)
+# pinned training recipes; any key can be overridden per run. Each recipe
+# holds the TrainConfig fields its trainer reads, then the model sizes.
+_TRAIN_COMMON = dict(batch_size=32, clip_norm=5.0, seed=0, emb_dim=32,
+                     hidden_dim=64)
+# train-classifier registers lstm2's flags for every arch, so the three
+# classifier recipes share one key set
 RECIPES = {
     "lstm2": dict(_TRAIN_COMMON, epochs=20, lr=0.2, momentum=0.99,
                   augment_prefixes=0.05, emb_noise=0.4),
-    "bag": dict(_TRAIN_COMMON, epochs=12, lr=0.05, momentum=0.99),
-    "pair": dict(_TRAIN_COMMON, epochs=16, lr=0.05, momentum=0.99),
+    "bag": dict(_TRAIN_COMMON, epochs=12, lr=0.05, momentum=0.99,
+                augment_prefixes=0.0, emb_noise=0.0),
+    "pair": dict(_TRAIN_COMMON, epochs=16, lr=0.05, momentum=0.99,
+                 augment_prefixes=0.0, emb_noise=0.0),
     "lm": dict(_TRAIN_COMMON, epochs=10, lr=0.2, momentum=0.99),
     "arae": dict(_TRAIN_COMMON, epochs=80, lr=1.2, momentum=0.9, gan_lr=0.15,
+                 gan_momentum=0.5, critic_steps=5, gp_weight=10.0,
                  lr_anneal=0.97, latent_dim=32, noise_dim=16, gen_hidden=64,
                  critic_hidden=64, latent_scale=3.0),
 }
+_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
+SYNTH_DEFAULTS = dict(task="sentiment", seed=11, train_size=2400,
+                      dev_size=400, test_size=400)
+# evaluate and transfer
+_REPORT_DEFAULTS = dict(attacked_class=-1)
 ATTACK_DEFAULTS = dict(attacked_class=-1, trigger_length=3, eps=10.0,
                        eta=1000.0, steps=1000, n_inits=256, lam=0.05,
                        tau_start=1.0, tau_end=0.1, batch_size=32,
                        normalize_gradient=False, seed=0, workers=1)
-BASELINE_DEFAULTS = dict(ATTACK_DEFAULTS, top_k=20, beam_width=3,
-                         max_sweeps=5, filler="the")
-
-_TRAINCFG_KEYS = ("epochs", "batch_size", "lr", "gan_lr", "momentum",
-                  "gan_momentum", "clip_norm", "critic_steps", "gp_weight",
-                  "enc_noise", "enc_noise_anneal", "lr_anneal",
-                  "augment_prefixes", "emb_noise", "seed")
+BASELINE_DEFAULTS = dict(attacked_class=-1, trigger_length=3, n_inits=256,
+                         seed=0, top_k=20, beam_width=3, max_sweeps=5,
+                         filler="the")
 
 
 def _add_override_flags(parser: argparse.ArgumentParser, defaults: dict):
@@ -154,9 +158,7 @@ def _prepare_out(path):
 
 
 def _cmd_make_synth(args) -> int:
-    defaults = dict(task="sentiment", seed=11, train_size=2400, dev_size=400,
-                    test_size=400)
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args, SYNTH_DEFAULTS)
     if cfg["task"] not in ("sentiment", "nli"):
         raise ConfigError(f"unknown task {cfg['task']!r}")
     out_dir = Path(args.out_dir)
@@ -185,60 +187,35 @@ def _cmd_make_synth(args) -> int:
     return 0
 
 
-def _train_config(resolved: dict) -> TrainConfig:
-    return TrainConfig(**{k: resolved[k] for k in _TRAINCFG_KEYS})
-
-
-def _cmd_train_arae(args) -> int:
-    resolved = _resolve(args, RECIPES["arae"])
-    split, vocab, _ = _load_corpus(args.data_dir)
-    model, metrics = train_arae(
-        split, vocab, _train_config(resolved),
-        emb_dim=resolved["emb_dim"], hidden_dim=resolved["hidden_dim"],
-        latent_dim=resolved["latent_dim"], noise_dim=resolved["noise_dim"],
-        gen_hidden=resolved["gen_hidden"],
-        critic_hidden=resolved["critic_hidden"],
-        latent_scale=resolved["latent_scale"],
-        metrics_path=_prepare_out(args.metrics))
-    save_checkpoint(model, _prepare_out(args.out), seed=resolved["seed"],
-                    config_hash=config_hash(resolved))
-    log.info("final reconstruction accuracy: %.4f",
-             metrics[-1]["recon_acc"] if metrics else float("nan"))
-    return 0
-
-
-def _cmd_train_classifier(args) -> int:
-    if args.arch not in ("lstm2", "bag", "pair"):
-        raise ConfigError(f"unknown arch {args.arch!r}")
+def _cmd_train(args) -> int:
     resolved = _resolve(args, RECIPES[args.arch])
     split, vocab, task = _load_corpus(args.data_dir)
-    n_classes = max(ex.label for ex in split.train) + 1
     if args.arch == "pair" and task != "nli":
         raise ConfigError("pair classifier needs an nli corpus")
-    if args.arch != "pair" and task == "nli":
+    if args.arch in ("lstm2", "bag") and task == "nli":
         raise ConfigError(f"{args.arch} classifier needs a single-text corpus")
-    model, metrics = train_classifier(
-        split, vocab, args.arch, n_classes, _train_config(resolved),
-        emb_dim=resolved["emb_dim"], hidden_dim=resolved["hidden_dim"],
-        metrics_path=_prepare_out(args.metrics))
+    cfg = TrainConfig(**{k: v for k, v in resolved.items()
+                         if k in _TRAIN_FIELDS})
+    sizes = {k: v for k, v in resolved.items() if k not in _TRAIN_FIELDS}
+    metrics_path = _prepare_out(args.metrics)
+    if args.arch == "arae":
+        model, metrics = train_arae(split, vocab, cfg, **sizes,
+                                    metrics_path=metrics_path)
+        final = ("reconstruction accuracy", "recon_acc")
+    elif args.arch == "lm":
+        model, metrics = train_lm(split, vocab, cfg, **sizes,
+                                  metrics_path=metrics_path)
+        final = ("dev cross-entropy", "dev_ce")
+    else:
+        n_classes = max(ex.label for ex in split.train) + 1
+        model, metrics = train_classifier(split, vocab, args.arch, n_classes,
+                                          cfg, **sizes,
+                                          metrics_path=metrics_path)
+        final = ("dev accuracy", "dev_acc")
     save_checkpoint(model, _prepare_out(args.out), seed=resolved["seed"],
                     config_hash=config_hash(resolved))
-    log.info("final dev accuracy: %.4f",
-             metrics[-1]["dev_acc"] if metrics else float("nan"))
-    return 0
-
-
-def _cmd_train_lm(args) -> int:
-    resolved = _resolve(args, RECIPES["lm"])
-    split, vocab, _ = _load_corpus(args.data_dir)
-    model, metrics = train_lm(
-        split, vocab, _train_config(resolved),
-        emb_dim=resolved["emb_dim"], hidden_dim=resolved["hidden_dim"],
-        metrics_path=_prepare_out(args.metrics))
-    save_checkpoint(model, _prepare_out(args.out), seed=resolved["seed"],
-                    config_hash=config_hash(resolved))
-    log.info("final dev cross-entropy: %.4f",
-             metrics[-1]["dev_ce"] if metrics else float("nan"))
+    log.info("final %s: %.4f", final[0],
+             metrics[-1][final[1]] if metrics else float("nan"))
     return 0
 
 
@@ -310,39 +287,27 @@ def _cmd_attack_baseline(args) -> int:
     L = resolved["trigger_length"]
     n = resolved["n_inits"]
 
-    if kind == "random-arae":
-        mask = td.intersect_vocab(victim.vocab, generator.vocab,
-                                  exclude=exclude)
-        selected, candidates = random_arae_attack(
-            generator, victim, lm, dev_subset, n, L, mask,
-            seed=resolved["seed"])
-    elif kind == "random-seq":
-        vocab = generator.vocab if generator else victim.vocab
-        mask = td.intersect_vocab(victim.vocab, vocab, exclude=exclude)
-        selected, candidates = random_sequence_attack(
-            vocab, mask, victim, lm, dev_subset, n, L,
-            seed=resolved["seed"])
-    elif kind == "token-gradient":
-        if generator is not None:
-            mask = np.zeros(len(victim.vocab), dtype=bool)
-            gen_mask = td.intersect_vocab(victim.vocab, generator.vocab,
-                                          exclude=exclude)
-            for gid in np.flatnonzero(gen_mask):
-                mask[victim.vocab.stoi[generator.vocab.itos[gid]]] = True
-        else:
-            mask = td.intersect_vocab(victim.vocab, victim.vocab,
-                                      exclude=exclude)
+    # random-seq draws from the generator's vocabulary when there is one
+    vocab = generator.vocab if generator else victim.vocab
+    if kind == "token-gradient":  # its trigger lives in the victim's vocab
+        mask = td.intersect_vocab(vocab, victim.vocab, exclude=exclude)
         tg_cfg = TokenGradientConfig(
             top_k=resolved["top_k"], beam_width=resolved["beam_width"],
             max_sweeps=resolved["max_sweeps"], filler=resolved["filler"])
         tokens, _ = token_gradient_attack(victim, dev_subset, L, mask, tg_cfg)
-        m1 = accuracy_under_trigger(victim, dev_subset, tokens, y)
-        cand = TriggerCandidate(init_seed=resolved["seed"],
-                                n_final=Tensor(np.zeros(1)), tokens=tokens,
-                                m1=m1, m2=lm.avg_ce(tokens), score=m1)
-        selected, candidates = cand, [cand]
-    else:
-        raise ConfigError(f"unknown baseline kind {kind!r}")
+        selected = score_trigger(victim, lm, dev_subset, y, tokens, 0.0,
+                                 resolved["seed"])
+        candidates = [selected]
+    elif kind == "random-arae":
+        mask = td.intersect_vocab(victim.vocab, vocab, exclude=exclude)
+        selected, candidates = random_arae_attack(
+            generator, victim, lm, dev_subset, n, L, mask,
+            seed=resolved["seed"])
+    else:  # random-seq
+        mask = td.intersect_vocab(victim.vocab, vocab, exclude=exclude)
+        selected, candidates = random_sequence_attack(
+            vocab, mask, victim, lm, dev_subset, n, L,
+            seed=resolved["seed"])
 
     _attack_outputs(args, selected, candidates, kind, digest, victim,
                     split, y)
@@ -350,8 +315,7 @@ def _cmd_attack_baseline(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    defaults = dict(attacked_class=-1)
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args, _REPORT_DEFAULTS)
     victim, _ = load_checkpoint(args.victim)
     lm, _ = load_checkpoint(args.lm)
     split, _, task = _load_corpus(Path(args.data_dir), vocab=victim.vocab)
@@ -399,8 +363,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    defaults = dict(attacked_class=-1)
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args, _REPORT_DEFAULTS)
     victim, _ = load_checkpoint(args.victim)
     split, _, _ = _load_corpus(Path(args.data_dir), vocab=victim.vocab)
     selected = json.loads(Path(args.selected).read_text())
@@ -446,28 +409,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-synth", help="emit a synthetic task corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None)
-    _add_override_flags(p, dict(task="sentiment", seed=11, train_size=2400,
-                                dev_size=400, test_size=400))
+    _add_override_flags(p, SYNTH_DEFAULTS)
     p.set_defaults(func=_cmd_make_synth)
 
-    for name, fn, recipe in (("train-arae", _cmd_train_arae, "arae"),
-                             ("train-lm", _cmd_train_lm, "lm")):
-        p = sub.add_parser(name, help=f"train the {recipe} model")
+    for name, arch, what in (("train-arae", "arae", "the ARAE generator"),
+                             ("train-classifier", None, "a victim classifier"),
+                             ("train-lm", "lm", "the scoring LM")):
+        p = sub.add_parser(name, help=f"train {what}")
         p.add_argument("--data-dir", required=True)
+        if arch is None:
+            p.add_argument("--arch", required=True,
+                           choices=("lstm2", "bag", "pair"))
+        else:
+            p.set_defaults(arch=arch)
         p.add_argument("--out", required=True)
         p.add_argument("--metrics", default=None)
         p.add_argument("--config", default=None)
-        _add_override_flags(p, RECIPES[recipe])
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("train-classifier", help="train a victim classifier")
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--arch", required=True, choices=("lstm2", "bag", "pair"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--metrics", default=None)
-    p.add_argument("--config", default=None)
-    _add_override_flags(p, RECIPES["lstm2"])
-    p.set_defaults(func=_cmd_train_classifier)
+        _add_override_flags(p, RECIPES[arch or "lstm2"])
+        p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("attack", help="run the noise-space trigger search")
     p.add_argument("--data-dir", required=True)
@@ -501,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", required=True)
     p.add_argument("--out-text", default=None)
     p.add_argument("--config", default=None)
-    _add_override_flags(p, dict(attacked_class=-1))
+    _add_override_flags(p, _REPORT_DEFAULTS)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("transfer", help="apply a trigger to another victim")
@@ -510,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selected", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    _add_override_flags(p, dict(attacked_class=-1))
+    _add_override_flags(p, _REPORT_DEFAULTS)
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("stats", help="population statistics of a dump")

@@ -3,9 +3,8 @@ statistics, candidate-population summaries, and transfer measurement."""
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -120,16 +119,7 @@ class EvalReport:
     config_hash: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "task": self.task, "attack_kind": self.attack_kind,
-            "trigger": list(self.trigger),
-            "attacked_class": self.attacked_class,
-            "clean_acc": self.clean_acc, "attacked_acc": self.attacked_acc,
-            "m1_dev": self.m1_dev, "m1_test": self.m1_test, "m2": self.m2,
-            "word_freq": self.word_freq,
-            "word_freq_normalized": self.word_freq_normalized,
-            "stat_deltas": self.stat_deltas, "config_hash": self.config_hash,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         rows = [

@@ -170,18 +170,12 @@ class ARAEModel(_ModelBase):
 
     # -- encoder
 
-    def encode(self, g: Graph, P, ids: np.ndarray, lengths: np.ndarray,
-               noise_rows: np.ndarray | None = None) -> Node:
-        """(B, T) token ids -> (B, Z) latent on the scaled unit sphere.
-
-        noise_rows, when given, perturbs the pre-normalization projection;
-        training uses it to keep the decoder dependent on the latent."""
+    def encode(self, g: Graph, P, ids: np.ndarray, lengths: np.ndarray) -> Node:
+        """(B, T) token ids -> (B, Z) latent on the scaled unit sphere."""
         masks = step_masks(lengths, ids.shape[1])
         inputs = [gc.embed(P["emb_enc"], ids[:, t]) for t in range(ids.shape[1])]
         h_last = _hidden(run_lstm(g, P, "enc", inputs, masks)[-1])
         proj = gc.add_bias(gc.matmul(h_last, P["enc_proj.w"]), P["enc_proj.b"])
-        if noise_rows is not None:
-            proj = gc.add(proj, g.constant(noise_rows))
         return self._to_sphere(proj)
 
     def _to_sphere(self, x: Node) -> Node:
@@ -519,10 +513,6 @@ MODEL_KINDS = {
 def model_from_parts(kind: str, hyperparams: dict, vocab: Vocab,
                      weights: dict[str, Tensor]):
     """Rebuild a model object from checkpoint payload pieces."""
-    if kind == "arae":
-        return ARAEModel(vocab, weights=weights, **hyperparams)
-    if kind in ("lstm2", "bag", "pair"):
-        return VictimClassifier(vocab, weights=weights, **hyperparams)
-    if kind == "lm":
-        return ScoringLM(vocab, weights=weights, **hyperparams)
-    raise ContractViolation(f"unknown model kind {kind!r}")
+    if kind not in MODEL_KINDS:
+        raise ContractViolation(f"unknown model kind {kind!r}")
+    return MODEL_KINDS[kind](vocab, weights=weights, **hyperparams)

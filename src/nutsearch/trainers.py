@@ -32,8 +32,6 @@ class TrainConfig:
     clip_norm: float = 5.0
     critic_steps: int = 5
     gp_weight: float = 10.0
-    enc_noise: float = 0.0
-    enc_noise_anneal: float = 0.95
     lr_anneal: float = 1.0
     augment_prefixes: float = 0.0
     emb_noise: float = 0.0
@@ -49,11 +47,8 @@ class TrainConfig:
         for name in ("momentum", "gan_momentum"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractViolation(f"{name} must be in [0, 1)")
-        if self.enc_noise < 0:
-            raise ContractViolation("enc_noise must be >= 0")
-        for name in ("enc_noise_anneal", "lr_anneal"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ContractViolation(f"{name} must be in (0, 1]")
+        if not 0.0 < self.lr_anneal <= 1.0:
+            raise ContractViolation("lr_anneal must be in (0, 1]")
         if not 0.0 <= self.augment_prefixes <= 1.0:
             raise ContractViolation("augment_prefixes must be in [0, 1]")
         if self.emb_noise < 0:
@@ -267,18 +262,10 @@ def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
     texts = [ex.text for ex in split.train]
     metrics = []
 
-    def encode_batch(g, P, batch_texts, sigma=0.0):
-        ids, lengths = pad_batch(batch_texts, vocab.pad_id)
-        noise = None
-        if sigma > 0.0:
-            noise = sigma * noise_rng.standard_normal(
-                (len(batch_texts), model.latent_dim))
-        return model.encode(g, P, ids, lengths, noise_rows=noise)
+    def encode_batch(g, P, batch_texts):
+        return model.encode(g, P, *pad_batch(batch_texts, vocab.pad_id))
 
     for epoch in range(1, cfg.epochs + 1):
-        # perturbing the encoder output during reconstruction stops the
-        # decoder from ignoring the latent and fitting a token prior instead
-        sigma = cfg.enc_noise * cfg.enc_noise_anneal ** (epoch - 1)
         opt_ae.lr = cfg.lr * cfg.lr_anneal ** (epoch - 1)
         recon_sum = recon_tok = recon_hit = 0
         recon_losses, critic_losses, gp_vals, gen_vals = [], [], [], []
@@ -290,7 +277,7 @@ def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
             g = Graph()
             P = model.lift(g, trainable=AE_PARTS)
             try:
-                z = encode_batch(g, P, batch, sigma=sigma)
+                z = encode_batch(g, P, batch)
                 dec_in_rows = [[vocab.bos_id] + t for t in batch]
                 tgt_rows = [t + [vocab.eos_id] for t in batch]
                 dec_in, dlen = pad_batch(dec_in_rows, vocab.pad_id)

@@ -1,12 +1,18 @@
 """Command-line behavior: exit codes, artifacts on disk, layered config."""
 
+import dataclasses
+import inspect
 import json
-from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nutsearch.cli import main
+from nutsearch import textdata as td
+from nutsearch.checkpoint import load_checkpoint
+from nutsearch.cli import RECIPES, main
+from nutsearch.models import MODEL_KINDS
 from nutsearch.textdata import sentiment_lexicon
+from nutsearch.trainers import TrainConfig
 
 
 def run_cli(*argv) -> int:
@@ -116,6 +122,87 @@ def test_attack_workers_below_one_exits_two(tmp_path, workbench, workers):
     out = tmp_path / "atk"
     assert run_cli(*_attack_args(workbench, out, "--workers", workers)) == 2
     assert not (out / "candidates.jsonl").exists()
+
+
+def _command_args(wb, command, out):
+    """Every required option of `command`, writing under `out`."""
+    if command.startswith("train-"):
+        argv = [command, "--data-dir", str(wb["data"]), "--out",
+                str(out / "model.ckpt")]
+        return argv + (["--arch", "bag"] if command == "train-classifier"
+                       else [])
+    return [command, "--kind", "random-seq", "--data-dir", str(wb["data"]),
+            "--victim", str(wb["victim"]), "--lm", str(wb["lm"]),
+            "--out-dir", str(out), "--attacked-class", "1", "--n-inits", "2"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("attack-baseline", "--steps"),
+    ("train-lm", "--gp-weight"),
+    ("train-classifier", "--lr-anneal"),
+    ("train-arae", "--emb-noise"),
+    ("train-arae", "--enc-noise"),
+])
+def test_flag_the_command_does_not_read_exits_two(tmp_path, workbench,
+                                                  command, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*_command_args(workbench, command, out), flag, "1")
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key", [
+    ("attack-baseline", "steps"),
+    ("train-lm", "gp_weight"),
+])
+def test_config_key_the_command_does_not_read_exits_two(tmp_path, workbench,
+                                                        command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    out = tmp_path / "out"
+    assert run_cli(*_command_args(workbench, command, out), "--config",
+                   str(cfg)) == 2
+    assert not out.exists()
+
+
+def test_recipes_hold_only_keys_that_are_read():
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    for name, recipe in RECIPES.items():
+        init = inspect.signature(MODEL_KINDS[name].__init__).parameters
+        unread = set(recipe) - fields - set(init)
+        assert not unread, f"{name} recipe keys nothing reads: {unread}"
+    # train-classifier registers lstm2's flags for every arch
+    assert set(RECIPES["lstm2"]) == set(RECIPES["bag"]) == set(RECIPES["pair"])
+
+
+def _mapped_generator_mask(generator_vocab, victim_vocab, exclude):
+    """The token-gradient mask as a loop over the generator's allowed ids."""
+    mask = np.zeros(len(victim_vocab), dtype=bool)
+    gen_mask = td.intersect_vocab(victim_vocab, generator_vocab,
+                                  exclude=exclude)
+    for gid in np.flatnonzero(gen_mask):
+        mask[victim_vocab.stoi[generator_vocab.itos[gid]]] = True
+    return mask
+
+
+def test_token_gradient_mask_maps_generator_tokens_to_victim(workbench):
+    generator, _ = load_checkpoint(workbench["arae"])
+    victim, _ = load_checkpoint(workbench["victim"])
+    exclude = td.load_lexicon(workbench["data"] / "lexicon.txt")
+    mask = td.intersect_vocab(generator.vocab, victim.vocab, exclude=exclude)
+    assert mask.any()
+    assert np.array_equal(
+        mask, _mapped_generator_mask(generator.vocab, victim.vocab, exclude))
+
+
+def test_token_gradient_mask_over_differing_vocabularies():
+    generator = td.build_vocab([["a", "b", "c", "c", "x"]])
+    victim = td.build_vocab([["d", "c", "b", "b", "e", "x"]])
+    mask = td.intersect_vocab(generator, victim, exclude={"x"})
+    assert [victim.itos[i] for i in np.flatnonzero(mask)] == ["b", "c"]
+    assert np.array_equal(mask,
+                          _mapped_generator_mask(generator, victim, {"x"}))
 
 
 def test_random_arae_without_generator_exits_two(tmp_path, workbench):

@@ -30,9 +30,9 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation):
             TrainConfig(epochs=1, lr=0.0)
 
-    def test_bad_noise_anneal_rejected(self):
+    def test_bad_lr_anneal_rejected(self):
         with pytest.raises(ContractViolation):
-            TrainConfig(epochs=1, enc_noise_anneal=0.0)
+            TrainConfig(epochs=1, lr_anneal=0.0)
 
     def test_bad_augment_probability_rejected(self):
         with pytest.raises(ContractViolation):
