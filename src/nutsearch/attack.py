@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore as gc
+from .config import derive_init_seeds
 from .errors import ConfigError, ContractViolation
 from .evaluation import accuracy_under_trigger
 from .gradcore import Graph, Node, Tensor, l2_project
@@ -191,12 +192,6 @@ def rerank(candidates: list[TriggerCandidate], lam: float) -> TriggerCandidate:
         raise ContractViolation("rerank: no candidates")
     return min(candidates,
                key=lambda c: (c.m1 + lam * c.m2, c.m1, tuple(c.tokens)))
-
-
-def derive_init_seeds(master_seed: int, n: int) -> list[int]:
-    """n independent per-candidate seeds derived from one master seed."""
-    return [int(ss.generate_state(1)[0])
-            for ss in np.random.SeedSequence(master_seed).spawn(n)]
 
 
 def _run_candidate_star(args):

@@ -28,6 +28,7 @@ from .errors import ConfigError, NutsearchError
 from .evaluation import (EvalReport, accuracy_under_trigger,
                          avg_word_frequency, candidate_stats, stat_delta,
                          transfer_eval)
+from .models import VictimClassifier
 from .textdata import Example, Split, Vocab
 from .trainers import TrainConfig, train_arae, train_classifier, train_lm
 
@@ -62,9 +63,20 @@ ATTACK_DEFAULTS = dict(attacked_class=-1, trigger_length=3, eps=10.0,
                        eta=1000.0, steps=1000, n_inits=256, lam=0.05,
                        tau_start=1.0, tau_end=0.1, batch_size=32,
                        normalize_gradient=False, seed=0, workers=1)
-BASELINE_DEFAULTS = dict(attacked_class=-1, trigger_length=3, n_inits=256,
-                         seed=0, top_k=20, beam_width=3, max_sweeps=5,
-                         filler="the")
+# attack-baseline registers the flags of every kind, but each kind reads
+# only its own keys: a flag or config key of another kind exits 2
+_BASELINE_COMMON = dict(attacked_class=-1, trigger_length=3, seed=0)
+BASELINE_DEFAULTS = {
+    "token-gradient": dict(_BASELINE_COMMON, top_k=20, beam_width=3,
+                           max_sweeps=5, filler="the"),
+    "random-arae": dict(_BASELINE_COMMON, n_inits=256),
+    "random-seq": dict(_BASELINE_COMMON, n_inits=256),
+}
+_BASELINE_FLAGS = {key: val for defaults in BASELINE_DEFAULTS.values()
+                   for key, val in defaults.items()}
+# the model kinds each checkpoint flag accepts
+CHECKPOINT_KINDS = {"arae": ("arae",), "victim": VictimClassifier.KINDS,
+                    "lm": ("lm",)}
 
 
 def _add_override_flags(parser: argparse.ArgumentParser, defaults: dict):
@@ -75,13 +87,14 @@ def _add_override_flags(parser: argparse.ArgumentParser, defaults: dict):
                                 choices=("true", "false"))
         else:
             parser.add_argument(flag, type=type(val), default=None)
+    parser.set_defaults(overrides=tuple(defaults))
 
 
 def _resolve(args, defaults: dict) -> dict:
     file_values = None
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
-    flag_values = {k: getattr(args, k) for k in defaults}
+    flag_values = {k: getattr(args, k) for k in args.overrides}
     resolved = resolve_config(defaults, file_values, flag_values)
     log.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
     return resolved
@@ -219,22 +232,27 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_attack_models(args, need_arae: bool = True):
-    victim, _ = load_checkpoint(args.victim)
-    lm, _ = load_checkpoint(args.lm)
-    generator = None
-    if args.arae:
-        generator, _ = load_checkpoint(args.arae)
-    elif need_arae:
-        raise ConfigError("--arae checkpoint is required")
+def _load_model(args, role: str):
+    """The model in the --<role> checkpoint, of a kind that role takes."""
+    path = getattr(args, role)
+    model, _ = load_checkpoint(path)
+    if model.kind not in CHECKPOINT_KINDS[role]:
+        raise ConfigError(f"--{role} {path}: holds a model of kind "
+                          f"{model.kind!r}, expected "
+                          f"{' or '.join(CHECKPOINT_KINDS[role])}")
+    return model
+
+
+def _load_attack_models(args):
+    victim = _load_model(args, "victim")
+    lm = _load_model(args, "lm")
+    generator = _load_model(args, "arae") if args.arae else None
     data_dir = Path(args.data_dir)
-    split, _, task = _load_corpus(data_dir, vocab=victim.vocab)
-    exclude = set()
+    split, _, _ = _load_corpus(data_dir, vocab=victim.vocab)
     lex_path = (Path(args.exclude_lexicon) if args.exclude_lexicon
                 else data_dir / "lexicon.txt")
-    if lex_path.exists():
-        exclude = td.load_lexicon(lex_path)
-    return generator, victim, lm, split, task, exclude
+    exclude = td.load_lexicon(lex_path) if lex_path.exists() else set()
+    return generator, victim, lm, split, exclude
 
 
 def _require_class(resolved: dict, split: Split) -> int:
@@ -261,7 +279,7 @@ def _attack_outputs(args, selected, candidates, kind: str, digest: str,
 
 def _cmd_attack(args) -> int:
     resolved = _resolve(args, ATTACK_DEFAULTS)
-    generator, victim, lm, split, _, exclude = _load_attack_models(args)
+    generator, victim, lm, split, exclude = _load_attack_models(args)
     y = _require_class(resolved, split)
     mask = td.intersect_vocab(victim.vocab, generator.vocab, exclude=exclude)
     models = AttackModels(generator, victim, lm, mask)
@@ -276,24 +294,21 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_attack_baseline(args) -> int:
-    resolved = _resolve(args, BASELINE_DEFAULTS)
     kind = args.kind
-    need_arae = kind == "random-arae"
-    generator, victim, lm, split, _, exclude = _load_attack_models(
-        args, need_arae=need_arae)
+    resolved = _resolve(args, BASELINE_DEFAULTS[kind])
+    if kind == "random-arae" and not args.arae:
+        raise ConfigError("--arae checkpoint is required")
+    generator, victim, lm, split, exclude = _load_attack_models(args)
     y = _require_class(resolved, split)
     dev_subset = _class_subset(split.dev, y)
-    digest = config_hash(resolved)
     L = resolved["trigger_length"]
-    n = resolved["n_inits"]
 
     # random-seq draws from the generator's vocabulary when there is one
     vocab = generator.vocab if generator else victim.vocab
     if kind == "token-gradient":  # its trigger lives in the victim's vocab
         mask = td.intersect_vocab(vocab, victim.vocab, exclude=exclude)
-        tg_cfg = TokenGradientConfig(
-            top_k=resolved["top_k"], beam_width=resolved["beam_width"],
-            max_sweeps=resolved["max_sweeps"], filler=resolved["filler"])
+        tg_cfg = TokenGradientConfig(**{k: v for k, v in resolved.items()
+                                        if k not in _BASELINE_COMMON})
         tokens, _ = token_gradient_attack(victim, dev_subset, L, mask, tg_cfg)
         selected = score_trigger(victim, lm, dev_subset, y, tokens, 0.0,
                                  resolved["seed"])
@@ -301,23 +316,23 @@ def _cmd_attack_baseline(args) -> int:
     elif kind == "random-arae":
         mask = td.intersect_vocab(victim.vocab, vocab, exclude=exclude)
         selected, candidates = random_arae_attack(
-            generator, victim, lm, dev_subset, n, L, mask,
+            generator, victim, lm, dev_subset, resolved["n_inits"], L, mask,
             seed=resolved["seed"])
     else:  # random-seq
         mask = td.intersect_vocab(victim.vocab, vocab, exclude=exclude)
         selected, candidates = random_sequence_attack(
-            vocab, mask, victim, lm, dev_subset, n, L,
+            vocab, mask, victim, lm, dev_subset, resolved["n_inits"], L,
             seed=resolved["seed"])
 
-    _attack_outputs(args, selected, candidates, kind, digest, victim,
-                    split, y)
+    _attack_outputs(args, selected, candidates, kind, config_hash(resolved),
+                    victim, split, y)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     resolved = _resolve(args, _REPORT_DEFAULTS)
-    victim, _ = load_checkpoint(args.victim)
-    lm, _ = load_checkpoint(args.lm)
+    victim = _load_model(args, "victim")
+    lm = _load_model(args, "lm")
     split, _, task = _load_corpus(Path(args.data_dir), vocab=victim.vocab)
     selected = json.loads(Path(args.selected).read_text())
     trigger = selected["tokens"]
@@ -364,7 +379,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_transfer(args) -> int:
     resolved = _resolve(args, _REPORT_DEFAULTS)
-    victim, _ = load_checkpoint(args.victim)
+    victim = _load_model(args, "victim")
     split, _, _ = _load_corpus(Path(args.data_dir), vocab=victim.vocab)
     selected = json.loads(Path(args.selected).read_text())
     trigger = selected["tokens"]
@@ -449,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--exclude-lexicon", default=None)
     p.add_argument("--config", default=None)
-    _add_override_flags(p, BASELINE_DEFAULTS)
+    _add_override_flags(p, _BASELINE_FLAGS)
     p.set_defaults(func=_cmd_attack_baseline)
 
     p = sub.add_parser("evaluate", help="full report for a selected trigger")

@@ -9,6 +9,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
+
 from .errors import ConfigError
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -60,18 +62,18 @@ def _coerce(key: str, value, default):
 
 def resolve_config(defaults: dict, file_values: dict | None = None,
                    flag_values: dict | None = None) -> dict:
-    """Merge defaults < config file < flags; reject unknown keys; coerce
-    every value to the type of its default."""
+    """Merge defaults < config file < flags; reject unknown keys (a None
+    value means unset); coerce every value to the type of its default."""
     resolved = dict(defaults)
     for source, values in (("config file", file_values),
                            ("flag", flag_values)):
         if not values:
             continue
         for key, value in values.items():
-            if key not in defaults:
-                raise ConfigError(f"unknown {source} key {key!r}")
             if value is None:
                 continue
+            if key not in defaults:
+                raise ConfigError(f"unknown {source} key {key!r}")
             resolved[key] = _coerce(key, value, defaults[key])
     return resolved
 
@@ -80,3 +82,9 @@ def config_hash(resolved: dict) -> str:
     """Stable short digest of a resolved config, embedded in artifacts."""
     payload = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def derive_init_seeds(master_seed: int, n: int) -> list[int]:
+    """n independent seeds derived from one master seed."""
+    return [int(ss.generate_state(1)[0])
+            for ss in np.random.SeedSequence(master_seed).spawn(n)]

@@ -92,23 +92,27 @@ def run_lstm(g: Graph, P, prefix: str, inputs: list[Node],
 class _ModelBase:
     kind: str = ""
     vocab_sized: tuple[str, ...] = ()
+    vocab: Vocab
+    weights: dict[str, Tensor]
 
-    def __init__(self):
-        self.vocab: Vocab
-        self.weights: dict[str, Tensor]
+    def lift(self, g: Graph, trainable=()) -> dict[str, Node]:
+        """Map weight names to leaves of `g`. A weight is pushed the first
+        time an op reads it, so the graph holds only the weights it uses;
+        its leaf gets gradients when its name is in `trainable`."""
+        return _Lifted(g, self.weights, trainable)
 
-    def lift(self, g: Graph, trainable=False) -> dict[str, Node]:
-        """Insert every weight as a leaf; trainable is False, True, or a
-        collection of name prefixes that should receive gradients."""
-        if trainable is True:
-            want = lambda name: True  # noqa: E731
-        elif trainable is False:
-            want = lambda name: False  # noqa: E731
-        else:
-            prefixes = tuple(trainable)
-            want = lambda name: name.startswith(prefixes)  # noqa: E731
-        return {name: g.leaf(t, requires_grad=want(name))
-                for name, t in self.weights.items()}
+
+class _Lifted(dict):
+    """The mapping `lift` returns: a missing name pushes its weight."""
+
+    def __init__(self, g: Graph, weights: dict[str, Tensor], trainable):
+        super().__init__()
+        self.g, self.weights, self.trainable = g, weights, trainable
+
+    def __missing__(self, name: str) -> Node:
+        node = self[name] = self.g.leaf(self.weights[name],
+                                        requires_grad=name in self.trainable)
+        return node
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +421,8 @@ class VictimClassifier(_ModelBase):
             text_steps = [gc.add(e, g.constant(emb_noise[t]))
                           for t, e in enumerate(text_steps)]
         masks = [np.ones(B)] * len(prefix) + step_masks(lengths, T)
-        prem = None
-        if self.kind == "pair":
-            if premises is None:
-                raise ContractViolation("pair model needs premises")
-            prem = pad_batch(premises, self.vocab.pad_id)
+        prem = (pad_batch(premises, self.vocab.pad_id)
+                if self.kind == "pair" and premises is not None else None)
         return self.forward_embs(g, P, prefix_steps + text_steps, masks,
                                  premise=prem)
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore as gc
+from .config import derive_init_seeds
 from .errors import ContractViolation, NumericError, TrainingDiverged
-from .gradcore import Graph, Tensor
+from .gradcore import Graph, Node, Tensor
 from .models import ARAEModel, ScoringLM, VictimClassifier, pad_batch, step_masks
 from .textdata import Split, Vocab, neutral_scaffold
 
@@ -56,8 +57,8 @@ class TrainConfig:
 
 
 class SGD:
-    """Momentum SGD over a named subset of a model's weights, with
-    global-norm gradient clipping across the provided grads."""
+    """Momentum SGD over named weights, with global-norm gradient
+    clipping. A step needs a gradient for every weight it holds."""
 
     def __init__(self, weights: dict[str, Tensor], lr: float,
                  momentum: float = 0.9, clip_norm: float = 5.0):
@@ -68,37 +69,41 @@ class SGD:
         self.velocity = {k: np.zeros_like(t.data) for k, t in weights.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        gs = [grads[name] for name in self.weights]
         total = 0.0
-        for v in grads.values():
+        for v in gs:
             total += float((v * v).sum())
         norm = np.sqrt(total)
         factor = 1.0
         if self.clip_norm and norm > self.clip_norm:
             factor = self.clip_norm / norm
-        for name, gv in grads.items():
+        for name, gv in zip(self.weights, gs):
             vel = self.velocity[name]
             vel *= self.momentum
             vel -= self.lr * factor * gv
             self.weights[name].data += vel
 
 
-def _split_seeds(seed: int, n: int) -> list[int]:
-    return [int(s.generate_state(1)[0])
-            for s in np.random.SeedSequence(seed).spawn(n)]
-
-
-def _grads_by_name(g: Graph, params, loss) -> dict[str, np.ndarray]:
-    raw = gc.backward(g, loss)
-    return {name: raw[node.idx].data for name, node in params.items()
-            if node.requires_grad}
+def _sgd_step(model, opt: SGD, phase: str, build) -> Node:
+    """One optimizer step: build(g, P) makes the loss on a fresh graph
+    where only opt's weights are trainable, then backpropagate and step.
+    A non-finite value raises TrainingDiverged naming `phase`."""
+    g = Graph()
+    P = model.lift(g, trainable=opt.weights)
+    try:
+        loss = build(g, P)
+        raw = gc.backward(g, loss)
+    except NumericError as err:
+        raise TrainingDiverged(f"{phase}: {err}") from err
+    opt.step({name: raw[node.idx].data for name, node in P.items()
+              if node.requires_grad})
+    return loss
 
 
 def _write_metrics(path, rows) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
 
 
 def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
@@ -114,7 +119,7 @@ def train_classifier(split: Split, vocab: Vocab, arch: str, n_classes: int,
                      cfg: TrainConfig, emb_dim=32, hidden_dim=64,
                      metrics_path=None, model: VictimClassifier | None = None):
     """Supervised training on the train split; returns (model, metrics)."""
-    init_seed, shuffle_seed, noise_seed = _split_seeds(cfg.seed, 3)
+    init_seed, shuffle_seed, noise_seed = derive_init_seeds(cfg.seed, 3)
     if model is None:
         model = VictimClassifier(vocab, arch, n_classes, emb_dim=emb_dim,
                                  hidden_dim=hidden_dim, seed=init_seed)
@@ -122,7 +127,7 @@ def train_classifier(split: Split, vocab: Vocab, arch: str, n_classes: int,
     noise_rng = np.random.default_rng(noise_seed)
     opt = SGD(model.weights, cfg.lr, cfg.momentum, cfg.clip_norm)
     texts = [ex.text for ex in split.train]
-    prems = [ex.premise for ex in split.train] if arch == "pair" else None
+    prems = [ex.premise for ex in split.train]  # only pair reads them
     labels = np.array([ex.label for ex in split.train])
     # label-neutral prefix pool: teaches the model that an arbitrary short
     # lead-in does not change the label, so only label-bearing prefixes
@@ -147,23 +152,16 @@ def train_classifier(split: Split, vocab: Vocab, arch: str, n_classes: int,
             batch_texts = [texts[i] for i in idx]
             if aug_pool is not None:
                 batch_texts = [maybe_prefix(t) for t in batch_texts]
-            g = Graph()
-            P = model.lift(g, trainable=True)
             noise = None
             if cfg.emb_noise > 0:
                 T = max(len(t) for t in batch_texts)
                 noise = cfg.emb_noise * noise_rng.standard_normal(
                     (T, len(batch_texts), model.emb_dim))
-            try:
-                logits = model.logits_ids(g, P, batch_texts,
-                                          [prems[i] for i in idx] if prems else None,
-                                          emb_noise=noise)
-                loss = gc.cross_entropy(logits, labels[idx])
-                grads = _grads_by_name(g, P, loss)
-            except NumericError as err:
-                raise TrainingDiverged(f"classifier epoch {epoch}: {err}") from err
+            loss = _sgd_step(model, opt, f"classifier epoch {epoch}",
+                             lambda g, P: gc.cross_entropy(model.logits_ids(
+                                 g, P, batch_texts, [prems[i] for i in idx],
+                                 emb_noise=noise), labels[idx]))
             losses.append(float(loss.value))
-            opt.step(grads)
         dev_acc = classifier_accuracy(model, split.dev)
         metrics.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                         "dev_acc": dev_acc})
@@ -191,8 +189,7 @@ def lm_corpus_ce(model: ScoringLM, examples, batch_size: int = 256) -> float:
     for lo in range(0, len(examples), batch_size):
         texts = [ex.text for ex in examples[lo : lo + batch_size]]
         g = Graph()
-        P = model.lift(g)
-        ce = model.batch_ce(g, P, texts)
+        ce = model.batch_ce(g, model.lift(g), texts)
         n = sum(len(t) for t in texts)
         tot_ce += float(ce.value) * n
         tot_tok += n
@@ -202,7 +199,7 @@ def lm_corpus_ce(model: ScoringLM, examples, batch_size: int = 256) -> float:
 def train_lm(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
              hidden_dim=64, metrics_path=None, model: ScoringLM | None = None):
     """Next-token training on the train split; returns (model, metrics)."""
-    init_seed, shuffle_seed = _split_seeds(cfg.seed, 2)
+    init_seed, shuffle_seed = derive_init_seeds(cfg.seed, 2)
     if model is None:
         model = ScoringLM(vocab, emb_dim=emb_dim, hidden_dim=hidden_dim,
                           seed=init_seed)
@@ -213,15 +210,10 @@ def train_lm(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
     for epoch in range(1, cfg.epochs + 1):
         losses = []
         for idx in _batches(len(texts), cfg.batch_size, rng):
-            g = Graph()
-            P = model.lift(g, trainable=True)
-            try:
-                loss = model.batch_ce(g, P, [texts[i] for i in idx])
-                grads = _grads_by_name(g, P, loss)
-            except NumericError as err:
-                raise TrainingDiverged(f"lm epoch {epoch}: {err}") from err
+            batch = [texts[i] for i in idx]
+            loss = _sgd_step(model, opt, f"lm epoch {epoch}",
+                             lambda g, P: model.batch_ce(g, P, batch))
             losses.append(float(loss.value))
-            opt.step(grads)
         metrics.append({"epoch": epoch, "train_ce": float(np.mean(losses)),
                         "dev_ce": lm_corpus_ce(model, split.dev)})
     _write_metrics(metrics_path, metrics)
@@ -244,7 +236,7 @@ def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
     """Three phases per batch: (1) reconstruction, (2) critic with a
     gradient penalty at interpolates, (3) adversarial encoder/generator.
     Returns (model, metrics)."""
-    init_seed, shuffle_seed, noise_seed = _split_seeds(cfg.seed, 3)
+    init_seed, shuffle_seed, noise_seed = derive_init_seeds(cfg.seed, 3)
     if model is None:
         model = ARAEModel(vocab, emb_dim=emb_dim, hidden_dim=hidden_dim,
                           latent_dim=latent_dim, noise_dim=noise_dim,
@@ -252,12 +244,17 @@ def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
                           latent_scale=latent_scale, seed=init_seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     noise_rng = np.random.default_rng(noise_seed)
-    opt_ae = SGD(model.weights, cfg.lr, cfg.momentum, cfg.clip_norm)
-    opt_critic = SGD(model.weights, cfg.gan_lr, cfg.gan_momentum, cfg.clip_norm)
+
+    def sgd(parts, lr, momentum):  # over the weights one phase moves
+        return SGD({name: t for name, t in model.weights.items()
+                    if name.startswith(parts)}, lr, momentum, cfg.clip_norm)
+
+    opt_ae = sgd(AE_PARTS, cfg.lr, cfg.momentum)
+    opt_critic = sgd(("critic.",), cfg.gan_lr, cfg.gan_momentum)
     # the adversarial nudge on the encoder must stay well below the
     # reconstruction step or it erases what the autoencoder learned
-    opt_enc = SGD(model.weights, 0.1 * cfg.gan_lr, cfg.gan_momentum, cfg.clip_norm)
-    opt_gen = SGD(model.weights, cfg.gan_lr, cfg.gan_momentum, cfg.clip_norm)
+    opt_enc = sgd(ENC_PARTS, 0.1 * cfg.gan_lr, cfg.gan_momentum)
+    opt_gen = sgd(("gen.",), cfg.gan_lr, cfg.gan_momentum)
 
     texts = [ex.text for ex in split.train]
     metrics = []
@@ -265,101 +262,84 @@ def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
     def encode_batch(g, P, batch_texts):
         return model.encode(g, P, *pad_batch(batch_texts, vocab.pad_id))
 
+    def fake_batch(g, P, B):
+        noise = noise_rng.standard_normal((B, model.noise_dim))
+        return model.generate_node(g, P, g.constant(noise))
+
     for epoch in range(1, cfg.epochs + 1):
         opt_ae.lr = cfg.lr * cfg.lr_anneal ** (epoch - 1)
-        recon_sum = recon_tok = recon_hit = 0
-        recon_losses, critic_losses, gp_vals, gen_vals = [], [], [], []
+        recon_sum = recon_tok = 0
+        recon_hits, critic_losses, gp_vals, gen_vals = [], [], [], []
         for idx in _batches(len(texts), cfg.batch_size, shuffle_rng):
             batch = [texts[i] for i in idx]
             B = len(batch)
 
             # (1) reconstruction
-            g = Graph()
-            P = model.lift(g, trainable=AE_PARTS)
-            try:
-                z = encode_batch(g, P, batch)
-                dec_in_rows = [[vocab.bos_id] + t for t in batch]
-                tgt_rows = [t + [vocab.eos_id] for t in batch]
-                dec_in, dlen = pad_batch(dec_in_rows, vocab.pad_id)
-                tgt, _ = pad_batch(tgt_rows, vocab.pad_id)
-                logits = model.teacher_logits(g, P, z, dec_in)
-                flat = gc.concat(logits, axis=0) if len(logits) > 1 else logits[0]
-                targets = tgt.T.reshape(-1)
-                weights = np.concatenate(step_masks(dlen, dec_in.shape[1]))
-                loss = gc.cross_entropy(flat, targets, weights)
-                grads = _grads_by_name(g, P, loss)
-            except NumericError as err:
-                raise TrainingDiverged(
-                    f"arae reconstruction epoch {epoch}: {err}") from err
-            pred = flat.value.argmax(axis=1)
+            dec_in, dlen = pad_batch([[vocab.bos_id] + t for t in batch],
+                                     vocab.pad_id)
+            targets = pad_batch([t + [vocab.eos_id] for t in batch],
+                                vocab.pad_id)[0].T.reshape(-1)
+            weights = np.concatenate(step_masks(dlen, dec_in.shape[1]))
             keep = weights > 0
-            recon_hit += int((pred[keep] == targets[keep]).sum())
+
+            def reconstruction(g, P):
+                logits = model.teacher_logits(g, P, encode_batch(g, P, batch),
+                                              dec_in)
+                flat = gc.concat(logits, axis=0) if len(logits) > 1 else logits[0]
+                pred = flat.value.argmax(axis=1)
+                recon_hits.append(int((pred[keep] == targets[keep]).sum()))
+                return gc.cross_entropy(flat, targets, weights)
+
+            loss = _sgd_step(model, opt_ae,
+                             f"arae reconstruction epoch {epoch}",
+                             reconstruction)
             recon_tok += int(keep.sum())
             recon_sum += float(loss.value) * int(keep.sum())
-            recon_losses.append(float(loss.value))
-            opt_ae.step(grads)
 
             # (2) critic; only the critic's weights move in this phase, so
             # the batch is encoded once and enters each step as a constant
+            phase = f"arae critic epoch {epoch}"
             try:
                 g = Graph()
                 real = encode_batch(g, model.lift(g), batch).value
-                for _ in range(cfg.critic_steps):
-                    g = Graph()
-                    P = model.lift(g, trainable=("critic.",))
-                    c_lat = g.constant(real)
-                    noise = noise_rng.standard_normal((B, model.noise_dim))
-                    z_lat = model.generate_node(g, P, g.constant(noise))
-                    d_real = gc.mean_all(model.critic_score(g, P, c_lat))
-                    d_fake = gc.mean_all(model.critic_score(g, P, z_lat))
-                    alpha = noise_rng.random((B, 1))
-                    x_hat = g.constant(alpha * real
-                                       + (1.0 - alpha) * z_lat.value)
-                    gradx = model.critic_input_grad(g, P, x_hat)
-                    nrm = gc.sqrt(gc.add_const(
-                        gc.sum_axis(gc.mul(gradx, gradx), 1), 1e-12))
-                    nm1 = gc.add_const(nrm, -1.0)
-                    gp = gc.mean_all(gc.mul(nm1, nm1))
-                    loss = gc.add(gc.sub(d_fake, d_real),
-                                  gc.scale(gp, cfg.gp_weight))
-                    grads = _grads_by_name(g, P, loss)
-                    critic_losses.append(float(loss.value))
-                    gp_vals.append(float(gp.value))
-                    opt_critic.step(grads)
             except NumericError as err:
-                raise TrainingDiverged(
-                    f"arae critic epoch {epoch}: {err}") from err
+                raise TrainingDiverged(f"{phase}: {err}") from err
+
+            def critic(g, P):
+                c_lat = g.constant(real)
+                z_lat = fake_batch(g, P, B)
+                d_real = gc.mean_all(model.critic_score(g, P, c_lat))
+                d_fake = gc.mean_all(model.critic_score(g, P, z_lat))
+                alpha = noise_rng.random((B, 1))
+                x_hat = g.constant(alpha * real + (1.0 - alpha) * z_lat.value)
+                gradx = model.critic_input_grad(g, P, x_hat)
+                nrm = gc.sqrt(gc.add_const(
+                    gc.sum_axis(gc.mul(gradx, gradx), 1), 1e-12))
+                nm1 = gc.add_const(nrm, -1.0)
+                gp = gc.mean_all(gc.mul(nm1, nm1))
+                gp_vals.append(float(gp.value))
+                return gc.add(gc.sub(d_fake, d_real),
+                              gc.scale(gp, cfg.gp_weight))
+
+            for _ in range(cfg.critic_steps):
+                loss = _sgd_step(model, opt_critic, phase, critic)
+                critic_losses.append(float(loss.value))
 
             # (3) adversarial: encoder makes real latents look fake,
             # generator makes fake latents look real
-            g = Graph()
-            P = model.lift(g, trainable=ENC_PARTS)
-            try:
-                c_lat = encode_batch(g, P, batch)
-                loss = gc.mean_all(model.critic_score(g, P, c_lat))
-                grads = _grads_by_name(g, P, loss)
-            except NumericError as err:
-                raise TrainingDiverged(
-                    f"arae adversarial epoch {epoch}: {err}") from err
-            opt_enc.step(grads)
+            phase = f"arae adversarial epoch {epoch}"
+            _sgd_step(model, opt_enc, phase, lambda g, P: gc.mean_all(
+                model.critic_score(g, P, encode_batch(g, P, batch))))
 
-            g = Graph()
-            P = model.lift(g, trainable=("gen.",))
-            try:
-                noise = noise_rng.standard_normal((B, model.noise_dim))
-                z_lat = model.generate_node(g, P, g.constant(noise))
-                loss = gc.scale(gc.mean_all(model.critic_score(g, P, z_lat)), -1.0)
-                grads = _grads_by_name(g, P, loss)
-            except NumericError as err:
-                raise TrainingDiverged(
-                    f"arae adversarial epoch {epoch}: {err}") from err
+            loss = _sgd_step(model, opt_gen, phase, lambda g, P: gc.scale(
+                gc.mean_all(model.critic_score(g, P, fake_batch(g, P, B))),
+                -1.0))
             gen_vals.append(float(loss.value))
-            opt_gen.step(grads)
 
         metrics.append({
             "epoch": epoch,
             "recon_loss": recon_sum / max(recon_tok, 1),
-            "recon_acc": recon_hit / max(recon_tok, 1),
+            "recon_acc": sum(recon_hits) / max(recon_tok, 1),
             "critic_loss": float(np.mean(critic_losses)),
             "gp": float(np.mean(gp_vals)),
             "gen_loss": float(np.mean(gen_vals)),

@@ -140,6 +140,26 @@ class TestAttackStep:
         want = fd_grad(f, n0.copy(), h=1e-5)
         assert rel_err(got, want) <= 1e-3
 
+    def test_build_loss_lifts_only_the_weights_it_reads(self, tiny_models,
+                                                        tiny_dev):
+        g = Graph()
+        leaf = g.leaf(RNG(11).standard_normal((1, 6)), requires_grad=True)
+        tiny_models.build_loss(g, leaf, tiny_dev[:2], tau=1.0, rng=RNG(5),
+                               cfg=_cfg())
+        values = {id(e.value) for e in g._entries if e.kind == "leaf"}
+
+        def lifted(model):  # a lifted weight's leaf holds its own array
+            return {name for name, t in model.weights.items()
+                    if id(t.data) in values}
+
+        gen = tiny_models.generator
+        unread = {n for n in gen.weights
+                  if n == "emb_enc" or n.startswith(("enc.", "enc_proj.",
+                                                     "critic."))}
+        assert len(unread) == 10
+        assert lifted(gen) == set(gen.weights) - unread
+        assert lifted(tiny_models.victim) == set(tiny_models.victim.weights)
+
     def test_loss_graph_freed_without_cycle_collector(self, tiny_models,
                                                       tiny_dev):
         # backward closures hold arrays and flags, never Nodes, so a graph

@@ -55,7 +55,7 @@ class _LinearVictim:
                                                            emb_dim)))}
         self.w = rng.standard_normal((emb_dim, 1))
 
-    def lift(self, g, trainable=False):
+    def lift(self, g, trainable=()):
         return {"emb": g.constant(self.weights["emb"]),
                 "w": g.constant(self.w)}
 

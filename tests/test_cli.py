@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -336,23 +337,108 @@ def test_attack_rerun_is_byte_identical(tmp_path, workbench):
             == (out2 / "selected.json").read_bytes())
 
 
+# the flags each baseline kind reads, at small sizes
+_BASELINE_FLAGS = {
+    "random-seq": ("--n-inits", "2"),
+    "random-arae": ("--n-inits", "2"),
+    "token-gradient": ("--max-sweeps", "1", "--top-k", "2", "--beam-width",
+                       "1"),
+}
+
+
+def _baseline_args(wb, kind, out):
+    return ("attack-baseline", "--kind", kind, "--data-dir", str(wb["data"]),
+            "--arae", str(wb["arae"]), "--victim", str(wb["victim"]),
+            "--lm", str(wb["lm"]), "--out-dir", str(out),
+            "--attacked-class", "1") + _BASELINE_FLAGS[kind]
+
+
 @pytest.mark.parametrize("kind,n_records", [("random-seq", 2),
                                             ("random-arae", 2),
                                             ("token-gradient", 1)])
 def test_baselines_write_artifacts(tmp_path, workbench, kind, n_records):
     out = tmp_path / kind
-    assert run_cli("attack-baseline", "--kind", kind, "--data-dir",
-                   str(workbench["data"]), "--arae", str(workbench["arae"]),
-                   "--victim", str(workbench["victim"]), "--lm",
-                   str(workbench["lm"]), "--out-dir", str(out),
-                   "--attacked-class", "1", "--n-inits", "2",
-                   "--max-sweeps", "1", "--top-k", "2",
-                   "--beam-width", "1") == 0
+    assert run_cli(*_baseline_args(workbench, kind, out)) == 0
     lines = (out / "candidates.jsonl").read_text().splitlines()
     assert len(lines) == n_records
     sel = json.loads((out / "selected.json").read_text())
     assert sel["kind"] == kind
     assert len(sel["tokens"]) == 3
+
+
+def _error_lines(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.levelno == logging.ERROR]
+
+
+@pytest.mark.parametrize("kind,flag", [
+    ("token-gradient", "--n-inits"),
+    ("random-arae", "--top-k"),
+    ("random-arae", "--beam-width"),
+    ("random-seq", "--max-sweeps"),
+    ("random-seq", "--filler"),
+])
+def test_baseline_flag_of_another_kind_exits_two(tmp_path, workbench, caplog,
+                                                 kind, flag):
+    out = tmp_path / "out"
+    assert run_cli(*_baseline_args(workbench, kind, out), flag, "1") == 2
+    errors = _error_lines(caplog)
+    key = flag[2:].replace("-", "_")
+    assert len(errors) == 1 and repr(key) in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,key", [
+    ("token-gradient", "n_inits"),
+    ("random-arae", "filler"),
+    ("random-seq", "top_k"),
+])
+def test_baseline_config_key_of_another_kind_exits_two(tmp_path, workbench,
+                                                       caplog, kind, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    out = tmp_path / "out"
+    assert run_cli(*_baseline_args(workbench, kind, out), "--config",
+                   str(cfg)) == 2
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and repr(key) in errors[0]
+    assert not out.exists()
+
+
+# a checkpoint of a kind the role does not accept
+_WRONG_KIND = {"arae": "victim", "victim": "lm", "lm": "arae"}
+
+
+@pytest.mark.parametrize("command,role", [
+    ("attack", "arae"), ("attack", "victim"), ("attack", "lm"),
+    ("attack-baseline", "arae"), ("attack-baseline", "victim"),
+    ("attack-baseline", "lm"),
+    ("evaluate", "victim"), ("evaluate", "lm"),
+    ("transfer", "victim"),
+])
+def test_checkpoint_of_wrong_kind_exits_two(tmp_path, workbench, attack_dir,
+                                            caplog, command, role):
+    out = tmp_path / "out"
+    selected = str(attack_dir / "selected.json")
+    data = ["--data-dir", str(workbench["data"]), "--attacked-class", "1"]
+    argv = {
+        "attack": list(_attack_args(workbench, out)),
+        "attack-baseline": list(_baseline_args(workbench, "random-arae",
+                                               out)),
+        "evaluate": ["evaluate", *data, "--victim", str(workbench["victim"]),
+                     "--lm", str(workbench["lm"]), "--selected", selected,
+                     "--out-json", str(out / "report.json")],
+        "transfer": ["transfer", *data, "--victim", str(workbench["victim"]),
+                     "--selected", selected, "--out",
+                     str(out / "transfer.json")],
+    }[command]
+    wrong = str(workbench[_WRONG_KIND[role]])
+    argv[argv.index("--" + role) + 1] = wrong
+    assert run_cli(*argv) == 2
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert "--" + role in errors[0] and wrong in errors[0]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,18 @@ class _ZeroGumbel:
         return np.full(shape, np.exp(-1.0))
 
 
+class TestLift:
+    def test_weight_pushed_once_on_first_read(self, tiny_arae):
+        g = gc.Graph()
+        P = tiny_arae.lift(g, trainable=("gen.w1",))
+        assert len(g) == 0
+        w1, b1 = P["gen.w1"], P["gen.b1"]
+        assert P["gen.w1"] is w1 and len(g) == 2
+        assert set(P) == {"gen.w1", "gen.b1"}
+        assert w1.requires_grad and not b1.requires_grad
+        assert w1.value is tiny_arae.weights["gen.w1"].data
+
+
 class TestARAE:
     def test_weights_deterministic_in_seed(self, tiny_vocab):
         a = ARAEModel(tiny_vocab, seed=5)

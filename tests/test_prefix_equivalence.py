@@ -204,7 +204,7 @@ def test_batch_ce_matches_inline_reference(vocab):
     for build in (lambda g, P: lm.batch_ce(g, P, texts),
                   lambda g, P: _ref_lm_batch(lm, texts, g, P)):
         g = Graph()
-        P = lm.lift(g, trainable=True)
+        P = lm.lift(g, trainable=lm.weights)
         loss = build(g, P)
         grads = gc.backward(g, loss)
         out.append((float(loss.value),

@@ -8,11 +8,13 @@ import pytest
 
 from conftest import (ARAE_CFG, ARAE_DIMS, BAG_CFG, LM_CFG, LSTM2_CFG,
                       PAIR_CFG)
+from nutsearch import gradcore as gc
+from nutsearch.config import derive_init_seeds
 from nutsearch.errors import ContractViolation, TrainingDiverged
 from nutsearch.gradcore import Tensor
 from nutsearch.models import ARAEModel, ScoringLM, VictimClassifier
-from nutsearch.textdata import grammar_errors
-from nutsearch.trainers import (SGD, TrainConfig, _split_seeds,
+from nutsearch.textdata import Split, grammar_errors
+from nutsearch.trainers import (AE_PARTS, ENC_PARTS, SGD, TrainConfig,
                                 classifier_accuracy, lm_corpus_ce, train_arae,
                                 train_classifier, train_lm)
 
@@ -52,6 +54,12 @@ class TestSGD:
         opt.step({"x": np.array([2.0])})
         # velocity: 0.5 * (-0.2) - 0.2 = -0.3
         assert abs(w["x"].data[0] - 0.5) < 1e-15
+
+    def test_step_needs_a_gradient_for_every_weight(self):
+        w = {"x": Tensor(np.zeros(1)), "y": Tensor(np.zeros(1))}
+        opt = SGD(w, lr=0.1)
+        with pytest.raises(KeyError, match="y"):
+            opt.step({"x": np.ones(1)})
 
     def test_clip_engages_at_threshold(self):
         w = {"x": Tensor(np.zeros(2))}
@@ -96,7 +104,7 @@ class TestClassifierTraining:
         cfg = TrainConfig(epochs=0, seed=21)
         model, metrics = train_classifier(split, vocab, "bag", 2, cfg)
         assert metrics == []
-        init_seed = _split_seeds(cfg.seed, 2)[0]
+        init_seed = derive_init_seeds(cfg.seed, 2)[0]
         ref = VictimClassifier(vocab, kind="bag", n_classes=2, seed=init_seed)
         for k in ref.weights:
             assert np.array_equal(model.weights[k].data, ref.weights[k].data), k
@@ -248,7 +256,7 @@ class TestARAETraining:
         cfg = TrainConfig(epochs=0, seed=33)
         model, metrics = train_arae(split, vocab, cfg, **ARAE_DIMS)
         assert metrics == []
-        init_seed = _split_seeds(cfg.seed, 3)[0]
+        init_seed = derive_init_seeds(cfg.seed, 3)[0]
         ref = ARAEModel(vocab, seed=init_seed, **ARAE_DIMS)
         for k in ref.weights:
             assert np.array_equal(model.weights[k].data, ref.weights[k].data), k
@@ -264,3 +272,55 @@ class TestARAETraining:
                                match="arae reconstruction epoch 1"):
                 train_arae(split, vocab, TrainConfig(epochs=1, seed=0),
                            model=model, **ARAE_DIMS)
+
+    def test_critic_divergence_names_its_phase(self, sentiment_data):
+        # the reconstruction phase reads no gen.* weight, so it stays finite
+        split, vocab = sentiment_data
+        model, _ = train_arae(split, vocab, TrainConfig(epochs=0, seed=0),
+                              **ARAE_DIMS)
+        for name, t in model.weights.items():
+            if name.startswith("gen."):
+                t.data[:] = 1e200
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged, match="arae critic epoch 1"):
+                train_arae(split, vocab, TrainConfig(epochs=1, seed=0),
+                           model=model, **ARAE_DIMS)
+
+    def test_each_phase_lifts_only_the_weights_it_reads(self, sentiment_data,
+                                                        monkeypatch):
+        split, vocab = sentiment_data
+        one_batch = Split(train=split.train[:32], dev=[], test=[])
+        model, _ = train_arae(one_batch, vocab, TrainConfig(epochs=0, seed=0),
+                              **ARAE_DIMS)
+        graphs = []
+        backward = gc.backward
+
+        def spy(graph, loss):
+            graphs.append(graph)
+            return backward(graph, loss)
+
+        monkeypatch.setattr(gc, "backward", spy)
+        train_arae(one_batch, vocab,
+                   TrainConfig(epochs=1, critic_steps=2, seed=0),
+                   model=model, **ARAE_DIMS)
+
+        def under(*prefixes):
+            return {n for n in model.weights if n.startswith(prefixes)}
+
+        # a lifted weight's leaf holds the weight's own array
+        def leaves(graph, trainable):
+            return {name for name, t in model.weights.items()
+                    for e in graph._entries
+                    if e.value is t.data and e.requires_grad == trainable}
+
+        phases = [  # (weights read and trained, weights read only)
+            (under(*AE_PARTS), set()),
+            (under("critic."), under("gen.")),
+            (under("critic."), under("gen.")),
+            (under(*ENC_PARTS), under("critic.")),
+            (under("gen."), under("critic.")),
+        ]
+        assert len(graphs) == len(phases)
+        for graph, (trained, frozen) in zip(graphs, phases):
+            assert leaves(graph, True) == trained
+            assert leaves(graph, False) == frozen
