@@ -10,14 +10,16 @@ class accuracy (m1, lower = stronger attack) and scoring-LM cross-entropy
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import gradcore as gc
 from .config import derive_init_seeds
-from .errors import ConfigError, ContractViolation
+from .errors import ArtifactError, ConfigError, ContractViolation
 from .evaluation import accuracy_under_trigger
 from .gradcore import Graph, Node, Tensor, l2_project
 from .models import ARAEModel, ScoringLM, VictimClassifier
@@ -242,3 +244,59 @@ def write_selected(path, selected: TriggerCandidate, m1_test: float,
     rec["m1_test"] = m1_test
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _check_record(rec, where: str) -> dict:
+    """A candidate record with the fields the readers use, of their types."""
+    if not isinstance(rec, dict):
+        raise ArtifactError(f"{where}: expected a JSON object, got "
+                            f"{type(rec).__name__}")
+    for key in ("tokens", "m1_dev", "m2"):
+        if key not in rec:
+            raise ArtifactError(f"{where}: field '{key}' is missing")
+
+    def bad(key, want):
+        return ArtifactError(f"{where}: field '{key}' must be {want}, got "
+                             f"{json.dumps(rec[key])}")
+
+    tokens = rec["tokens"]
+    if not (isinstance(tokens, list) and tokens
+            and all(isinstance(t, str) for t in tokens)):
+        raise bad("tokens", "a non-empty list of strings")
+    for key in ("m1_dev", "m2"):
+        v = rec[key]
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not math.isfinite(v)):
+            raise bad(key, "a finite number")
+    for key in ("kind", "config_hash"):
+        if key in rec and not isinstance(rec[key], str):
+            raise bad(key, "a string")
+    return rec
+
+
+def read_candidates(path) -> list[dict]:
+    """The records of a candidates.jsonl file, one JSON object a line;
+    blank lines are skipped. A bad line raises ArtifactError naming the
+    path, the line and the field."""
+    records = []
+    for no, raw in enumerate(Path(path).read_bytes().split(b"\n"), 1):
+        where = f"{path}, line {no}"
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ArtifactError(f"{where}: not UTF-8 JSON ({err})") from None
+        records.append(_check_record(rec, where))
+    return records
+
+
+def read_selected(path) -> dict:
+    """The one record of a selected.json file, checked as read_candidates
+    checks each line."""
+    records = read_candidates(path)
+    if len(records) != 1:
+        raise ArtifactError(f"{path}: expected one record, found "
+                            f"{len(records)}")
+    return records[0]

@@ -34,11 +34,12 @@ class TokenGradientConfig:
 def _trigger_loss(victim, trig_ids: list[int], batch: list[Example],
                   want_grads: bool):
     """True mean victim loss of a trigger over `batch`; optionally also the
-    loss gradient w.r.t. each trigger position's embedding row."""
+    loss gradient w.r.t. each trigger position's embedding row. Without
+    gradients the graph keeps no backward closures."""
     g = Graph()
     PV = victim.lift(g)
     emb = victim.weights["emb"].data
-    leaves = [g.leaf(emb[t][None, :].copy(), requires_grad=True)
+    leaves = [g.leaf(emb[t][None, :].copy(), requires_grad=want_grads)
               for t in trig_ids]
     logits = victim.logits_ids(g, PV, [ex.text for ex in batch],
                                [ex.premise for ex in batch], prefix=leaves)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import textdata as td
 from .attack import (AttackConfig, AttackModels, nuts_attack,
-                     score_trigger, write_candidates, write_selected)
+                     read_candidates, read_selected, score_trigger,
+                     write_candidates, write_selected)
 from .baselines import (TokenGradientConfig, random_arae_attack,
                         random_sequence_attack, token_gradient_attack)
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -334,7 +335,7 @@ def _cmd_evaluate(args) -> int:
     victim = _load_model(args, "victim")
     lm = _load_model(args, "lm")
     split, _, task = _load_corpus(Path(args.data_dir), vocab=victim.vocab)
-    selected = json.loads(Path(args.selected).read_text())
+    selected = read_selected(args.selected)
     trigger = selected["tokens"]
     kind = selected.get("kind", "nuts")
     y = _require_class(resolved, split)
@@ -381,7 +382,7 @@ def _cmd_transfer(args) -> int:
     resolved = _resolve(args, _REPORT_DEFAULTS)
     victim = _load_model(args, "victim")
     split, _, _ = _load_corpus(Path(args.data_dir), vocab=victim.vocab)
-    selected = json.loads(Path(args.selected).read_text())
+    selected = read_selected(args.selected)
     trigger = selected["tokens"]
     y = _require_class(resolved, split)
     res = transfer_eval(trigger, victim, split.test, y)
@@ -396,9 +397,7 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    rows = [json.loads(line)
-            for line in Path(args.candidates).read_text().splitlines()
-            if line.strip()]
+    rows = read_candidates(args.candidates)
     if not rows:
         raise ConfigError(f"{args.candidates} holds no candidate records")
     cands = [SimpleNamespace(m1=r["m1_dev"], m2=r["m2"]) for r in rows]

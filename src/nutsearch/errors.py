@@ -17,6 +17,11 @@ class ConfigError(NutsearchError):
     """Bad config file, unknown key, or unparseable value."""
 
 
+class ArtifactError(NutsearchError):
+    """A selected.json or candidates.jsonl record is unreadable; the
+    message names the path, the line and the field."""
+
+
 class TrainingDiverged(NutsearchError):
     """A training loss went non-finite; message names the phase."""
 

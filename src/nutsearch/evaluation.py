@@ -14,10 +14,6 @@ from .textdata import Example, Vocab
 log = logging.getLogger(__name__)
 
 
-def _trigger_ids(trigger: list[str], vocab: Vocab) -> list[int]:
-    return vocab.encode(list(trigger))
-
-
 def accuracy_under_trigger(victim, dataset: list[Example],
                            trigger: list[str], y: int) -> float:
     """Fraction of class-`y` examples still classified correctly with the
@@ -25,12 +21,12 @@ def accuracy_under_trigger(victim, dataset: list[Example],
     subset = [ex for ex in dataset if ex.label == y]
     if not subset:
         raise ContractViolation(f"dataset has no examples of class {y}")
-    trig = _trigger_ids(trigger, victim.vocab)
-    texts = [trig + list(ex.text) for ex in subset]
+    texts = [list(ex.text) for ex in subset]
     premises = None
     if victim.kind == "pair":
         premises = [list(ex.premise) for ex in subset]
-    preds = victim.predict(texts, premises)
+    preds = victim.predict(texts, premises,
+                           prefix=victim.vocab.encode(list(trigger)))
     return float(np.mean(preds == y))
 
 

@@ -9,8 +9,9 @@ Design constraints, fixed on purpose:
 * every op validates shapes eagerly and checks its output for NaN/Inf
   (a silent non-finite value is always a bug upstream);
 * an LSTM step is one fused op, lstm_cell, on a packed [h | c] state with
-  a hand-written backward; it also checks its internal gates, because a
-  saturated sigmoid would hide an overflow from the output check;
+  a hand-written backward; it steps only the first `live` rows, and it
+  also checks its internal gates, because a saturated sigmoid would hide
+  an overflow from the output check;
 * float64 everywhere, no implicit broadcasting beyond the few ops that
   document it (add_bias, tile_rows) -- shape mismatches raise instead
   of broadcasting wrong;
@@ -438,17 +439,19 @@ def straight_through(soft: Node, hard) -> Node:
 
 
 def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
-              keep=None) -> Node:
+              live: int | None = None) -> Node:
     """One LSTM step as a single node.
 
-    x (B x E), state (B x 2H) packed as [h | c], w_ih (E x 4H), w_hh
+    x (R x E), state (B x 2H) packed as [h | c], w_ih (E x 4H), w_hh
     (H x 4H), b (4H,) with gates in the order i, f, u, o. Returns the
-    packed next state. With keep (B,), each row becomes
-    new * keep + old * (1 - keep), so padded rows carry their state.
+    packed next state. With live=n, the step reads only the first n rows
+    of x and state (n <= R <= B), and rows n: of the state pass through
+    unchanged, in the forward and the backward: a batch sorted
+    longest-first steps only the texts that have not ended.
 
     The forward evaluates the numpy expressions of the matmul, add_bias,
-    narrow, sigmoid, tanh, mul and rows_scale composition it replaces, in
-    the same order, and the backward forms each gradient with the same
+    narrow, sigmoid, tanh and mul composition it replaces, in the same
+    order, and the backward forms each gradient with the same
     expressions, so values and gradients are bit-identical to that
     composition. The gates are checked for non-finite values as well as
     the output: a saturated sigmoid would otherwise hide an overflow.
@@ -456,21 +459,19 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
     g = _same_graph(x, state, w_ih, w_hh, b)
     xv, sv, ih, hh, bv = x.value, state.value, w_ih.value, w_hh.value, b.value
     H = hh.shape[0]
+    B = sv.shape[0]
+    n = B if live is None else int(live)
     if (xv.ndim != 2 or ih.shape != (xv.shape[1], 4 * H)
             or hh.shape != (H, 4 * H) or bv.shape != (4 * H,)
-            or sv.shape != (xv.shape[0], 2 * H)):
+            or sv.shape != (B, 2 * H) or not 1 <= n <= xv.shape[0] <= B):
         raise ContractViolation(f"lstm_cell: x {xv.shape}, state {sv.shape}, "
                                 f"w_ih {ih.shape}, w_hh {hh.shape}, "
-                                f"b {bv.shape}")
-    if keep is not None:
-        keep = np.asarray(keep, dtype=np.float64)
-        if keep.shape != (xv.shape[0],):
-            raise ContractViolation(f"lstm_cell: keep {keep.shape} for "
-                                    f"{xv.shape[0]} rows")
-        drop = 1.0 - keep
-    h = np.ascontiguousarray(sv[:, :H])
-    c = sv[:, H:]
-    gates = (xv @ ih + h @ hh) + bv
+                                f"b {bv.shape}, live {live}")
+    R = xv.shape[0]
+    xn = xv[:n]
+    h = np.ascontiguousarray(sv[:n, :H])
+    c = sv[:n, H:]
+    gates = (xn @ ih + h @ hh) + bv
     if not np.all(np.isfinite(gates)):
         raise NumericError("op 'lstm_cell' produced non-finite gates")
     i, f, o = (0.5 * (1.0 + np.tanh(0.5 * gates[:, k * H:(k + 1) * H]))
@@ -479,30 +480,30 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
     c2 = f * c + i * u
     tc = np.tanh(c2)
     out = np.concatenate([o * tc, c2], axis=1)
-    if keep is not None:
-        out = out * keep[:, None] + sv * drop[:, None]
+    if n < B:
+        out = np.concatenate([out, sv[n:]])
 
-    reqs = tuple(n.requires_grad for n in (x, state, w_ih, w_hh, b))
+    reqs = tuple(node.requires_grad for node in (x, state, w_ih, w_hh, b))
     x_req, s_req, ih_req, hh_req, b_req = reqs
 
     def back(go):
-        dh, dc = go[:, :H], go[:, H:]
-        if keep is not None:
-            dh_old, dc_old = dh * drop[:, None], dc * drop[:, None]
-            dh, dc = dh * keep[:, None], dc * keep[:, None]
+        dh, dc = go[:n, :H], go[:n, H:]
         dc = dc + dh * o * (1.0 - tc * tc)
         dgates = np.concatenate([dc * u * i * (1.0 - i),
                                  dc * c * f * (1.0 - f),
                                  dc * i * (1.0 - u * u),
                                  dh * tc * o * (1.0 - o)], axis=1)
-        dstate = None
+        dx = dstate = None
+        if x_req:
+            dx = dgates @ ih.T
+            if n < R:
+                dx = np.concatenate([dx, np.zeros((R - n, xv.shape[1]))])
         if s_req:
-            dh_prev, dc_prev = dgates @ hh.T, dc * f
-            if keep is not None:
-                dh_prev, dc_prev = dh_old + dh_prev, dc_old + dc_prev
-            dstate = np.concatenate([dh_prev, dc_prev], axis=1)
-        return (dgates @ ih.T if x_req else None, dstate,
-                xv.T @ dgates if ih_req else None,
+            dstate = np.concatenate([dgates @ hh.T, dc * f], axis=1)
+            if n < B:
+                dstate = np.concatenate([dstate, go[n:]])
+        return (dx, dstate,
+                xn.T @ dgates if ih_req else None,
                 h.T @ dgates if hh_req else None,
                 dgates.sum(axis=0) if b_req else None)
 

@@ -63,9 +63,9 @@ def _init_lstm(rng, in_dim: int, hidden: int) -> dict[str, Tensor]:
     }
 
 
-def _lstm_cell(P, prefix, x: Node, state: Node, keep=None) -> Node:
+def _lstm_cell(P, prefix, x: Node, state: Node, live=None) -> Node:
     return gc.lstm_cell(x, state, P[prefix + ".ih"], P[prefix + ".hh"],
-                        P[prefix + ".b"], keep)
+                        P[prefix + ".b"], live)
 
 
 def _hidden(state: Node) -> Node:
@@ -73,20 +73,60 @@ def _hidden(state: Node) -> Node:
     return gc.narrow(state, 1, 0, state.value.shape[1] // 2)
 
 
-def run_lstm(g: Graph, P, prefix: str, inputs: list[Node],
-             masks=None) -> list[Node]:
-    """Unroll an LSTM over step inputs (each B x E) from a zero state.
-    Masked steps carry the previous state through, so padded rows freeze
-    at their last real step. Returns the packed [h | c] state after each
-    step."""
-    hidden = P[prefix + ".hh"].value.shape[0]
-    state = g.constant(np.zeros((inputs[0].value.shape[0], 2 * hidden)))
+def run_lstm(g: Graph, P, prefix: str, inputs: list[Node], live=None,
+             state: Node | None = None) -> list[Node]:
+    """Unroll an LSTM over step inputs from `state` (zeros by default).
+    Step t steps the first live[t] rows (all of them without `live`) and
+    carries the others through, so in a batch sorted longest-first each
+    row freezes at its last real step. Returns the packed [h | c] state
+    after each step."""
+    if state is None:
+        hidden = P[prefix + ".hh"].value.shape[0]
+        state = g.constant(np.zeros((inputs[0].value.shape[0], 2 * hidden)))
     states = []
     for t, x in enumerate(inputs):
-        keep = masks[t] if masks is not None and not masks[t].all() else None
-        state = _lstm_cell(P, prefix, x, state, keep)
+        state = _lstm_cell(P, prefix, x, state,
+                           None if live is None else live[t])
         states.append(state)
     return states
+
+
+class _Sorted:
+    """A padded id batch sorted longest-first (stable), with each step's
+    input embedded for its live rows only: the texts longer than t."""
+
+    def __init__(self, g: Graph, table: Node, ids: np.ndarray,
+                 lengths: np.ndarray, noise: np.ndarray | None = None):
+        self.order = np.argsort(-lengths, kind="stable")
+        self.live = (lengths[None, :] > np.arange(ids.shape[1])[:, None]).sum(1)
+        ids = ids[self.order]
+        self.steps = [gc.embed(table, ids[:n, t])
+                      for t, n in enumerate(self.live)]
+        if noise is not None:
+            self.steps = [gc.add(x, g.constant(noise[t][self.order[:n]]))
+                          for t, (x, n) in enumerate(zip(self.steps,
+                                                         self.live))]
+
+    def last_hidden(self, g: Graph, P, layers, prefix: list[Node] = ()) -> Node:
+        """The last layer's h after each text's last step, in input order.
+        The `prefix` rows (each 1 x E) go through every layer once, as one
+        row from the zero state, and that layer's state is tiled over the
+        batch in front of the text."""
+        B = len(self.order)
+        xs, pre = self.steps, list(prefix)
+        for k, name in enumerate(layers):
+            if k:
+                xs = [_hidden(s) for s in states]
+                pre = [_hidden(s) for s in pre]
+            state = None
+            if pre:
+                pre = run_lstm(g, P, name, pre)
+                state = gc.tile_rows(pre[-1], B)
+            states = run_lstm(g, P, name, xs, self.live, state)
+        h = _hidden(states[-1])
+        if np.array_equal(self.order, np.arange(B)):
+            return h
+        return gc.embed(h, np.argsort(self.order))
 
 
 class _ModelBase:
@@ -175,10 +215,19 @@ class ARAEModel(_ModelBase):
     # -- encoder
 
     def encode(self, g: Graph, P, ids: np.ndarray, lengths: np.ndarray) -> Node:
-        """(B, T) token ids -> (B, Z) latent on the scaled unit sphere."""
-        masks = step_masks(lengths, ids.shape[1])
-        inputs = [gc.embed(P["emb_enc"], ids[:, t]) for t in range(ids.shape[1])]
-        h_last = _hidden(run_lstm(g, P, "enc", inputs, masks)[-1])
+        """(B, T) token ids -> (B, Z) latent on the scaled unit sphere.
+
+        Every row steps at every step, as in the LM, and each text's state
+        is read at its last step: unlike the victims' longest-first order,
+        this keeps the order of every sum in ARAE training."""
+        B, T = ids.shape
+        inputs = [gc.embed(P["emb_enc"], ids[:, t]) for t in range(T)]
+        states = run_lstm(g, P, "enc", inputs)
+        last = states[-1]
+        if not (lengths == T).all():
+            last = gc.embed(gc.concat(states, axis=0),
+                            (lengths - 1) * B + np.arange(B))
+        h_last = _hidden(last)
         proj = gc.add_bias(gc.matmul(h_last, P["enc_proj.w"]), P["enc_proj.b"])
         return self._to_sphere(proj)
 
@@ -361,41 +410,45 @@ class VictimClassifier(_ModelBase):
         return {"kind": self.kind, "n_classes": self.n_classes,
                 "emb_dim": self.emb_dim, "hidden_dim": self.hidden_dim}
 
-    def embed_steps(self, g: Graph, P, ids: np.ndarray) -> list[Node]:
-        return [gc.embed(P["emb"], ids[:, t]) for t in range(ids.shape[1])]
+    def forward_embs(self, g: Graph, P, prefix: list[Node], ids: np.ndarray,
+                     lengths: np.ndarray, emb_noise: np.ndarray | None = None,
+                     premise: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> Node:
+        """Logits for padded text ids (B, T) of the given lengths, each
+        text preceded by the (1, E) embedding rows of `prefix`.
 
-    def _encode_lstm(self, g, P, prefix, emb_steps, masks):
-        return _hidden(run_lstm(g, P, prefix, emb_steps, masks)[-1])
-
-    def forward_embs(self, g: Graph, P, emb_steps: list[Node], masks,
-                     premise: tuple[np.ndarray, np.ndarray] | None = None) -> Node:
-        """Logits from per-position embedding rows (each B x E).
-
-        masks: list of per-step keep vectors covering emb_steps. For the
-        pair model, premise=(ids, lengths) is encoded with the same
-        weights and fused as [u, v, |u-v|, u*v].
+        `emb_noise` (T, B, E) is added to the embedded text steps. The
+        LSTM victims run the prefix once and the text longest-first, only
+        on the rows that have not ended. For the pair model,
+        premise=(ids, lengths) is encoded with the same weights and fused
+        as [u, v, |u-v|, u*v].
         """
-        if self.kind == "lstm2":
-            hs = [_hidden(s) for s in run_lstm(g, P, "l1", emb_steps, masks)]
-            h_last = self._encode_lstm(g, P, "l2", hs, masks)
-            return gc.add_bias(gc.matmul(h_last, P["head.w"]), P["head.b"])
+        if self.kind == "pair" and premise is None:
+            raise ContractViolation("pair model needs a premise")
         if self.kind == "bag":
+            B, T = ids.shape
+            steps = [gc.tile_rows(row, B) for row in prefix]
+            text = [gc.embed(P["emb"], ids[:, t]) for t in range(T)]
+            if emb_noise is not None:
+                text = [gc.add(e, g.constant(emb_noise[t]))
+                        for t, e in enumerate(text)]
+            steps += text
+            masks = [np.ones(B)] * len(prefix) + step_masks(lengths, T)
             total = None
-            count = np.zeros(emb_steps[0].value.shape[0])
-            for t, e in enumerate(emb_steps):
+            count = np.zeros(B)
+            for t, e in enumerate(steps):
                 kept = gc.rows_scale(e, g.constant(masks[t]))
                 total = kept if total is None else gc.add(total, kept)
                 count = count + masks[t]
             mean = gc.rows_scale(total, g.constant(1.0 / np.maximum(count, 1.0)))
             h = gc.tanh(gc.add_bias(gc.matmul(mean, P["fc1.w"]), P["fc1.b"]))
             return gc.add_bias(gc.matmul(h, P["head.w"]), P["head.b"])
-        if premise is None:
-            raise ContractViolation("pair model needs a premise")
-        pids, plens = premise
-        prem_steps = self.embed_steps(g, P, pids)
-        u = self._encode_lstm(g, P, "enc", prem_steps,
-                              step_masks(plens, pids.shape[1]))
-        v = self._encode_lstm(g, P, "enc", emb_steps, masks)
+        text = _Sorted(g, P["emb"], ids, lengths, emb_noise)
+        if self.kind == "lstm2":
+            h_last = text.last_hidden(g, P, ("l1", "l2"), prefix)
+            return gc.add_bias(gc.matmul(h_last, P["head.w"]), P["head.b"])
+        u = _Sorted(g, P["emb"], *premise).last_hidden(g, P, ("enc",))
+        v = text.last_hidden(g, P, ("enc",), prefix)
         feats = gc.concat([u, v, gc.absolute(gc.sub(u, v)), gc.mul(u, v)], axis=1)
         h = gc.tanh(gc.add_bias(gc.matmul(feats, P["fc1.w"]), P["fc1.b"]))
         return gc.add_bias(gc.matmul(h, P["head.w"]), P["head.b"])
@@ -407,37 +460,35 @@ class VictimClassifier(_ModelBase):
         """Logits for a batch of id sequences.
 
         `prefix` holds (1, E) embedding rows, such as a trigger, put in
-        front of every text and never masked. `emb_noise`, shaped
-        (T, B, E), is added to the embedded text steps; training uses it
-        to smooth the model's response to off-manifold embedding inputs.
-        Only the pair model reads `premises`."""
+        front of every text. `emb_noise`, shaped (T, B, E), is added to
+        the embedded text steps; training uses it to smooth the model's
+        response to off-manifold embedding inputs. Only the pair model
+        reads `premises`."""
         ids, lengths = pad_batch(texts, self.vocab.pad_id)
         B, T = ids.shape
-        prefix_steps = [gc.tile_rows(row, B) for row in prefix]
-        text_steps = self.embed_steps(g, P, ids)
-        if emb_noise is not None:
-            if emb_noise.shape != (T, B, self.emb_dim):
-                raise ContractViolation("emb_noise must be (T, B, E)")
-            text_steps = [gc.add(e, g.constant(emb_noise[t]))
-                          for t, e in enumerate(text_steps)]
-        masks = [np.ones(B)] * len(prefix) + step_masks(lengths, T)
+        if emb_noise is not None and emb_noise.shape != (T, B, self.emb_dim):
+            raise ContractViolation("emb_noise must be (T, B, E)")
         prem = (pad_batch(premises, self.vocab.pad_id)
                 if self.kind == "pair" and premises is not None else None)
-        return self.forward_embs(g, P, prefix_steps + text_steps, masks,
-                                 premise=prem)
+        return self.forward_embs(g, P, prefix, ids, lengths, emb_noise, prem)
 
-    def logits_batch(self, texts, premises=None, batch_size: int = 512) -> np.ndarray:
+    def logits_batch(self, texts, premises=None, batch_size: int = 512,
+                     prefix: list[int] = ()) -> np.ndarray:
+        """Logits in chunks of `batch_size` texts, each text preceded by
+        the token ids of `prefix`."""
         out = []
         for lo in range(0, len(texts), batch_size):
             g = Graph()
             P = self.lift(g)
+            rows = [gc.embed(P["emb"], [t]) for t in prefix]
             chunk_prem = premises[lo : lo + batch_size] if premises else None
-            node = self.logits_ids(g, P, texts[lo : lo + batch_size], chunk_prem)
+            node = self.logits_ids(g, P, texts[lo : lo + batch_size],
+                                   chunk_prem, prefix=rows)
             out.append(node.value)
         return np.concatenate(out, axis=0)
 
-    def predict(self, texts, premises=None) -> np.ndarray:
-        return self.logits_batch(texts, premises).argmax(axis=1)
+    def predict(self, texts, premises=None, prefix: list[int] = ()) -> np.ndarray:
+        return self.logits_batch(texts, premises, prefix=prefix).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -151,17 +151,17 @@ def _op_cases():
     cell_args = [r.standard_normal(shape)
                  for shape in ((3, 2), (3, 4), (2, 8), (2, 8), (8,))]
 
-    def cell_case(pos, keep):
+    def cell_case(pos, live):
         def build(g, l):
             args = [l if k == pos else g.constant(v)
                     for k, v in enumerate(cell_args)]
-            return wsum(gc.lstm_cell(*args, keep=keep), W34)
+            return wsum(gc.lstm_cell(*args, live=live), W34)
         return build
 
-    cell_cases = [(f"lstm_cell/{part}" + ("" if keep is None else "/masked"),
-                   cell_args[pos], cell_case(pos, keep))
+    cell_cases = [(f"lstm_cell/{part}" + ("" if live is None else "/live"),
+                   cell_args[pos], cell_case(pos, live))
                   for pos, part in enumerate(("x", "state", "w_ih", "w_hh", "b"))
-                  for keep in (None, np.array([1.0, 0.0, 1.0]))]
+                  for live in (None, 2)]
 
     return [
         ("add/a", M, lambda g, l: wsum(gc.add(l, g.constant(W34)), W34)),

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from nutsearch.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
+from nutsearch.checkpoint import VERSION, load_checkpoint, save_checkpoint
 from nutsearch.errors import (CheckpointConsistencyError, CheckpointMagicError,
                               CheckpointTruncatedError, CheckpointVersionError)
 from nutsearch.models import ARAEModel, ScoringLM, VictimClassifier

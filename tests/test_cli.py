@@ -501,6 +501,59 @@ def test_stats_empty_dump_exits_two(tmp_path):
                    str(tmp_path / "s.json")) == 2
 
 
+_GOOD_RECORD = {"tokens": ["the", "plot"], "m1_dev": 0.5, "m2": 3.0,
+                "kind": "nuts", "config_hash": ""}
+# (content of the bad record, what the error names besides path and line)
+_BAD_RECORDS = {
+    "not-json": (b'{"tokens": ["the"', "not UTF-8 JSON"),
+    "not-utf8": (b'{"tokens": ["\xff\xfe"], "m1_dev": 0, "m2": 1}',
+                 "not UTF-8 JSON"),
+    "not-object": (b'["the", "plot"]', "JSON object"),
+    "tokens-missing": (json.dumps({"m1_dev": 0.5, "m2": 3.0}).encode(),
+                       "'tokens'"),
+    "tokens-mistyped": (json.dumps(dict(_GOOD_RECORD, tokens=5)).encode(),
+                        "'tokens'"),
+    "m1-missing": (json.dumps({"tokens": ["the"], "m2": 3.0}).encode(),
+                   "'m1_dev'"),
+    "m2-mistyped": (json.dumps(dict(_GOOD_RECORD, m2="low")).encode(),
+                    "'m2'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RECORDS))
+@pytest.mark.parametrize("command", ["evaluate", "transfer", "stats"])
+def test_bad_artifact_record_exits_one(tmp_path, workbench, caplog, capsys,
+                                       command, case):
+    """A selected.json (evaluate, transfer) or candidates.jsonl (stats)
+    record that is not JSON, not an object, or lacks a field or has it of
+    the wrong type: exit 1, one ERROR line naming the path, the line and
+    the field, no traceback, no output file."""
+    bad, names = _BAD_RECORDS[case]
+    path = tmp_path / ("candidates.jsonl" if command == "stats"
+                       else "selected.json")
+    line = 1
+    if command == "stats":  # the bad record on the second line
+        bad = json.dumps(_GOOD_RECORD).encode() + b"\n" + bad
+        line = 2
+    path.write_bytes(bad + b"\n")
+    out = tmp_path / "out" / "result.json"
+    data = ["--data-dir", str(workbench["data"]), "--attacked-class", "1"]
+    argv = {
+        "evaluate": ["evaluate", *data, "--victim", str(workbench["victim"]),
+                     "--lm", str(workbench["lm"]), "--selected", str(path),
+                     "--out-json", str(out)],
+        "transfer": ["transfer", *data, "--victim", str(workbench["victim"]),
+                     "--selected", str(path), "--out", str(out)],
+        "stats": ["stats", "--candidates", str(path), "--out", str(out)],
+    }[command]
+    assert run_cli(*argv) == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert f"{path}, line {line}" in errors[0] and names in errors[0]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() and not out.parent.exists()
+
+
 def test_output_parent_directories_are_created(tmp_path, workbench,
                                                attack_dir):
     ckpt = tmp_path / "deep" / "nested" / "victim.ckpt"

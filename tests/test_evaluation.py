@@ -51,7 +51,7 @@ class _ConstantVictim:
         self.vocab = vocab
         self.cls = cls
 
-    def predict(self, texts, premises=None):
+    def predict(self, texts, premises=None, prefix=()):
         return np.full(len(texts), self.cls)
 
 

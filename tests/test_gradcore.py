@@ -374,22 +374,26 @@ class TestGumbelSoftmax:
             gc.gumbel_softmax(logits, tau=0.0, rng=RNG(0))
 
 
-def _unfused_cell(x, h, c, w_ih, w_hh, b, keep=None):
-    """The matmul/narrow/sigmoid/tanh/mul/rows_scale composition that
-    lstm_cell replaces, kept as the reference it must match bit for bit."""
-    H = w_hh.value.shape[0]
-    gates = gc.add_bias(gc.add(gc.matmul(x, w_ih), gc.matmul(h, w_hh)), b)
+def _unfused_cell(x, h, c, w_ih, w_hh, b, live=None):
+    """The matmul/narrow/sigmoid/tanh/mul composition that lstm_cell
+    replaces, kept as the reference it must match bit for bit. With
+    live=n, the first n rows of x, h and c step and the other rows of h
+    and c are concatenated back unchanged."""
+    B, H = h.value.shape[0], w_hh.value.shape[0]
+    n = B if live is None else live
+    if n < x.value.shape[0]:
+        x = gc.narrow(x, 0, 0, n)
+    hn, cn = (h, c) if n == B else (gc.narrow(h, 0, 0, n), gc.narrow(c, 0, 0, n))
+    gates = gc.add_bias(gc.add(gc.matmul(x, w_ih), gc.matmul(hn, w_hh)), b)
     i = gc.sigmoid(gc.narrow(gates, 1, 0, H))
     f = gc.sigmoid(gc.narrow(gates, 1, H, H))
     u = gc.tanh(gc.narrow(gates, 1, 2 * H, H))
     o = gc.sigmoid(gc.narrow(gates, 1, 3 * H, H))
-    c2 = gc.add(gc.mul(f, c), gc.mul(i, u))
+    c2 = gc.add(gc.mul(f, cn), gc.mul(i, u))
     h2 = gc.mul(o, gc.tanh(c2))
-    if keep is not None:
-        g = x.graph
-        k, d = g.constant(keep), g.constant(1.0 - keep)
-        h2 = gc.add(gc.rows_scale(h2, k), gc.rows_scale(h, d))
-        c2 = gc.add(gc.rows_scale(c2, k), gc.rows_scale(c, d))
+    if n < B:
+        h2 = gc.concat([h2, gc.narrow(h, 0, n, B - n)], axis=0)
+        c2 = gc.concat([c2, gc.narrow(c, 0, n, B - n)], axis=0)
     return h2, c2
 
 
@@ -397,9 +401,11 @@ class TestLSTMCell:
     B, E, H, T, V = 5, 3, 4, 6, 7
 
     def _run(self, fused):
-        """Two stacked layers over padded steps. Layer 1 starts from a
-        trainable h, and its h feeds the next step, layer 2 and the loss,
-        as in the models. Returns (loss, each step's (h, c), leaf grads)."""
+        """Two stacked layers over a batch sorted longest-first, each step
+        on its live rows only. Layer 1 starts from a trainable h and reads
+        just its live rows' embeddings; its h feeds the next step, layer 2
+        (all rows, of which the cell reads the live ones) and the loss, as
+        in the models. Returns (loss, each step's (h, c), leaf grads)."""
         B, E, H, T, V = self.B, self.E, self.H, self.T, self.V
         r = RNG(31)
         init = {"emb": (V, E), "h0": (B, H), "head": (H, 3),
@@ -409,28 +415,28 @@ class TestLSTMCell:
         P = {k: g.leaf(r.standard_normal(s), requires_grad=True)
              for k, s in init.items()}
         ids = r.integers(0, V, (B, T))
-        lengths = np.array([6, 3, 1, 6, 4])
-        masks = [(t < lengths).astype(np.float64) for t in range(T)]
+        lengths = np.array([6, 6, 4, 3, 1])
+        live = [int((lengths > t).sum()) for t in range(T)]
 
         def layer(prefix, xs, h):
             c = g.constant(np.zeros((B, H)))
             w = [P[prefix + s] for s in (".ih", ".hh", ".b")]
             state = gc.concat([h, c], axis=1) if fused else None
             out = []
-            for t, x in enumerate(xs):
-                keep = None if masks[t].all() else masks[t]
+            for x, n in zip(xs, live):
+                n = None if n == B else n
                 if fused:
-                    state = gc.lstm_cell(x, state, *w, keep=keep)
+                    state = gc.lstm_cell(x, state, *w, live=n)
                     out.append(state)
                 else:
-                    h, c = _unfused_cell(x, h, c, *w, keep=keep)
+                    h, c = _unfused_cell(x, h, c, *w, live=n)
                     out.append((h, c))
             if fused:
                 out = [(gc.narrow(s, 1, 0, H), gc.narrow(s, 1, H, H))
                        for s in out]
             return out
 
-        xs = [gc.embed(P["emb"], ids[:, t]) for t in range(T)]
+        xs = [gc.embed(P["emb"], ids[:n, t]) for t, n in enumerate(live)]
         l1 = layer("l1", xs, P["h0"])
         l2 = layer("l2", [h for h, _ in l1], g.constant(np.zeros((B, H))))
         loss = gc.cross_entropy(gc.matmul(l2[-1][0], P["head"]),
@@ -468,6 +474,10 @@ class TestLSTMCell:
         w_ih, w_hh, b = (g.leaf(np.zeros(s)) for s in ((3, 8), (2, 8), (8,)))
         with pytest.raises(ContractViolation):
             gc.lstm_cell(x, g.leaf(np.zeros((2, 2))), w_ih, w_hh, b)
-        with pytest.raises(ContractViolation):
-            gc.lstm_cell(x, g.leaf(np.zeros((2, 4))), w_ih, w_hh, b,
-                         keep=np.ones(3))
+        for live in (0, 3):
+            with pytest.raises(ContractViolation):
+                gc.lstm_cell(x, g.leaf(np.zeros((2, 4))), w_ih, w_hh, b,
+                             live=live)
+        with pytest.raises(ContractViolation):  # x holds fewer rows than live
+            gc.lstm_cell(g.leaf(np.zeros((1, 3))), g.leaf(np.zeros((2, 4))),
+                         w_ih, w_hh, b, live=2)

@@ -8,7 +8,7 @@ from nutsearch import gradcore as gc
 from nutsearch import textdata as td
 from nutsearch.errors import ContractViolation
 from nutsearch.models import (ARAEModel, ScoringLM, VictimClassifier,
-                              model_from_parts, pad_batch, step_masks)
+                              model_from_parts, pad_batch)
 
 from helpers import fd_grad, rel_err
 
@@ -188,9 +188,8 @@ class TestVictims:
         g2 = gc.Graph()
         P2 = m.lift(g2)
         emb_steps = [gc.matmul(g2.leaf(onehots[t : t + 1]), P2["emb"])
-                     for t in range(len(text))]
-        masks = [np.ones(1) for _ in text]
-        got = m.forward_embs(g2, P2, emb_steps, masks).value
+                     for t in range(len(text) - 1)]
+        got = m.logits_ids(g2, P2, [text[-1:]], prefix=emb_steps).value
         assert np.array_equal(want, got)
 
     def test_soft_input_grad_matches_fd(self, tiny_vocab):
@@ -205,7 +204,8 @@ class TestVictims:
             P = m.lift(g)
             emb_steps = [gc.matmul(g.leaf(x[t : t + 1], requires_grad=True), P["emb"])
                          for t in range(2)]
-            logits = m.forward_embs(g, P, emb_steps, [np.ones(1)] * 2)
+            logits = m.logits_ids(g, P, [[tiny_vocab.stoi["movie"]]],
+                                  prefix=emb_steps)
             return g, gc.cross_entropy(logits, tgt)
 
         g, loss = loss_of(rows)
@@ -282,12 +282,8 @@ class TestFullSoftPipelineGradient:
                                           allowed_mask=mask, hard=False)
             PV = victim.lift(g)
             emb_node = g.constant(emb_map)
-            ids, lengths = pad_batch(benign, tiny_vocab.pad_id)
-            trig_steps = [gc.tile_rows(gc.matmul(s, emb_node), len(benign))
-                          for _, s in steps]
-            emb_steps = trig_steps + victim.embed_steps(g, PV, ids)
-            masks = [np.ones(len(benign))] * L + step_masks(lengths, ids.shape[1])
-            logits = victim.forward_embs(g, PV, emb_steps, masks)
+            rows = [gc.matmul(s, emb_node) for _, s in steps]
+            logits = victim.logits_ids(g, PV, benign, prefix=rows)
             return gc.cross_entropy(logits, y)
 
         g = gc.Graph()

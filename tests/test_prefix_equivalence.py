@@ -1,8 +1,15 @@
-"""The trigger-prefixed victim forward (`VictimClassifier.logits_ids` with
-`prefix`) and the LM batch cross-entropy (`ScoringLM.batch_ce`) against
-the inline code they replaced, kept here as the reference: same values,
-same gradients and the same graph size, bit for bit, for every victim
-kind."""
+"""The victim forward against today's full-row reference, and the LM batch
+cross-entropy (`ScoringLM.batch_ce`) against the inline code it replaced.
+
+The LSTM victims (lstm2, pair) sort a batch longest-first, step only the
+rows whose text has not ended, and run a trigger prefix once as one row.
+The reference kept here steps every row at every step, tiles each prefix
+row over the batch and blends padded rows back with a keep mask. The two
+differ only in the order of a few float sums, so values and gradients
+agree within 1e-12 relative and predictions are identical; a batch of
+equal lengths without a prefix runs the same ops and stays bit-identical.
+The bag victim, the ARAE encoder, the LM and `avg_ce` are checked bit for
+bit."""
 
 import numpy as np
 import pytest
@@ -16,8 +23,11 @@ from nutsearch.models import (ARAEModel, ScoringLM, VictimClassifier,
                               pad_batch, step_masks)
 from nutsearch.textdata import Example
 
+from helpers import rel_err
+
 RNG = np.random.default_rng
 KINDS = ("lstm2", "bag", "pair")
+TOL = 1e-12
 SENTENCES = [["the", "movie", "was", "wonderful"],
              ["the", "plot", "was", "awful"],
              ["nobody", "said", "it", "was", "fresh"],
@@ -27,31 +37,83 @@ SENTENCES = [["the", "movie", "was", "wonderful"],
 
 
 # ---------------------------------------------------------------------------
-# references: the inline code that logits_ids(prefix=...) and batch_ce replace
+# references: every row at every step, prefix rows tiled, keep-masked
 
 
-def _ref_victim_logits(victim, g, PV, trig_steps, batch):
-    B = len(batch)
+def _ref_lstm(g, P, name, steps, masks):
+    """Packed states of an LSTM over full-row steps from the zero state;
+    a masked row carries its old state: new * keep + old * (1 - keep)."""
+    H = P[name + ".hh"].value.shape[0]
+    state = g.constant(np.zeros((steps[0].value.shape[0], 2 * H)))
+    out = []
+    for x, keep in zip(steps, masks):
+        new = gc.lstm_cell(x, state, P[name + ".ih"], P[name + ".hh"],
+                           P[name + ".b"])
+        if not keep.all():
+            new = gc.add(gc.rows_scale(new, g.constant(keep)),
+                         gc.rows_scale(state, g.constant(1.0 - keep)))
+        state = new
+        out.append(state)
+    return out
+
+
+def _ref_last_h(g, P, name, steps, masks):
+    return gc.narrow(_ref_lstm(g, P, name, steps, masks)[-1], 1, 0,
+                     P[name + ".hh"].value.shape[0])
+
+
+def _ref_forward(victim, g, P, prefix, ids, lengths, noise=None,
+                 premise=None):
+    """Victim logits the way every kind computed them before live rows."""
+    B, T = ids.shape
+    steps = [gc.tile_rows(row, B) for row in prefix]
+    text = [gc.embed(P["emb"], ids[:, t]) for t in range(T)]
+    if noise is not None:
+        text = [gc.add(e, g.constant(noise[t])) for t, e in enumerate(text)]
+    steps += text
+    masks = [np.ones(B)] * len(prefix) + step_masks(lengths, T)
+    if victim.kind == "lstm2":
+        hs = [gc.narrow(s, 1, 0, victim.hidden_dim)
+              for s in _ref_lstm(g, P, "l1", steps, masks)]
+        feats = _ref_last_h(g, P, "l2", hs, masks)
+    elif victim.kind == "bag":
+        total = None
+        for e, keep in zip(steps, masks):
+            kept = gc.rows_scale(e, g.constant(keep))
+            total = kept if total is None else gc.add(total, kept)
+        count = np.sum(masks, axis=0)
+        mean = gc.rows_scale(total, g.constant(1.0 / np.maximum(count, 1.0)))
+        feats = gc.tanh(gc.add_bias(gc.matmul(mean, P["fc1.w"]), P["fc1.b"]))
+    else:
+        pids, plens = premise
+        u = _ref_last_h(g, P, "enc", [gc.embed(P["emb"], pids[:, t])
+                                      for t in range(pids.shape[1])],
+                        step_masks(plens, pids.shape[1]))
+        v = _ref_last_h(g, P, "enc", steps, masks)
+        fused = gc.concat([u, v, gc.absolute(gc.sub(u, v)), gc.mul(u, v)],
+                          axis=1)
+        feats = gc.tanh(gc.add_bias(gc.matmul(fused, P["fc1.w"]),
+                                    P["fc1.b"]))
+    return gc.add_bias(gc.matmul(feats, P["head.w"]), P["head.b"])
+
+
+def _ref_victim_logits(victim, g, PV, prefix, batch):
     ids, lengths = pad_batch([list(ex.text) for ex in batch],
                              victim.vocab.pad_id)
-    emb_steps = trig_steps + victim.embed_steps(g, PV, ids)
-    masks = [np.ones(B)] * len(trig_steps) + step_masks(lengths, ids.shape[1])
     premise = None
     if victim.kind == "pair":
         premise = pad_batch([list(ex.premise) for ex in batch],
                             victim.vocab.pad_id)
-    return victim.forward_embs(g, PV, emb_steps, masks, premise=premise)
+    return _ref_forward(victim, g, PV, prefix, ids, lengths, premise=premise)
 
 
 def _ref_trigger_loss(victim, trig_ids, batch):
     g = Graph()
     PV = victim.lift(g)
-    B = len(batch)
     emb = victim.weights["emb"].data
     leaves = [g.leaf(emb[t][None, :].copy(), requires_grad=True)
               for t in trig_ids]
-    trig_steps = [gc.tile_rows(leaf, B) for leaf in leaves]
-    logits = _ref_victim_logits(victim, g, PV, trig_steps, batch)
+    logits = _ref_victim_logits(victim, g, PV, leaves, batch)
     loss = gc.cross_entropy(logits, np.array([ex.label for ex in batch]))
     grads = gc.backward(g, loss)
     return float(loss.value), [grads[leaf.idx].data[0] for leaf in leaves]
@@ -65,10 +127,16 @@ def _ref_build_loss(models, g, noise_leaf, batch, tau, rng, cfg, hard=True):
                             models.allowed_mask, hard=hard)
     PV = victim.lift(g)
     emb_node = g.constant(models._emb_map)
-    trig_steps = [gc.tile_rows(gc.matmul(fed, emb_node), len(batch))
-                  for _, fed in steps]
-    logits = _ref_victim_logits(victim, g, PV, trig_steps, batch)
+    rows = [gc.matmul(fed, emb_node) for _, fed in steps]
+    logits = _ref_victim_logits(victim, g, PV, rows, batch)
     return gc.cross_entropy(logits, np.array([ex.label for ex in batch]))
+
+
+def _ref_encode(model, g, P, ids, lengths):
+    steps = [gc.embed(P["emb_enc"], ids[:, t]) for t in range(ids.shape[1])]
+    h = _ref_last_h(g, P, "enc", steps, step_masks(lengths, ids.shape[1]))
+    return model._to_sphere(gc.add_bias(gc.matmul(h, P["enc_proj.w"]),
+                                        P["enc_proj.b"]))
 
 
 def _ref_lm_batch(model, texts, g, P):
@@ -82,6 +150,13 @@ def _ref_lm_batch(model, texts, g, P):
     weights = np.concatenate(step_masks(lengths, T))
     targets = np.where(weights > 0, targets, 0)
     return gc.cross_entropy(flat, targets, weights)
+
+
+def _close(got, want, exact):
+    """Bit for bit when `exact`, else within TOL relative."""
+    if exact:
+        return np.array_equal(got, want)
+    return rel_err(got, want) <= TOL
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +211,24 @@ def test_trigger_loss_matches_inline_reference(vocab, kind):
     trig = vocab.encode(["nobody", "dull", "the"])
     want_loss, want_grads = _ref_trigger_loss(victim, trig, batch)
     got_loss, got_grads = _trigger_loss(victim, trig, batch, True)
-    assert got_loss == want_loss
+    exact = kind == "bag"
+    assert _close(got_loss, want_loss, exact)
     assert len(got_grads) == len(want_grads) == 3
     for got, want in zip(got_grads, want_grads):
-        assert np.array_equal(got, want)
+        assert _close(got, want, exact)
     assert np.any(np.concatenate(got_grads) != 0.0)
-    assert _trigger_loss(victim, trig, batch, False)[0] == want_loss
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_trigger_loss_without_grads_is_bit_identical(vocab, kind):
+    """The loss-only evaluation, whose graph holds no backward closures,
+    gives the loss of the gradient evaluation bit for bit."""
+    victim = _victim(vocab, kind)
+    batch = _batch(vocab, kind)
+    trig = vocab.encode(["nobody", "dull", "the"])
+    loss, grads = _trigger_loss(victim, trig, batch, False)
+    assert grads is None
+    assert loss == _trigger_loss(victim, trig, batch, True)[0]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -160,27 +247,135 @@ def test_build_loss_matches_inline_reference(vocab, kind, hard):
         out.append((float(loss.value), gc.backward(g, loss)[leaf.idx].data,
                     len(g)))
     (got_loss, got_grad, got_nodes), (want_loss, want_grad, want_nodes) = out
-    assert got_loss == want_loss
-    assert np.array_equal(got_grad, want_grad)
+    exact = kind == "bag"
+    assert _close(got_loss, want_loss, exact)
+    assert _close(got_grad, want_grad, exact)
     assert np.any(got_grad != 0.0)
-    assert got_nodes == want_nodes
+    if exact:
+        assert got_nodes == want_nodes
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_prefix_rows_equal_concatenated_ids(vocab, kind):
     """Embedding rows as a prefix give the logits of the same tokens
-    written in front of each text."""
+    written in front of each text, and so do prefix ids."""
     victim = _victim(vocab, kind)
     batch = _batch(vocab, kind)
     trig = vocab.encode(["a", "plot", "felt"])
+    texts = [ex.text for ex in batch]
     premises = [ex.premise for ex in batch] if kind == "pair" else None
-    want = victim.logits_batch([trig + ex.text for ex in batch], premises)
+    want = victim.logits_batch([trig + t for t in texts], premises)
     g = Graph()
     P = victim.lift(g)
     rows = [g.leaf(victim.weights["emb"].data[t][None, :]) for t in trig]
-    got = victim.logits_ids(g, P, [ex.text for ex in batch],
-                            [ex.premise for ex in batch], prefix=rows)
-    assert np.array_equal(got.value, want)
+    got = victim.logits_ids(g, P, texts, premises, prefix=rows).value
+    assert _close(got, want, kind == "bag")
+    assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+    assert np.array_equal(victim.logits_batch(texts, premises, prefix=trig),
+                          got)
+
+
+# ---------------------------------------------------------------------------
+# live rows against the full-row reference, gradients of every leaf
+
+
+# text lengths 4, 2, 5, 3: the longest is unique, so the last step has
+# one live row (numpy's gemv path), and the sort moves every row
+LIVE_TEXTS = [["the", "movie", "was", "wonderful"], ["a", "dog"],
+              ["nobody", "said", "it", "was", "fresh"],
+              ["this", "film", "felt"]]
+LIVE_PREMISES = [["a", "dog", "sleeps"], ["the", "plot", "was", "awful"],
+                 ["a", "man"], ["nobody", "said", "it", "was", "fresh"]]
+EQUAL_TEXTS = [["the", "movie", "was", "wonderful"],
+               ["the", "plot", "was", "awful"],
+               ["a", "man", "is", "running"]]
+
+
+def _victim_run(victim, forward, texts, premises, n_prefix, seed):
+    """Logits, loss and the gradients of every weight and prefix row of
+    one victim forward with a trainable prefix and embedding noise."""
+    vocab = victim.vocab
+    texts = [vocab.encode(t) for t in texts]
+    premises = ([vocab.encode(p) for p in premises]
+                if victim.kind == "pair" else None)
+    r = RNG(seed)
+    noise = 0.3 * r.standard_normal((max(map(len, texts)), len(texts),
+                                     victim.emb_dim))
+    rows = r.standard_normal((n_prefix, victim.emb_dim))
+    g = Graph()
+    P = victim.lift(g, trainable=victim.weights)
+    prefix = [g.leaf(row[None, :], requires_grad=True) for row in rows]
+    ids, lengths = pad_batch(texts, vocab.pad_id)
+    prem = pad_batch(premises, vocab.pad_id) if premises else None
+    logits = forward(g, P, prefix, ids, lengths, noise, prem)
+    loss = gc.cross_entropy(logits, r.integers(0, victim.n_classes,
+                                               len(texts)))
+    grads = gc.backward(g, loss)
+    named = {name: grads[node.idx].data for name, node in P.items()}
+    named.update({f"prefix{k}": grads[leaf.idx].data
+                  for k, leaf in enumerate(prefix)})
+    return logits.value, float(loss.value), named, len(g)
+
+
+def _both(victim, texts, premises, n_prefix, seed=5):
+    return [_victim_run(victim, forward, texts, premises, n_prefix, seed)
+            for forward in (victim.forward_embs,
+                            lambda *a: _ref_forward(victim, *a))]
+
+
+@pytest.mark.parametrize("kind", ["lstm2", "pair"])
+@pytest.mark.parametrize("n_prefix", [0, 3])
+def test_live_rows_match_full_row_reference(vocab, kind, n_prefix):
+    victim = _victim(vocab, kind)
+    got, want = _both(victim, LIVE_TEXTS, LIVE_PREMISES, n_prefix)
+    (got_logits, got_loss, got_grads, _), (want_logits, want_loss,
+                                           want_grads, _) = got, want
+    assert np.array_equal(got_logits.argmax(axis=1),
+                          want_logits.argmax(axis=1))
+    assert rel_err(got_logits, want_logits) <= TOL
+    assert rel_err(got_loss, want_loss) <= TOL
+    assert got_grads.keys() == want_grads.keys()
+    for name, grad in want_grads.items():
+        assert rel_err(got_grads[name], grad) <= TOL, name
+        assert np.any(grad != 0.0), name
+
+
+@pytest.mark.parametrize("kind", ["lstm2", "pair"])
+def test_equal_lengths_without_prefix_run_the_same_ops(vocab, kind):
+    """Nothing to sort and no prefix: the same ops in the same order as
+    the reference, so every value and gradient is bit-identical."""
+    victim = _victim(vocab, kind)
+    got, want = _both(victim, EQUAL_TEXTS, EQUAL_TEXTS[::-1], 0)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    for name, grad in want[2].items():
+        assert np.array_equal(got[2][name], grad), name
+    assert got[3] == want[3]
+
+
+def test_arae_encode_is_bit_identical_to_keep_masked_reference(vocab):
+    """The encoder steps every row and reads each text's last state, so
+    values and gradients equal the keep-masked reference bit for bit."""
+    model = ARAEModel(vocab, emb_dim=8, hidden_dim=12, latent_dim=10,
+                      noise_dim=6, gen_hidden=10, critic_hidden=9, seed=3)
+    ids, lengths = pad_batch([vocab.encode(t) for t in LIVE_TEXTS],
+                             vocab.pad_id)
+    w = RNG(6).standard_normal((len(LIVE_TEXTS), model.latent_dim))
+    out = []
+    for encode in (model.encode, lambda *a: _ref_encode(model, *a)):
+        g = Graph()
+        P = model.lift(g, trainable=model.weights)
+        z = encode(g, P, ids, lengths)
+        loss = gc.mean_all(gc.mul(z, g.constant(w)))
+        grads = gc.backward(g, loss)
+        out.append((z.value, {name: grads[node.idx].data
+                              for name, node in P.items()}))
+    (got_z, got_grads), (want_z, want_grads) = out
+    assert np.array_equal(got_z, want_z)
+    assert got_grads.keys() == want_grads.keys()
+    for name, grad in want_grads.items():
+        assert np.array_equal(got_grads[name], grad), name
+        assert np.any(grad != 0.0), name
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (ARAE_CFG, ARAE_DIMS, BAG_CFG, LM_CFG, LSTM2_CFG,
-                      PAIR_CFG)
+from conftest import ARAE_DIMS, LSTM2_CFG
 from nutsearch import gradcore as gc
 from nutsearch.config import derive_init_seeds
 from nutsearch.errors import ContractViolation, TrainingDiverged
 from nutsearch.gradcore import Tensor
-from nutsearch.models import ARAEModel, ScoringLM, VictimClassifier
+from nutsearch.models import ARAEModel, VictimClassifier
 from nutsearch.textdata import Split, grammar_errors
 from nutsearch.trainers import (AE_PARTS, ENC_PARTS, SGD, TrainConfig,
                                 classifier_accuracy, lm_corpus_ce, train_arae,
