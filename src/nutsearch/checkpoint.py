@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (CheckpointConsistencyError, CheckpointMagicError,
                      CheckpointTruncatedError, CheckpointVersionError,
-                     ContractViolation)
+                     ContractViolation, NumericError)
 from .gradcore import Tensor
 from .models import MODEL_KINDS, model_from_parts
 from .textdata import Vocab
@@ -129,7 +129,11 @@ def load_checkpoint(path):
             count *= d
         raw = r.take(4 * count, f"tensor data for {name!r}")
         arr = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
-        weights[name] = Tensor(arr)
+        try:
+            weights[name] = Tensor(arr)
+        except NumericError:
+            raise CheckpointConsistencyError(
+                f"{path}: tensor {name!r} holds a non-finite value") from None
     if r.pos != len(buf):
         raise CheckpointConsistencyError(
             f"{path}: {len(buf) - r.pos} trailing bytes after last tensor")

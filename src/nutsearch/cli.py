@@ -25,12 +25,12 @@ from .baselines import (TokenGradientConfig, random_arae_attack,
                         random_sequence_attack, token_gradient_attack)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_hash, parse_config_file, resolve_config
-from .errors import ConfigError, NutsearchError
+from .errors import ConfigError, ContractViolation, NutsearchError
 from .evaluation import (EvalReport, accuracy_under_trigger,
                          avg_word_frequency, candidate_stats, stat_delta,
                          transfer_eval)
 from .models import VictimClassifier
-from .textdata import Example, Split, Vocab
+from .textdata import Example, Split
 from .trainers import TrainConfig, train_arae, train_classifier, train_lm
 
 log = logging.getLogger("nutsearch")
@@ -101,59 +101,13 @@ def _resolve(args, defaults: dict) -> dict:
     return resolved
 
 
-def _encode(vocab: Vocab, text: str) -> list[int]:
-    return vocab.encode(td.tokenize(text))
-
-
-def _read_meta(data_dir: Path) -> dict:
-    meta_path = data_dir / "meta.json"
-    if not meta_path.exists():
-        raise ConfigError(f"{data_dir} has no meta.json; run make-synth "
-                          f"first")
-    return json.loads(meta_path.read_text())
-
-
-def _load_rows(data_dir: Path, task: str):
-    out = {}
-    for part in ("train", "dev", "test"):
-        path = data_dir / f"{part}.tsv"
-        if task == "nli":
-            out[part] = td.read_pair_corpus(path)
-        else:
-            out[part] = td.read_single_corpus(path)
-    return out
-
-
-def _rows_to_split(rows: dict, vocab: Vocab, task: str) -> Split:
-    def conv(row):
-        if task == "nli":
-            label, prem, hyp = row
-            return Example(label=label, text=_encode(vocab, hyp),
-                           premise=_encode(vocab, prem))
-        label, text = row
-        return Example(label=label, text=_encode(vocab, text))
-
-    return Split(train=[conv(r) for r in rows["train"]],
-                 dev=[conv(r) for r in rows["dev"]],
-                 test=[conv(r) for r in rows["test"]])
-
-
-def _load_corpus(data_dir: Path, vocab: Vocab | None = None):
-    """Corpus from a make-synth directory. With vocab=None, builds the
-    vocabulary from the train split (training); otherwise encodes with the
-    given (checkpoint) vocabulary."""
-    data_dir = Path(data_dir)
-    task = _read_meta(data_dir)["task"]
-    rows = _load_rows(data_dir, task)
-    if vocab is None:
-        seqs = []
-        for row in rows["train"]:
-            if task == "nli":
-                seqs += [td.tokenize(row[1]), td.tokenize(row[2])]
-            else:
-                seqs.append(td.tokenize(row[1]))
-        vocab = td.build_vocab(seqs)
-    return _rows_to_split(rows, vocab, task), vocab, task
+def _checked(cls, **values):
+    """cls(**values) for values from a resolved config: a value out of
+    its range is a configuration error (exit 2)."""
+    try:
+        return cls(**values)
+    except ContractViolation as err:
+        raise ConfigError(f"config: {err}") from None
 
 
 def _class_subset(examples: list[Example], y: int) -> list[Example]:
@@ -173,24 +127,15 @@ def _prepare_out(path):
 
 def _cmd_make_synth(args) -> int:
     cfg = _resolve(args, SYNTH_DEFAULTS)
-    if cfg["task"] not in ("sentiment", "nli"):
+    if cfg["task"] not in td.TASK_TEXTS:
         raise ConfigError(f"unknown task {cfg['task']!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     split, vocab = td.make_synthetic(
         cfg["task"], seed=cfg["seed"],
         sizes=(cfg["train_size"], cfg["dev_size"], cfg["test_size"]))
-    for part, examples in (("train", split.train), ("dev", split.dev),
-                           ("test", split.test)):
-        if cfg["task"] == "nli":
-            rows = [(ex.label, td.detokenize(vocab.decode(ex.premise)),
-                     td.detokenize(vocab.decode(ex.text)))
-                    for ex in examples]
-            td.write_pair_corpus(out_dir / f"{part}.tsv", rows)
-        else:
-            rows = [(ex.label, td.detokenize(vocab.decode(ex.text)))
-                    for ex in examples]
-            td.write_single_corpus(out_dir / f"{part}.tsv", rows)
+    for part, examples in split.parts().items():
+        td.write_corpus(out_dir / f"{part}.tsv", examples, vocab)
     lexicon = td.sentiment_lexicon() if cfg["task"] == "sentiment" else set()
     td.write_lexicon(out_dir / "lexicon.txt", lexicon)
     meta = dict(cfg, config_hash=config_hash(cfg))
@@ -203,13 +148,13 @@ def _cmd_make_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     resolved = _resolve(args, RECIPES[args.arch])
-    split, vocab, task = _load_corpus(args.data_dir)
+    split, vocab, task = td.load_corpus(args.data_dir)
     if args.arch == "pair" and task != "nli":
         raise ConfigError("pair classifier needs an nli corpus")
     if args.arch in ("lstm2", "bag") and task == "nli":
         raise ConfigError(f"{args.arch} classifier needs a single-text corpus")
-    cfg = TrainConfig(**{k: v for k, v in resolved.items()
-                         if k in _TRAIN_FIELDS})
+    cfg = _checked(TrainConfig, **{k: v for k, v in resolved.items()
+                                   if k in _TRAIN_FIELDS})
     sizes = {k: v for k, v in resolved.items() if k not in _TRAIN_FIELDS}
     metrics_path = _prepare_out(args.metrics)
     if args.arch == "arae":
@@ -248,11 +193,12 @@ def _load_attack_models(args):
     victim = _load_model(args, "victim")
     lm = _load_model(args, "lm")
     generator = _load_model(args, "arae") if args.arae else None
-    data_dir = Path(args.data_dir)
-    split, _, _ = _load_corpus(data_dir, vocab=victim.vocab)
-    lex_path = (Path(args.exclude_lexicon) if args.exclude_lexicon
-                else data_dir / "lexicon.txt")
-    exclude = td.load_lexicon(lex_path) if lex_path.exists() else set()
+    split, _, _ = td.load_corpus(args.data_dir, vocab=victim.vocab)
+    if args.exclude_lexicon:  # an explicit path must be read
+        exclude = td.load_lexicon(args.exclude_lexicon)
+    else:  # the corpus's own lexicon is optional
+        lex_path = Path(args.data_dir) / "lexicon.txt"
+        exclude = td.load_lexicon(lex_path) if lex_path.exists() else set()
     return generator, victim, lm, split, exclude
 
 
@@ -284,8 +230,8 @@ def _cmd_attack(args) -> int:
     y = _require_class(resolved, split)
     mask = td.intersect_vocab(victim.vocab, generator.vocab, exclude=exclude)
     models = AttackModels(generator, victim, lm, mask)
-    cfg = AttackConfig(**{k: resolved[k] for k in ATTACK_DEFAULTS
-                          if k != "workers"})
+    cfg = _checked(AttackConfig, **{k: resolved[k] for k in ATTACK_DEFAULTS
+                                    if k != "workers"})
     dev_subset = _class_subset(split.dev, y)
     selected, candidates = nuts_attack(models, dev_subset, cfg,
                                        workers=resolved["workers"])
@@ -299,6 +245,10 @@ def _cmd_attack_baseline(args) -> int:
     resolved = _resolve(args, BASELINE_DEFAULTS[kind])
     if kind == "random-arae" and not args.arae:
         raise ConfigError("--arae checkpoint is required")
+    # the baseline functions reject these as contract violations (exit 1)
+    for key in ("trigger_length", "n_inits"):
+        if resolved.get(key, 1) < 1:
+            raise ConfigError(f"config: {key} must be >= 1")
     generator, victim, lm, split, exclude = _load_attack_models(args)
     y = _require_class(resolved, split)
     dev_subset = _class_subset(split.dev, y)
@@ -308,8 +258,9 @@ def _cmd_attack_baseline(args) -> int:
     vocab = generator.vocab if generator else victim.vocab
     if kind == "token-gradient":  # its trigger lives in the victim's vocab
         mask = td.intersect_vocab(vocab, victim.vocab, exclude=exclude)
-        tg_cfg = TokenGradientConfig(**{k: v for k, v in resolved.items()
-                                        if k not in _BASELINE_COMMON})
+        tg_cfg = _checked(TokenGradientConfig,
+                          **{k: v for k, v in resolved.items()
+                             if k not in _BASELINE_COMMON})
         tokens, _ = token_gradient_attack(victim, dev_subset, L, mask, tg_cfg)
         selected = score_trigger(victim, lm, dev_subset, y, tokens, 0.0,
                                  resolved["seed"])
@@ -334,7 +285,7 @@ def _cmd_evaluate(args) -> int:
     resolved = _resolve(args, _REPORT_DEFAULTS)
     victim = _load_model(args, "victim")
     lm = _load_model(args, "lm")
-    split, _, task = _load_corpus(Path(args.data_dir), vocab=victim.vocab)
+    split, _, task = td.load_corpus(args.data_dir, vocab=victim.vocab)
     selected = read_selected(args.selected)
     trigger = selected["tokens"]
     kind = selected.get("kind", "nuts")
@@ -381,7 +332,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_transfer(args) -> int:
     resolved = _resolve(args, _REPORT_DEFAULTS)
     victim = _load_model(args, "victim")
-    split, _, _ = _load_corpus(Path(args.data_dir), vocab=victim.vocab)
+    split, _, _ = td.load_corpus(args.data_dir, vocab=victim.vocab)
     selected = read_selected(args.selected)
     trigger = selected["tokens"]
     y = _require_class(resolved, split)

@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError
+from .textdata import read_lines
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -21,21 +22,20 @@ def parse_config_file(path) -> dict[str, str]:
     """Read `key = value` lines; blank lines and `#`-prefixed lines are
     skipped. Values stay strings until resolve_config types them."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value', "
-                                  f"got {raw.rstrip()!r}")
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if not key:
-                raise ConfigError(f"{path}:{ln}: empty key")
-            if key in out:
-                raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
-            out[key] = val.strip()
+    for ln, raw in read_lines(path, ConfigError):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln}: expected 'key = value', "
+                              f"got {raw.rstrip()!r}")
+        key, val = line.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ConfigError(f"{path}:{ln}: empty key")
+        if key in out:
+            raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
+        out[key] = val.strip()
     return out
 
 

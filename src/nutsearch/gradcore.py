@@ -104,7 +104,8 @@ class Node:
 class Graph:
     """Append-only computation record. Every op's output is checked for
     non-finite values as it is pushed, so a NumericError names the first
-    op that produced one."""
+    op that produced one. A leaf's value was checked when its Tensor was
+    made, so it is not scanned again."""
 
     def __init__(self):
         self._entries: list[_Entry] = []
@@ -122,7 +123,8 @@ class Graph:
         """Insert an input node. Leaves are the only nodes whose gradients
         backward() reports."""
         arr = value.data if isinstance(value, Tensor) else Tensor(value).data
-        return self._push("leaf", (), arr, None, requires_grad)
+        self._entries.append(_Entry("leaf", (), arr, requires_grad, None))
+        return Node(self, len(self._entries) - 1)
 
     def constant(self, value) -> Node:
         return self.leaf(value, requires_grad=False)

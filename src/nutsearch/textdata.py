@@ -10,12 +10,14 @@ membership checker so generated text can be scored for well-formedness.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 SPECIALS = (PAD, UNK, BOS, EOS)
@@ -134,69 +136,109 @@ class Split:
 # ---------------------------------------------------------------------------
 # file formats
 
+# a corpus directory holds train/dev/test.tsv, lexicon.txt and meta.json;
+# a TSV row is `<label>` then the task's texts (nli: premise, hypothesis)
+TASK_TEXTS = {"sentiment": 1, "nli": 2}
+_LABEL_RE = re.compile(r"-?\d+")
+
+
+def read_lines(path, error=ContractViolation):
+    """(number, line) for each line of a UTF-8 text file, without its line
+    ending; text that is not UTF-8 raises `error` naming path and line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise error(f"{path}, line {line}: not UTF-8 ({err.reason})") from None
+    return enumerate(text.replace("\r\n", "\n").replace("\r", "\n")
+                     .split("\n"), 1)
+
+
+def read_corpus(path, n_texts: int) -> list[tuple]:
+    """TSV rows `<label>\\t<text>...` with `n_texts` texts, as
+    `(label, *texts)`; blank lines are skipped."""
+    rows = []
+    for ln, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != n_texts + 1:
+            raise ContractViolation(f"{path}, line {ln}: expected "
+                                    f"{n_texts + 1} tab-separated fields, "
+                                    f"got {len(parts)}")
+        label, *texts = parts
+        if not _LABEL_RE.fullmatch(label):
+            raise ContractViolation(f"{path}, line {ln}: bad label {label!r}")
+        if not all(t.strip() for t in texts):
+            raise ContractViolation(f"{path}, line {ln}: empty text")
+        rows.append((int(label), *texts))
+    return rows
+
 
 def read_single_corpus(path) -> list[tuple[int, str]]:
     """TSV rows `<label>\\t<text>`."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ContractViolation(f"{path}: line {ln}: expected 2 tab-separated "
-                                        f"fields, got {len(parts)}")
-            label, text = parts
-            if not re.fullmatch(r"-?\d+", label):
-                raise ContractViolation(f"{path}: line {ln}: bad label {label!r}")
-            if not text.strip():
-                raise ContractViolation(f"{path}: line {ln}: empty text")
-            rows.append((int(label), text))
-    return rows
+    return read_corpus(path, 1)
 
 
-def write_single_corpus(path, rows) -> None:
+def write_corpus(path, examples: list[Example], vocab: Vocab) -> None:
+    """One TSV row per example, the premise (if any) before the text."""
     with open(path, "w", encoding="utf-8") as fh:
-        for label, text in rows:
-            fh.write(f"{label}\t{text}\n")
+        for ex in examples:
+            texts = [ex.text] if ex.premise is None else [ex.premise, ex.text]
+            fields = [str(ex.label)] + [detokenize(vocab.decode(t))
+                                        for t in texts]
+            fh.write("\t".join(fields) + "\n")
 
 
-def read_pair_corpus(path) -> list[tuple[int, str, str]]:
-    """TSV rows `<label>\\t<premise>\\t<hypothesis>`."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ContractViolation(f"{path}: line {ln}: expected 3 tab-separated "
-                                        f"fields, got {len(parts)}")
-            label, prem, hyp = parts
-            if not re.fullmatch(r"-?\d+", label):
-                raise ContractViolation(f"{path}: line {ln}: bad label {label!r}")
-            if not prem.strip() or not hyp.strip():
-                raise ContractViolation(f"{path}: line {ln}: empty field")
-            rows.append((int(label), prem, hyp))
-    return rows
+def _read_task(meta_path: Path) -> str:
+    if not meta_path.exists():
+        raise ConfigError(f"{meta_path.parent} has no meta.json; run "
+                          f"make-synth first")
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ContractViolation(f"{meta_path}: not UTF-8 JSON ({err})") from None
+    task = meta.get("task") if isinstance(meta, dict) else None
+    if not (isinstance(task, str) and task in TASK_TEXTS):
+        raise ContractViolation(f"{meta_path}: field 'task' must be one of "
+                                f"{sorted(TASK_TEXTS)}, got {json.dumps(task)}")
+    return task
 
 
-def write_pair_corpus(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, prem, hyp in rows:
-            fh.write(f"{label}\t{prem}\t{hyp}\n")
+def load_corpus(data_dir, vocab: Vocab | None = None) -> tuple[Split, Vocab, str]:
+    """The split, vocabulary and task of a make-synth directory. With
+    vocab=None the vocabulary is built from the train split (training);
+    otherwise the text is encoded with the given (checkpoint) vocabulary."""
+    data_dir = Path(data_dir)
+    task = _read_task(data_dir / "meta.json")
+    parts = {part: [(label, [tokenize(t) for t in texts])
+                    for label, *texts in read_corpus(data_dir / f"{part}.tsv",
+                                                     TASK_TEXTS[task])]
+             for part in ("train", "dev", "test")}
+    if vocab is None:
+        vocab = build_vocab(toks for _, texts in parts["train"]
+                            for toks in texts)
+
+    def example(label, texts):  # the text is last, after any premise
+        *premise, text = [vocab.encode(toks) for toks in texts]
+        return Example(label, text, premise[0] if premise else None)
+
+    return Split(**{part: [example(*row) for row in rows]
+                    for part, rows in parts.items()}), vocab, task
 
 
 def load_lexicon(path) -> set[str]:
     """One token per line; `#` starts a comment."""
     out = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip().lower()
-            if line:
-                out.add(line)
+    for ln, line in read_lines(path):
+        word = line.split("#", 1)[0].strip().lower()
+        if not word:
+            continue
+        if tokenize(word) != [word]:
+            raise ContractViolation(f"{path}, line {ln}: expected one token, "
+                                    f"got {word!r}")
+        out.add(word)
     return out
 
 

@@ -1,6 +1,7 @@
 """Checkpoint format: byte-stable round trips and corruption detection."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -155,4 +156,15 @@ class TestCorruption:
             h["tensors"][0], h["tensors"][1] = h["tensors"][1], h["tensors"][0]
         path.write_bytes(_rewrite_header(buf, mutate))
         with pytest.raises(CheckpointConsistencyError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_weight_names_path_and_tensor(self, saved, lstm2_model,
+                                                    value):
+        path, buf = saved
+        # the last value of the last tensor in the file
+        path.write_bytes(buf[:-4] + np.asarray(value, dtype="<f4").tobytes())
+        last = sorted(lstm2_model.weights)[-1]
+        with pytest.raises(CheckpointConsistencyError,
+                           match=re.escape(f"{path}: tensor {last!r}")):
             load_checkpoint(path)

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import logging
+import shutil
 
 import numpy as np
 import pytest
@@ -125,16 +126,24 @@ def test_attack_workers_below_one_exits_two(tmp_path, workbench, workers):
     assert not (out / "candidates.jsonl").exists()
 
 
-def _command_args(wb, command, out):
-    """Every required option of `command`, writing under `out`."""
+def _command_args(wb, command, out, data=None, selected=None):
+    """Every required option of `command`, reading the corpus in `data`
+    (the workbench's by default) and writing under `out`."""
+    data = str(data or wb["data"])
     if command.startswith("train-"):
-        argv = [command, "--data-dir", str(wb["data"]), "--out",
-                str(out / "model.ckpt")]
+        argv = [command, "--data-dir", data, "--out", str(out / "model.ckpt"),
+                "--epochs", "1"]
         return argv + (["--arch", "bag"] if command == "train-classifier"
                        else [])
-    return [command, "--kind", "random-seq", "--data-dir", str(wb["data"]),
-            "--victim", str(wb["victim"]), "--lm", str(wb["lm"]),
-            "--out-dir", str(out), "--attacked-class", "1", "--n-inits", "2"]
+    models = ["--victim", str(wb["victim"]), "--lm", str(wb["lm"])]
+    if command == "evaluate":
+        return ["evaluate", "--data-dir", data, *models, "--selected",
+                str(selected), "--attacked-class", "1", "--out-json",
+                str(out / "report.json")]
+    argv = list(_attack_args(wb, out) if command == "attack"
+                else _baseline_args(wb, "random-seq", out))
+    argv[argv.index("--data-dir") + 1] = data
+    return argv
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -552,6 +561,113 @@ def test_bad_artifact_record_exits_one(tmp_path, workbench, caplog, capsys,
     assert f"{path}, line {line}" in errors[0] and names in errors[0]
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists() and not out.parent.exists()
+
+
+# every input file a command reads: (file, case) -> bytes. Each case is
+# text that is not UTF-8, a malformed line, or a missing or bad field.
+_BAD_INPUTS = {
+    ("dev.tsv", "not-utf8"): b"1\tthe \xff plot was warm\n",
+    ("dev.tsv", "field-count"): b"1\tthe plot\twas warm\n",
+    ("dev.tsv", "bad-label"): b"pos\tthe plot was warm\n",
+    ("meta.json", "not-utf8"): b'{"task": "sentiment\xff"}\n',
+    ("meta.json", "not-json"): b'{"task": "sentiment"\n',
+    ("meta.json", "no-task"): b'{"seed": 11}\n',
+    ("meta.json", "unknown-task"): b'{"task": "poetry"}\n',
+    ("lexicon.txt", "not-utf8"): b"wonderful\n\xffawful\n",
+    ("lexicon.txt", "two-tokens"): b"wonderful\nvery awful\n",
+    ("lexicon.txt", "not-a-token"): b"wonderful\nawful!\n",
+    ("run.cfg", "not-utf8"): b"seed = 1\n# \xff\n",
+    ("run.cfg", "not-key-value"): b"seed 1\n",
+    ("run.cfg", "no-key"): b"= 1\n",
+}
+# the commands that read each file
+_READERS = {
+    "dev.tsv": ("train-lm", "train-classifier", "train-arae", "attack",
+                "evaluate"),
+    "meta.json": ("train-lm", "train-classifier", "train-arae", "attack",
+                  "evaluate"),
+    "lexicon.txt": ("attack", "attack-baseline"),
+    "run.cfg": ("attack", "train-lm"),
+}
+
+
+@pytest.mark.parametrize("file,case,command", [
+    (file, case, command) for file, case in _BAD_INPUTS
+    for command in _READERS[file]])
+def test_bad_input_file_exits_with_one_error(tmp_path, workbench, attack_dir,
+                                             caplog, capsys, file, case,
+                                             command):
+    """A bad corpus split, meta.json, lexicon or --config file: exit 1 (2
+    for the config file), one ERROR line naming the path, no traceback and
+    no output."""
+    data = tmp_path / "data"
+    shutil.copytree(workbench["data"], data)
+    out = tmp_path / "out"
+    argv = _command_args(workbench, command, out, data,
+                         attack_dir / "selected.json")
+    path = data / file
+    if file == "run.cfg":
+        argv += ["--config", str(path)]
+    path.write_bytes(_BAD_INPUTS[file, case])
+    assert run_cli(*argv) == (2 if file == "run.cfg" else 1)
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and str(path) in errors[0]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["attack", "attack-baseline"])
+def test_explicit_lexicon_that_does_not_exist_exits_one(tmp_path, workbench,
+                                                        caplog, command):
+    out = tmp_path / "out"
+    missing = tmp_path / "nope.txt"
+    argv = _command_args(workbench, command, out)
+    assert run_cli(*argv, "--exclude-lexicon", str(missing)) == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and str(missing) in errors[0]
+    assert not out.exists()
+
+
+def test_explicit_lexicon_is_excluded(tmp_path, workbench):
+    """The trigger found without an exclusion list, excluded by name."""
+    free = tmp_path / "free"
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert run_cli(*_attack_args(workbench, free), "--exclude-lexicon",
+                   str(empty)) == 0
+    tokens = json.loads((free / "selected.json").read_text())["tokens"]
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("\n".join(tokens) + "\n")
+    out = tmp_path / "out"
+    assert run_cli(*_attack_args(workbench, out), "--exclude-lexicon",
+                   str(lexicon)) == 0
+    sel = json.loads((out / "selected.json").read_text())
+    assert not set(sel["tokens"]) & set(tokens)
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("attack", "--eps", "-1"),
+    ("attack", "--n-inits", "0"),
+    ("attack", "--trigger-length", "0"),
+    ("train-lm", "--lr", "-1"),
+    ("train-classifier", "--momentum", "1"),
+    ("random-seq", "--n-inits", "0"),
+    ("random-arae", "--trigger-length", "0"),
+    ("token-gradient", "--top-k", "0"),
+])
+def test_out_of_range_config_value_exits_two(tmp_path, workbench, caplog,
+                                             command, flag, value):
+    """A value its config rejects is a configuration error, like an unknown
+    key: exit 2, one ERROR line naming the key, nothing written."""
+    out = tmp_path / "out"
+    if command in _BASELINE_FLAGS:
+        argv = _baseline_args(workbench, command, out)
+    else:
+        argv = _command_args(workbench, command, out)
+    assert run_cli(*argv, flag, value) == 2
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and flag[2:].replace("-", "_") in errors[0]
+    assert not out.exists()
 
 
 def test_output_parent_directories_are_created(tmp_path, workbench,

@@ -228,6 +228,16 @@ class TestBackwardContract:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul"):
             gc.mul(a, b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_raw_input_rejected(self, bad):
+        raw = np.asarray([[1.0, bad]])
+        with pytest.raises(NumericError):
+            gc.Tensor(raw)
+        g = gc.Graph()
+        with pytest.raises(NumericError):
+            g.leaf(raw)
+        assert len(g) == 0
+
     def test_values_survive_backward(self):
         g = gc.Graph()
         x = g.leaf(np.asarray([[1.0, 2.0]]), requires_grad=True)

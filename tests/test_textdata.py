@@ -85,11 +85,24 @@ class TestIntersectAlign:
         assert ids[gen.pad_id] == -1
 
 
+def _write_rows(path, rows):
+    """write_corpus of `(label, *texts)` rows, through a vocab built from
+    their tokens."""
+    vocab = td.build_vocab(td.tokenize(t) for _, *texts in rows for t in texts)
+    examples = []
+    for label, *texts in rows:
+        *premise, text = [vocab.encode(td.tokenize(t)) for t in texts]
+        examples.append(td.Example(label=label, text=text,
+                                   premise=premise[0] if premise else None))
+    td.write_corpus(path, examples, vocab)
+
+
 class TestCorpusFiles:
     def test_single_roundtrip(self, tmp_path):
         p = tmp_path / "c.tsv"
         rows = [(1, "the film was warm"), (0, "the plot felt flat")]
-        td.write_single_corpus(p, rows)
+        _write_rows(p, rows)
+        assert td.read_corpus(p, 1) == rows
         assert td.read_single_corpus(p) == rows
 
     def test_single_malformed_names_line(self, tmp_path):
@@ -107,19 +120,36 @@ class TestCorpusFiles:
     def test_pair_roundtrip(self, tmp_path):
         p = tmp_path / "c.tsv"
         rows = [(2, "a man is running in the park", "a man is sleeping")]
-        td.write_pair_corpus(p, rows)
-        assert td.read_pair_corpus(p) == rows
+        _write_rows(p, rows)
+        assert td.read_corpus(p, 2) == rows
 
     def test_pair_wrong_columns(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_text("1\tonly premise\n")
         with pytest.raises(ContractViolation, match="line 1"):
-            td.read_pair_corpus(p)
+            td.read_corpus(p, 2)
+
+    def test_not_utf8_names_line(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_bytes(b"1\tok text\n0\tbad \xff text\n")
+        with pytest.raises(ContractViolation, match="line 2: not UTF-8"):
+            td.read_single_corpus(p)
+
+    def test_line_endings_match_text_mode(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_bytes(b"1\ta b\r\n0\tc d\r2\te f\n\n")
+        assert td.read_single_corpus(p) == [(1, "a b"), (0, "c d"), (2, "e f")]
 
     def test_lexicon_comments_and_blanks(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text("# polarity words\nwonderful\n\nawful  # classic\nDull\n")
         assert td.load_lexicon(p) == {"wonderful", "awful", "dull"}
+
+    def test_lexicon_entry_of_two_tokens_names_line(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_text("wonderful\nvery dull\n")
+        with pytest.raises(ContractViolation, match="line 2: expected one"):
+            td.load_lexicon(p)
 
     def test_lexicon_roundtrip(self, tmp_path):
         p = tmp_path / "lex.txt"
