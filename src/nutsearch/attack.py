@@ -48,10 +48,11 @@ class AttackConfig:
             raise ContractViolation("n_inits must be >= 1")
         if self.trigger_length < 1:
             raise ContractViolation("trigger_length must be >= 1")
-        if self.lam < 0:
+        # written so that NaN, for which every comparison is false, fails
+        if not self.lam >= 0:
             raise ContractViolation("lam must be >= 0")
         for name in ("eps", "eta", "tau_start", "tau_end"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ContractViolation(f"{name} must be positive")
         if self.batch_size < 1:
             raise ContractViolation("batch_size must be >= 1")
@@ -99,14 +100,17 @@ class AttackModels:
         self._emb_map[align < 0] = 0.0
 
     def build_loss(self, g: Graph, noise_leaf: Node, batch: list[Example],
-                   tau: float, rng, cfg: AttackConfig,
+                   tau: float, rngs, cfg: AttackConfig,
                    hard: bool = True) -> Node:
-        """Mean victim cross-entropy on `batch` with the decoded trigger
-        prepended, as a function of the noise leaf."""
+        """The victim loss of K candidates, the K rows of the noise leaf:
+        `batch` is K equal slices, in row order, and each slice gets its
+        own row's decoded trigger prepended. The loss is the sum of the
+        slices' mean cross-entropies, so each noise row's gradient is its
+        own candidate's. Row k draws its Gumbel noise from rngs[k]."""
         gen, victim = self.generator, self.victim
         PG = gen.lift(g)
         z = gen.generate_node(g, PG, noise_leaf)
-        steps = gen.decode_soft(g, PG, z, cfg.trigger_length, tau, rng,
+        steps = gen.decode_soft(g, PG, z, cfg.trigger_length, tau, rngs,
                                 self.allowed_mask, hard=hard)
         PV = victim.lift(g)
         emb_node = g.constant(self._emb_map)
@@ -114,7 +118,10 @@ class AttackModels:
         logits = victim.logits_ids(g, PV, [ex.text for ex in batch],
                                    [ex.premise for ex in batch], prefix=rows)
         labels = np.array([ex.label for ex in batch])
-        return gc.cross_entropy(logits, labels)
+        loss = gc.cross_entropy(logits, labels)
+        K = len(rngs)
+        # K times the mean over K equal slices is the sum of their means
+        return gc.scale(loss, K) if K > 1 else loss
 
     def decode_trigger(self, n: Tensor, length: int) -> list[str]:
         z = self.generator.generate(n.data.reshape(-1))
@@ -124,24 +131,29 @@ class AttackModels:
 
 def attack_step(n_t: Tensor, n0: Tensor, batch: list[Example], models,
                 cfg: AttackConfig, tau: float | None = None,
-                rng=None) -> Tensor:
-    """One projected-ascent update: climb the batch loss gradient by eta,
-    then project back into the eps-ball around n0."""
+                rngs=None) -> Tensor:
+    """One projected-ascent update of K candidates, the rows of n_t (a
+    vector is one candidate): climb the gradient of the loss on `batch`,
+    K equal slices in row order, by eta, then project each row back into
+    the eps-ball around its row of n0. Row k draws its Gumbel noise from
+    rngs[k]."""
     if not batch:
         raise ContractViolation("attack_step: empty batch")
     if tau is None:
         tau = cfg.tau_start
-    if rng is None:
-        rng = np.random.default_rng(0)
+    n, start = np.atleast_2d(n_t.data), np.atleast_2d(n0.data)
+    if rngs is None:
+        rngs = [np.random.default_rng(0) for _ in n]
     g = Graph()
     leaf = g.leaf(n_t, requires_grad=True)
-    loss = models.build_loss(g, leaf, batch, tau, rng, cfg)
-    grad = gc.backward(g, loss)[leaf.idx].data
+    loss = models.build_loss(g, leaf, batch, tau, rngs, cfg)
+    grad = np.atleast_2d(gc.backward(g, loss)[leaf.idx].data)
     if cfg.normalize_gradient:
-        nrm = float(np.sqrt((grad * grad).sum()))
-        if nrm > 0.0:
-            grad = grad / nrm
-    return l2_project(Tensor(n_t.data + cfg.eta * grad), n0, cfg.eps)
+        nrm = np.sqrt((grad * grad).sum(axis=1, keepdims=True))
+        grad = grad / np.where(nrm > 0.0, nrm, 1.0)
+    rows = [l2_project(Tensor(x + cfg.eta * d), Tensor(x0), cfg.eps).data
+            for x, d, x0 in zip(n, grad, start)]
+    return Tensor(np.stack(rows).reshape(n_t.shape))
 
 
 def _check_subset(dev_subset: list[Example], y: int | None = None) -> int:
@@ -168,23 +180,44 @@ def score_trigger(victim: VictimClassifier, lm: ScoringLM,
                             tokens=tokens, m1=m1, m2=m2, score=m1 + lam * m2)
 
 
+def run_candidates(init_seeds: list[int], dev_subset: list[Example],
+                   models: AttackModels,
+                   cfg: AttackConfig) -> list[TriggerCandidate]:
+    """Full ascents from seeded Gaussian starts to scored candidates, one
+    per seed. The candidates climb together, as the rows of one graph
+    per step; each keeps its own generator, which draws what it would
+    draw climbing alone: its batch choice, then its Gumbel rows."""
+    _check_subset(dev_subset, cfg.attacked_class)
+    noise_dim = models.generator.noise_dim
+    starts, rngs = [], []
+    for seed in init_seeds:
+        init_ss, steps_ss = np.random.SeedSequence(seed).spawn(2)
+        starts.append(np.random.default_rng(init_ss)
+                      .standard_normal((1, noise_dim)))
+        rngs.append(np.random.default_rng(steps_ss))
+    n0 = Tensor(np.concatenate(starts))
+    n = n0
+    take = min(cfg.batch_size, len(dev_subset))
+    for t in range(cfg.steps):
+        batch = [dev_subset[i] for rng in rngs
+                 for i in rng.choice(len(dev_subset), size=take,
+                                     replace=False)]
+        n = attack_step(n, n0, batch, models, cfg, tau=cfg.tau_at(t),
+                        rngs=rngs)
+    out = []
+    for seed, row in zip(init_seeds, n.data):
+        n_final = Tensor(row[None, :])
+        tokens = models.decode_trigger(n_final, cfg.trigger_length)
+        out.append(score_trigger(models.victim, models.lm, dev_subset,
+                                 cfg.attacked_class, tokens, cfg.lam, seed,
+                                 n_final))
+    return out
+
+
 def run_candidate(init_seed: int, dev_subset: list[Example],
                   models: AttackModels, cfg: AttackConfig) -> TriggerCandidate:
     """One full ascent from a seeded Gaussian start to a scored candidate."""
-    _check_subset(dev_subset, cfg.attacked_class)
-    init_ss, steps_ss = np.random.SeedSequence(init_seed).spawn(2)
-    noise_dim = models.generator.noise_dim
-    n0 = Tensor(np.random.default_rng(init_ss).standard_normal((1, noise_dim)))
-    rng = np.random.default_rng(steps_ss)
-    n = n0
-    for t in range(cfg.steps):
-        take = min(cfg.batch_size, len(dev_subset))
-        idx = rng.choice(len(dev_subset), size=take, replace=False)
-        batch = [dev_subset[i] for i in idx]
-        n = attack_step(n, n0, batch, models, cfg, tau=cfg.tau_at(t), rng=rng)
-    tokens = models.decode_trigger(n, cfg.trigger_length)
-    return score_trigger(models.victim, models.lm, dev_subset,
-                         cfg.attacked_class, tokens, cfg.lam, init_seed, n)
+    return run_candidates([init_seed], dev_subset, models, cfg)[0]
 
 
 def rerank(candidates: list[TriggerCandidate], lam: float) -> TriggerCandidate:
@@ -196,29 +229,41 @@ def rerank(candidates: list[TriggerCandidate], lam: float) -> TriggerCandidate:
                key=lambda c: (c.m1 + lam * c.m2, c.m1, tuple(c.tokens)))
 
 
-def _run_candidate_star(args):
-    return run_candidate(*args)
+# Restarts per graph. On the benchmark's models (2-core x86, 6 steps, fresh
+# process) an ascent step cost 6-9 ms per restart alone, 5.0 ms in a chunk
+# of 4 and 4.7 ms in one of 8, while peak RSS went 46 -> 52 -> 62 MB, and
+# 126 MB at 32.
+CHUNK_SIZE = 8
+
+
+def _run_candidates_star(args):
+    return run_candidates(*args)
 
 
 def nuts_attack(models: AttackModels, dev_subset: list[Example],
                 cfg: AttackConfig, workers: int = 1):
     """Run n_inits independent candidates and rerank.
 
-    Returns (selected, candidates); the candidate list order follows the
-    derived seed order no matter how execution was scheduled."""
+    The derived seeds are split, in order, into chunks of CHUNK_SIZE;
+    each chunk climbs as the rows of one graph. The chunks run in turn,
+    or across a pool of `workers` processes. Returns (selected,
+    candidates); the candidate list follows the derived seed order, and
+    neither it nor the split depends on `workers`."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     _check_subset(dev_subset, cfg.attacked_class)
     seeds = derive_init_seeds(cfg.seed, cfg.n_inits)
+    chunks = [seeds[lo:lo + CHUNK_SIZE]
+              for lo in range(0, len(seeds), CHUNK_SIZE)]
     # the pool starts every worker up front, so never more than there are jobs
-    workers = min(workers, len(seeds))
+    workers = min(workers, len(chunks))
     if workers == 1:
-        candidates = [run_candidate(s, dev_subset, models, cfg)
-                      for s in seeds]
+        runs = [run_candidates(c, dev_subset, models, cfg) for c in chunks]
     else:
-        jobs = [(s, dev_subset, models, cfg) for s in seeds]
+        jobs = [(c, dev_subset, models, cfg) for c in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            candidates = list(pool.map(_run_candidate_star, jobs))
+            runs = list(pool.map(_run_candidates_star, jobs))
+    candidates = [c for run in runs for c in run]
     selected = rerank(candidates, cfg.lam)
     return selected, candidates
 

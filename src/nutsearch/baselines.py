@@ -12,7 +12,7 @@ import numpy as np
 
 from . import gradcore as gc
 from .attack import (AttackConfig, AttackModels, _check_subset,
-                     derive_init_seeds, nuts_attack, rerank, score_trigger)
+                     derive_init_seeds, rerank, run_candidate, score_trigger)
 from .errors import ContractViolation
 from .gradcore import Graph
 from .textdata import Example, Vocab
@@ -110,12 +110,15 @@ def random_arae_attack(generator, victim, lm, dev_subset: list[Example],
                        seed: int):
     """Best-of-N greedy decodes of random generator noise, selected by dev
     attacked-class accuracy. Identical to the main attack at 0 steps with
-    reranking off, sharing its seed derivation."""
+    reranking off, sharing its seed derivation; with no ascent to share,
+    each seed runs as a candidate of its own."""
     y = _check_subset(dev_subset)
     models = AttackModels(generator, victim, lm, allowed_mask)
     cfg = AttackConfig(attacked_class=y, trigger_length=length, steps=0,
                        n_inits=n_candidates, lam=0.0, seed=seed)
-    return nuts_attack(models, dev_subset, cfg)
+    candidates = [run_candidate(s, dev_subset, models, cfg)
+                  for s in derive_init_seeds(seed, n_candidates)]
+    return rerank(candidates, cfg.lam), candidates
 
 
 def random_sequence_attack(vocab: Vocab, allowed_mask, victim, lm,

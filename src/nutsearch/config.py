@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -40,10 +41,17 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def _coerce(key: str, value, default):
-    if isinstance(value, type(default)) and not isinstance(value, str):
-        return value
-    text = str(value)
     try:
+        if isinstance(default, float):
+            # a float key takes only finite values: NaN passes every range
+            # check, and inf no step can use
+            number = float(str(value))
+            if not math.isfinite(number):
+                raise ValueError(f"not a finite number: {value!r}")
+            return number
+        if isinstance(value, type(default)) and not isinstance(value, str):
+            return value
+        text = str(value)
         if isinstance(default, bool):
             low = text.lower()
             if low in _TRUE:
@@ -53,8 +61,6 @@ def _coerce(key: str, value, default):
             raise ValueError(f"not a boolean: {text!r}")
         if isinstance(default, int):
             return int(text)
-        if isinstance(default, float):
-            return float(text)
         return text
     except ValueError as err:
         raise ConfigError(f"config key {key!r}: {err}") from err

@@ -591,8 +591,13 @@ def l2_project(n: Tensor, n0: Tensor, eps: float) -> Tensor:
 
 def sample_gumbel(shape, rng) -> np.ndarray:
     """Standard Gumbel noise, G = -log(-log U) with U clipped into
-    (1e-12, 1 - 1e-12) so both logs stay finite."""
-    u = rng.random(shape)
+    (1e-12, 1 - 1e-12) so both logs stay finite. `rng` is a generator, or
+    a list of one generator per row of a (B, V) shape, which draws that
+    row's V uniforms."""
+    if isinstance(rng, list):
+        u = np.concatenate([r.random((1, shape[1])) for r in rng])
+    else:
+        u = rng.random(shape)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
 
@@ -600,10 +605,10 @@ def sample_gumbel(shape, rng) -> np.ndarray:
 def gumbel_softmax(logits: Node, tau: float, rng, hard: bool = False):
     """Sample a relaxed categorical row-wise from logits (B x V).
 
-    Returns (soft, sample): soft is softmax((logits + G)/tau); with
-    hard=True, sample forwards the one-hot argmax of soft but passes
-    gradients through as if it were soft (straight-through), otherwise
-    sample is soft itself.
+    Returns (soft, sample): soft is softmax((logits + G)/tau), with G
+    drawn by `rng` as `sample_gumbel` draws it; with hard=True, sample
+    forwards the one-hot argmax of soft but passes gradients through as
+    if it were soft (straight-through), otherwise sample is soft itself.
     """
     if not tau > 0.0:
         raise ContractViolation("gumbel_softmax: tau must be positive")

@@ -91,6 +91,17 @@ def run_lstm(g: Graph, P, prefix: str, inputs: list[Node], live=None,
     return states
 
 
+def _owners(prefix: list[Node], n_texts: int) -> np.ndarray:
+    """The prefix row each text is read after: K prefix rows split the
+    texts into K equal slices, in order, and row k goes in front of the
+    k-th slice (with one row, in front of every text)."""
+    K = prefix[0].value.shape[0]
+    if n_texts % K:
+        raise ContractViolation(f"{n_texts} texts do not split into {K} "
+                                "equal slices, one per prefix row")
+    return np.arange(n_texts) // (n_texts // K)
+
+
 class _Sorted:
     """A padded id batch sorted longest-first (stable), with each step's
     input embedded for its live rows only: the texts longer than t."""
@@ -109,11 +120,13 @@ class _Sorted:
 
     def last_hidden(self, g: Graph, P, layers, prefix: list[Node] = ()) -> Node:
         """The last layer's h after each text's last step, in input order.
-        The `prefix` rows (each 1 x E) go through every layer once, as one
-        row from the zero state, and that layer's state is tiled over the
-        batch in front of the text."""
+        The `prefix` rows (each K x E) go through every layer once, as K
+        rows from the zero state, and one row gather hands each text the
+        state of its own prefix row (see `_owners`)."""
         B = len(self.order)
         xs, pre = self.steps, list(prefix)
+        if pre:
+            owners = _owners(pre, B)[self.order]
         for k, name in enumerate(layers):
             if k:
                 xs = [_hidden(s) for s in states]
@@ -121,7 +134,7 @@ class _Sorted:
             state = None
             if pre:
                 pre = run_lstm(g, P, name, pre)
-                state = gc.tile_rows(pre[-1], B)
+                state = gc.embed(pre[-1], owners)
             states = run_lstm(g, P, name, xs, self.live, state)
         h = _hidden(states[-1])
         if np.array_equal(self.order, np.arange(B)):
@@ -305,26 +318,31 @@ class ARAEModel(_ModelBase):
              self.vocab.bos_id, self.vocab.eos_id]] = LOGIT_BAN
         return vec
 
-    def decode_soft(self, g: Graph, P, z: Node, length: int, tau: float, rng,
-                    allowed_mask, hard: bool = True):
-        """Autoregressive relaxed decode of exactly `length` positions.
+    def decode_soft(self, g: Graph, P, z: Node, length: int, tau: float,
+                    rngs, allowed_mask, hard: bool = True):
+        """Autoregressive relaxed decode of exactly `length` positions for
+        each of the K latent rows of z.
 
-        Returns [(soft, sample), ...] with (1, V) rows; `sample` is the
+        Returns [(soft, sample), ...] with (K, V) rows; `sample` is the
         straight-through one-hot when hard=True, else the soft row. The
         sample row feeds back through the decoder embedding, so the whole
-        trigger stays differentiable w.r.t. z."""
+        trigger stays differentiable w.r.t. z. `rngs` holds one generator
+        per row, which draws that row's Gumbel noise, one row a position:
+        a row draws what it would draw decoded alone."""
         if length < 1:
             raise ContractViolation("decode_soft: length must be >= 1")
-        if z.value.shape[0] != 1:
-            raise ContractViolation("decode_soft operates on a single latent row")
+        K, rngs = z.value.shape[0], list(rngs)
+        if len(rngs) != K:
+            raise ContractViolation(f"decode_soft: {len(rngs)} generators "
+                                    f"for {K} latent rows")
         penalty = g.constant(self._ban_vector(allowed_mask))
         state = self.dec_init_state(g, P, z)
-        emb_row = gc.embed(P["emb_dec"], np.array([self.vocab.bos_id]))
+        emb_row = gc.embed(P["emb_dec"], np.full(K, self.vocab.bos_id))
         steps = []
         for _ in range(length):
             state, logits = self.dec_step(g, P, emb_row, z, state)
             masked = gc.add_bias(logits, penalty)
-            soft, sample = gc.gumbel_softmax(masked, tau, rng, hard=hard)
+            soft, sample = gc.gumbel_softmax(masked, tau, rngs, hard=hard)
             steps.append((soft, sample))
             emb_row = gc.matmul(sample, P["emb_dec"])
         return steps
@@ -415,19 +433,21 @@ class VictimClassifier(_ModelBase):
                      premise: tuple[np.ndarray, np.ndarray] | None = None
                      ) -> Node:
         """Logits for padded text ids (B, T) of the given lengths, each
-        text preceded by the (1, E) embedding rows of `prefix`.
+        text preceded by the `prefix` rows, one (K, E) node per position:
+        row k goes in front of the k-th of K equal slices of the texts.
 
         `emb_noise` (T, B, E) is added to the embedded text steps. The
-        LSTM victims run the prefix once and the text longest-first, only
-        on the rows that have not ended. For the pair model,
-        premise=(ids, lengths) is encoded with the same weights and fused
-        as [u, v, |u-v|, u*v].
+        LSTM victims run the prefix once, as K rows, and the text
+        longest-first, only on the rows that have not ended. For the pair
+        model, premise=(ids, lengths) is encoded with the same weights and
+        fused as [u, v, |u-v|, u*v].
         """
         if self.kind == "pair" and premise is None:
             raise ContractViolation("pair model needs a premise")
         if self.kind == "bag":
             B, T = ids.shape
-            steps = [gc.tile_rows(row, B) for row in prefix]
+            owners = _owners(prefix, B) if prefix else None
+            steps = [gc.embed(row, owners) for row in prefix]
             text = [gc.embed(P["emb"], ids[:, t]) for t in range(T)]
             if emb_noise is not None:
                 text = [gc.add(e, g.constant(emb_noise[t]))
@@ -459,11 +479,12 @@ class VictimClassifier(_ModelBase):
                    prefix: list[Node] = ()) -> Node:
         """Logits for a batch of id sequences.
 
-        `prefix` holds (1, E) embedding rows, such as a trigger, put in
-        front of every text. `emb_noise`, shaped (T, B, E), is added to
-        the embedded text steps; training uses it to smooth the model's
-        response to off-manifold embedding inputs. Only the pair model
-        reads `premises`."""
+        `prefix` holds one (K, E) node per trigger position; row k goes in
+        front of the k-th of K equal slices of the texts, so a (1, E) row
+        goes in front of every text. `emb_noise`, shaped (T, B, E), is
+        added to the embedded text steps; training uses it to smooth the
+        model's response to off-manifold embedding inputs. Only the pair
+        model reads `premises`."""
         ids, lengths = pad_batch(texts, self.vocab.pad_id)
         B, T = ids.shape
         if emb_noise is not None and emb_noise.shape != (T, B, self.emb_dim):

@@ -41,9 +41,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ContractViolation("epochs must be >= 0")
+        # written so that NaN, for which every comparison is false, fails
         for name in ("batch_size", "lr", "gan_lr", "clip_norm",
                      "critic_steps", "gp_weight"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ContractViolation(f"{name} must be positive")
         for name in ("momentum", "gan_momentum"):
             if not 0.0 <= getattr(self, name) < 1.0:
@@ -52,7 +53,7 @@ class TrainConfig:
             raise ContractViolation("lr_anneal must be in (0, 1]")
         if not 0.0 <= self.augment_prefixes <= 1.0:
             raise ContractViolation("augment_prefixes must be in [0, 1]")
-        if self.emb_noise < 0:
+        if not self.emb_noise >= 0:
             raise ContractViolation("emb_noise must be >= 0")
 
 

@@ -279,13 +279,13 @@ def test_gradients_match_finite_differences(e2e, fd_models):
     def pipeline(x):
         g = Graph()
         leaf = g.leaf(x)
-        loss = models.build_loss(g, leaf, dev[:2], tau=1.0, rng=RNG(5),
+        loss = models.build_loss(g, leaf, dev[:2], tau=1.0, rngs=[RNG(5)],
                                  cfg=cfg, hard=False)
         return float(loss.value)
 
     g = Graph()
     leaf = g.leaf(n0, requires_grad=True)
-    loss = models.build_loss(g, leaf, dev[:2], tau=1.0, rng=RNG(5),
+    loss = models.build_loss(g, leaf, dev[:2], tau=1.0, rngs=[RNG(5)],
                              cfg=cfg, hard=False)
     got = gc.backward(g, loss)[leaf.idx].data
     pipe_err = rel_err(got, fd_grad(pipeline, n0.copy()))

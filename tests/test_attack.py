@@ -87,6 +87,13 @@ class TestAttackConfig:
         with pytest.raises(ContractViolation):
             _cfg(trigger_length=0)
 
+    @pytest.mark.parametrize("key", ["eps", "eta", "lam", "tau_start",
+                                     "tau_end"])
+    def test_nan_rejected(self, key):
+        # every comparison with NaN is false, so a `v <= 0` check passes it
+        with pytest.raises(ContractViolation, match=key):
+            _cfg(**{key: float("nan")})
+
     def test_tau_schedule_geometric(self):
         cfg = _cfg(steps=5, tau_start=1.0, tau_end=0.1)
         taus = [cfg.tau_at(t) for t in range(5)]
@@ -120,6 +127,16 @@ class TestAttackStep:
             attack_step(Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))),
                         [], tiny_models, _cfg())
 
+    def test_batch_splits_into_one_slice_per_row(self, tiny_models,
+                                                 tiny_dev):
+        n = Tensor(RNG(11).standard_normal((2, 6)))
+        with pytest.raises(ContractViolation, match="equal slices"):
+            attack_step(n, n, tiny_dev[:3], tiny_models, _cfg(),
+                        rngs=[RNG(1), RNG(2)])
+        with pytest.raises(ContractViolation, match="2 latent rows"):
+            attack_step(n, n, tiny_dev[:2], tiny_models, _cfg(),
+                        rngs=[RNG(1)])
+
     def test_full_pipeline_gradient_matches_fd(self, tiny_models, tiny_dev):
         cfg = _cfg()
         n0 = RNG(11).standard_normal((1, 6))
@@ -128,13 +145,13 @@ class TestAttackStep:
         def f(x):
             g = Graph()
             leaf = g.leaf(x)
-            loss = tiny_models.build_loss(g, leaf, batch, tau=1.0, rng=RNG(5),
-                                          cfg=cfg, hard=False)
+            loss = tiny_models.build_loss(g, leaf, batch, tau=1.0,
+                                          rngs=[RNG(5)], cfg=cfg, hard=False)
             return float(loss.value)
 
         g = Graph()
         leaf = g.leaf(n0, requires_grad=True)
-        loss = tiny_models.build_loss(g, leaf, batch, tau=1.0, rng=RNG(5),
+        loss = tiny_models.build_loss(g, leaf, batch, tau=1.0, rngs=[RNG(5)],
                                       cfg=cfg, hard=False)
         got = gc.backward(g, loss)[leaf.idx].data
         want = fd_grad(f, n0.copy(), h=1e-5)
@@ -144,8 +161,8 @@ class TestAttackStep:
                                                         tiny_dev):
         g = Graph()
         leaf = g.leaf(RNG(11).standard_normal((1, 6)), requires_grad=True)
-        tiny_models.build_loss(g, leaf, tiny_dev[:2], tau=1.0, rng=RNG(5),
-                               cfg=_cfg())
+        tiny_models.build_loss(g, leaf, tiny_dev[:2], tau=1.0,
+                               rngs=[RNG(5)], cfg=_cfg())
         values = {id(e.value) for e in g._entries if e.kind == "leaf"}
 
         def lifted(model):  # a lifted weight's leaf holds its own array
@@ -168,7 +185,7 @@ class TestAttackStep:
             g = Graph()
             leaf = g.leaf(RNG(11).standard_normal((1, 6)), requires_grad=True)
             loss = tiny_models.build_loss(g, leaf, tiny_dev[:2], tau=1.0,
-                                          rng=RNG(5), cfg=_cfg())
+                                          rngs=[RNG(5)], cfg=_cfg())
             gc.backward(g, loss)
             return weakref.ref(g)
 
@@ -212,8 +229,8 @@ class TestRunCandidate:
         seen = []
         real = attack_mod.attack_step
 
-        def spy(n_t, n0, batch, models, c, tau=None, rng=None):
-            out = real(n_t, n0, batch, models, c, tau=tau, rng=rng)
+        def spy(n_t, n0, batch, models, c, tau=None, rngs=None):
+            out = real(n_t, n0, batch, models, c, tau=tau, rngs=rngs)
             seen.append(float(np.linalg.norm(out.data - n0.data)))
             return out
 
@@ -305,7 +322,9 @@ class TestNutsAttack:
         assert selected is rerank(cands, cfg.lam)
 
     def test_parallel_equals_sequential(self, tiny_models, tiny_dev):
-        cfg = _cfg(steps=1, n_inits=3)
+        # 10 restarts are two chunks, of 8 and 2
+        assert attack_mod.CHUNK_SIZE == 8
+        cfg = _cfg(steps=1, n_inits=10)
         _, seq = nuts_attack(tiny_models, tiny_dev, cfg, workers=1)
         _, par = nuts_attack(tiny_models, tiny_dev, cfg, workers=2)
         assert [c.init_seed for c in seq] == [c.init_seed for c in par]
@@ -320,12 +339,14 @@ class TestNutsAttack:
             nuts_attack(tiny_models, tiny_dev, _cfg(n_inits=2),
                         workers=workers)
 
+    # the jobs are chunks of CHUNK_SIZE (8) seeds, so 3 seeds are one job
+    # and run without a pool
     @pytest.mark.parametrize("workers,n_inits,pools", [
-        (8, 3, [3]), (2, 3, [2]), (5, 1, [])])
+        (8, 3, []), (2, 3, []), (5, 1, []), (8, 20, [3]), (2, 10, [2])])
     def test_pool_never_larger_than_jobs(self, tiny_models, tiny_dev,
                                          monkeypatch, workers, n_inits,
                                          pools):
-        made = []
+        made, chunks = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -338,6 +359,8 @@ class TestNutsAttack:
                 return False
 
             def map(self, fn, jobs):
+                jobs = list(jobs)
+                chunks.extend(len(seeds) for seeds, *_ in jobs)
                 return map(fn, jobs)
 
         monkeypatch.setattr(attack_mod, "ProcessPoolExecutor", RecordingPool)
@@ -345,6 +368,8 @@ class TestNutsAttack:
         _, got = nuts_attack(tiny_models, tiny_dev, cfg, workers=workers)
         _, want = nuts_attack(tiny_models, tiny_dev, cfg, workers=1)
         assert made == pools
+        if pools:
+            assert chunks == [8] * (n_inits // 8) + [n_inits % 8]
         assert [c.tokens for c in got] == [c.tokens for c in want]
 
     def test_derived_seeds_deterministic(self):

@@ -654,6 +654,9 @@ def test_explicit_lexicon_is_excluded(tmp_path, workbench):
     ("random-seq", "--n-inits", "0"),
     ("random-arae", "--trigger-length", "0"),
     ("token-gradient", "--top-k", "0"),
+    ("attack", "--eps", "nan"),
+    ("attack", "--eta", "inf"),
+    ("train-lm", "--lr", "nan"),
 ])
 def test_out_of_range_config_value_exits_two(tmp_path, workbench, caplog,
                                              command, flag, value):

@@ -138,6 +138,14 @@ def test_float_gibberish_rejected():
         resolve_config(DEFAULTS, file_values={"lr": "fast"})
 
 
+@pytest.mark.parametrize("source", ["file_values", "flag_values"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan"),
+                                   float("inf")])
+def test_non_finite_float_rejected(source, value):
+    with pytest.raises(ConfigError, match="'lr': not a finite number"):
+        resolve_config(DEFAULTS, **{source: {"lr": value}})
+
+
 def test_string_values_stay_strings():
     out = resolve_config(DEFAULTS, file_values={"name": "123"})
     assert out["name"] == "123"

@@ -111,7 +111,7 @@ class TestARAE:
         g = gc.Graph()
         P = tiny_arae.lift(g)
         z = g.leaf(RNG(4).standard_normal((1, tiny_arae.latent_dim)))
-        steps = tiny_arae.decode_soft(g, P, z, 4, tau=1.0, rng=RNG(5),
+        steps = tiny_arae.decode_soft(g, P, z, 4, tau=1.0, rngs=[RNG(5)],
                                       allowed_mask=mask, hard=True)
         assert len(steps) == 4
         for soft, sample in steps:
@@ -130,8 +130,9 @@ class TestARAE:
         g = gc.Graph()
         P = tiny_arae.lift(g)
         zn = g.leaf(z.data[None, :])
-        steps = tiny_arae.decode_soft(g, P, zn, 5, tau=1e-3, rng=_ZeroGumbel(),
-                                      allowed_mask=mask, hard=True)
+        steps = tiny_arae.decode_soft(g, P, zn, 5, tau=1e-3,
+                                      rngs=[_ZeroGumbel()], allowed_mask=mask,
+                                      hard=True)
         assert [int(s.value.argmax()) for _, s in steps] == greedy
 
     def test_decode_greedy_deterministic(self, tiny_arae, tiny_vocab):
@@ -278,7 +279,7 @@ class TestFullSoftPipelineGradient:
         def build(g, noise_leaf):
             P = tiny_arae.lift(g)
             z = tiny_arae.generate_node(g, P, noise_leaf)
-            steps = tiny_arae.decode_soft(g, P, z, L, tau=1.0, rng=RNG(10),
+            steps = tiny_arae.decode_soft(g, P, z, L, tau=1.0, rngs=[RNG(10)],
                                           allowed_mask=mask, hard=False)
             PV = victim.lift(g)
             emb_node = g.constant(emb_map)

@@ -9,14 +9,21 @@ differ only in the order of a few float sums, so values and gradients
 agree within 1e-12 relative and predictions are identical; a batch of
 equal lengths without a prefix runs the same ops and stays bit-identical.
 The bag victim, the ARAE encoder, the LM and `avg_ce` are checked bit for
-bit."""
+bit.
+
+The attack climbs K candidates as the K rows of one graph. Each row's
+gradient is checked against a graph of that candidate alone, built by the
+reference (one-row decode, tiled prefix, full rows), within 1e-12
+relative, and each row must draw the same Gumbel noise; `run_candidates`
+must give each seed the trigger, m1 and m2 of `run_candidate`."""
 
 import numpy as np
 import pytest
 
 from nutsearch import gradcore as gc
 from nutsearch import textdata as td
-from nutsearch.attack import AttackConfig, AttackModels
+from nutsearch.attack import (AttackConfig, AttackModels, run_candidate,
+                              run_candidates)
 from nutsearch.baselines import _trigger_loss
 from nutsearch.gradcore import Graph, Tensor
 from nutsearch.models import (ARAEModel, ScoringLM, VictimClassifier,
@@ -120,10 +127,12 @@ def _ref_trigger_loss(victim, trig_ids, batch):
 
 
 def _ref_build_loss(models, g, noise_leaf, batch, tau, rng, cfg, hard=True):
+    """One candidate's loss: a one-row noise leaf, decoded with its one
+    generator `rng`, in front of every text of `batch`."""
     gen, victim = models.generator, models.victim
     PG = gen.lift(g)
     z = gen.generate_node(g, PG, noise_leaf)
-    steps = gen.decode_soft(g, PG, z, cfg.trigger_length, tau, rng,
+    steps = gen.decode_soft(g, PG, z, cfg.trigger_length, tau, [rng],
                             models.allowed_mask, hard=hard)
     PV = victim.lift(g)
     emb_node = g.constant(models._emb_map)
@@ -239,11 +248,12 @@ def test_build_loss_matches_inline_reference(vocab, kind, hard):
     cfg = AttackConfig(attacked_class=1, trigger_length=3)
     n0 = RNG(8).standard_normal((1, models.generator.noise_dim))
     out = []
-    for build in (models.build_loss,
-                  lambda *a, **kw: _ref_build_loss(models, *a, **kw)):
+    for build, rng in ((models.build_loss, [RNG(21)]),
+                       (lambda *a, **kw: _ref_build_loss(models, *a, **kw),
+                        RNG(21))):
         g = Graph()
         leaf = g.leaf(n0, requires_grad=True)
-        loss = build(g, leaf, batch, 0.7, RNG(21), cfg, hard=hard)
+        loss = build(g, leaf, batch, 0.7, rng, cfg, hard=hard)
         out.append((float(loss.value), gc.backward(g, loss)[leaf.idx].data,
                     len(g)))
     (got_loss, got_grad, got_nodes), (want_loss, want_grad, want_nodes) = out
@@ -376,6 +386,83 @@ def test_arae_encode_is_bit_identical_to_keep_masked_reference(vocab):
     for name, grad in want_grads.items():
         assert np.array_equal(got_grads[name], grad), name
         assert np.any(grad != 0.0), name
+
+
+# ---------------------------------------------------------------------------
+# K candidates as the rows of one graph against K one-row graphs
+
+
+# three candidates' slices of LIVE_TEXTS (lengths 4 2, 5 3, 3 2): sorted
+# together, the longest text is unique, so the last step has one live row
+SLICES = [[0, 1], [2, 3], [3, 1]]
+
+
+class _Recording:
+    """A generator that keeps each uniform draw it makes."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = RNG(seed), []
+
+    def random(self, shape):
+        u = self.rng.random(shape)
+        self.draws.append(u)
+        return u
+
+
+def _live_examples(vocab, kind, rows):
+    return [Example(label=1, text=vocab.encode(LIVE_TEXTS[i]),
+                    premise=(vocab.encode(LIVE_PREMISES[i])
+                             if kind == "pair" else None))
+            for i in rows]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("hard", [True, False])
+def test_k_rows_match_one_candidate_at_a_time(vocab, kind, hard):
+    """Each noise row's gradient is its own candidate's, as from a graph
+    of that candidate alone, and each row draws the same Gumbel noise."""
+    models = _models(vocab, kind)
+    cfg = AttackConfig(attacked_class=1, trigger_length=3)
+    slices = [_live_examples(vocab, kind, rows) for rows in SLICES]
+    K = len(slices)
+    n0 = RNG(8).standard_normal((K, models.generator.noise_dim))
+    g = Graph()
+    leaf = g.leaf(n0, requires_grad=True)
+    rngs = [_Recording(30 + k) for k in range(K)]
+    loss = models.build_loss(g, leaf, [ex for s in slices for ex in s], 0.7,
+                             rngs, cfg, hard=hard)
+    grad = gc.backward(g, loss)[leaf.idx].data
+    total = 0.0
+    for k, batch in enumerate(slices):
+        solo = _Recording(30 + k)
+        g1 = Graph()
+        leaf1 = g1.leaf(n0[k:k + 1], requires_grad=True)
+        ref = _ref_build_loss(models, g1, leaf1, batch, 0.7, solo, cfg,
+                              hard=hard)
+        want = gc.backward(g1, ref)[leaf1.idx].data
+        assert rel_err(grad[k:k + 1], want) <= TOL, k
+        assert np.any(want != 0.0)
+        assert len(rngs[k].draws) == len(solo.draws) == cfg.trigger_length
+        for got_u, want_u in zip(rngs[k].draws, solo.draws):
+            assert np.array_equal(got_u, want_u)
+        total += float(ref.value)
+    assert rel_err(float(loss.value), total) <= TOL
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_candidates_match_run_candidate(vocab, kind):
+    """Climbing together changes no candidate's trigger, m1 or m2."""
+    models = _models(vocab, kind)
+    dev = _live_examples(vocab, kind, range(len(LIVE_TEXTS)))
+    cfg = AttackConfig(attacked_class=1, trigger_length=2, eps=1.0, eta=0.5,
+                       steps=3, batch_size=3, normalize_gradient=True)
+    seeds = [3, 14, 15]
+    for seed, got in zip(seeds, run_candidates(seeds, dev, models, cfg)):
+        want = run_candidate(seed, dev, models, cfg)
+        assert got.init_seed == want.init_seed == seed
+        assert got.tokens == want.tokens
+        assert got.m1 == want.m1 and got.m2 == want.m2
+        assert rel_err(got.n_final.data, want.n_final.data) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

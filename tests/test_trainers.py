@@ -43,6 +43,15 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation):
             TrainConfig(epochs=1, emb_noise=-0.1)
 
+    @pytest.mark.parametrize("key", ["lr", "gan_lr", "clip_norm",
+                                     "gp_weight", "momentum", "gan_momentum",
+                                     "lr_anneal", "augment_prefixes",
+                                     "emb_noise"])
+    def test_nan_rejected(self, key):
+        # every comparison with NaN is false, so a `v <= 0` check passes it
+        with pytest.raises(ContractViolation, match=key):
+            TrainConfig(epochs=1, **{key: float("nan")})
+
 
 class TestSGD:
     def test_momentum_update_math(self):
