@@ -9,6 +9,7 @@ class accuracy (m1, lower = stronger attack) and scoring-LM cross-entropy
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -240,15 +241,45 @@ def _run_candidates_star(args):
     return run_candidates(*args)
 
 
+def _openblas_function(*symbols):
+    """The first of `symbols` found in an OpenBLAS library this process
+    has loaded (NumPy's), or None when there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:  # no /proc to read
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in symbols:
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _one_blas_thread():
+    """Pool initializer: OpenBLAS runs one thread in each worker, so
+    `workers` processes run that many BLAS threads, not `workers` times
+    the cores."""
+    fn = _openblas_function("scipy_openblas_set_num_threads64_",
+                            "openblas_set_num_threads")
+    if fn is not None:
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        fn(1)
+
+
 def nuts_attack(models: AttackModels, dev_subset: list[Example],
                 cfg: AttackConfig, workers: int = 1):
     """Run n_inits independent candidates and rerank.
 
     The derived seeds are split, in order, into chunks of CHUNK_SIZE;
     each chunk climbs as the rows of one graph. The chunks run in turn,
-    or across a pool of `workers` processes. Returns (selected,
-    candidates); the candidate list follows the derived seed order, and
-    neither it nor the split depends on `workers`."""
+    or across a pool of `workers` processes with one BLAS thread each.
+    Returns (selected, candidates); the candidate list follows the
+    derived seed order, and neither it nor the split depends on
+    `workers`."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     _check_subset(dev_subset, cfg.attacked_class)
@@ -261,7 +292,8 @@ def nuts_attack(models: AttackModels, dev_subset: list[Example],
         runs = [run_candidates(c, dev_subset, models, cfg) for c in chunks]
     else:
         jobs = [(c, dev_subset, models, cfg) for c in chunks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_one_blas_thread) as pool:
             runs = list(pool.map(_run_candidates_star, jobs))
     candidates = [c for run in runs for c in run]
     selected = rerank(candidates, cfg.lam)

@@ -75,10 +75,10 @@ def token_gradient_attack(victim, dev_subset: list[Example], length: int,
     emb = victim.weights["emb"].data
 
     trigger = [vocab.stoi[cfg.filler]] * length
-    best_loss, _ = _trigger_loss(victim, trigger, dev_subset, False)
-
     for _ in range(cfg.max_sweeps):
-        _, grads = _trigger_loss(victim, trigger, dev_subset, True)
+        # the gradient pass also gives the trigger's true dev loss, bit for
+        # bit the loss of a pass without gradients
+        best_loss, grads = _trigger_loss(victim, trigger, dev_subset, True)
         # beam search across positions; replacements are proposed by the
         # first-order loss increase and verified by the true dev loss
         beam = [(best_loss, list(trigger))]

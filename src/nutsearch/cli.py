@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -92,22 +93,31 @@ def _add_override_flags(parser: argparse.ArgumentParser, defaults: dict):
 
 
 def _resolve(args, defaults: dict) -> dict:
-    file_values = None
-    if getattr(args, "config", None):
-        file_values = parse_config_file(args.config)
+    path = getattr(args, "config", None)
+    file_values = parse_config_file(path) if path else {}
     flag_values = {k: getattr(args, k) for k in args.overrides}
-    resolved = resolve_config(defaults, file_values, flag_values)
+    resolved = resolve_config(defaults, file_values, flag_values, path)
+    # the keys whose value came from the config file, for _config_error
+    args.file_keys = {k for k in file_values if flag_values.get(k) is None}
     log.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
     return resolved
 
 
-def _checked(cls, **values):
+def _config_error(args, message: str) -> ConfigError:
+    """A resolved value its command rejects. The error names the config
+    file when the file set a key the message names."""
+    named = any(re.search(rf"\b{key}\b", message) for key in args.file_keys)
+    where = f"config {args.config}" if named else "config"
+    return ConfigError(f"{where}: {message}")
+
+
+def _checked(args, cls, **values):
     """cls(**values) for values from a resolved config: a value out of
     its range is a configuration error (exit 2)."""
     try:
         return cls(**values)
     except ContractViolation as err:
-        raise ConfigError(f"config: {err}") from None
+        raise _config_error(args, str(err)) from None
 
 
 def _class_subset(examples: list[Example], y: int) -> list[Example]:
@@ -128,7 +138,7 @@ def _prepare_out(path):
 def _cmd_make_synth(args) -> int:
     cfg = _resolve(args, SYNTH_DEFAULTS)
     if cfg["task"] not in td.TASK_TEXTS:
-        raise ConfigError(f"unknown task {cfg['task']!r}")
+        raise _config_error(args, f"unknown task {cfg['task']!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     split, vocab = td.make_synthetic(
@@ -153,8 +163,8 @@ def _cmd_train(args) -> int:
         raise ConfigError("pair classifier needs an nli corpus")
     if args.arch in ("lstm2", "bag") and task == "nli":
         raise ConfigError(f"{args.arch} classifier needs a single-text corpus")
-    cfg = _checked(TrainConfig, **{k: v for k, v in resolved.items()
-                                   if k in _TRAIN_FIELDS})
+    cfg = _checked(args, TrainConfig, **{k: v for k, v in resolved.items()
+                                         if k in _TRAIN_FIELDS})
     sizes = {k: v for k, v in resolved.items() if k not in _TRAIN_FIELDS}
     metrics_path = _prepare_out(args.metrics)
     if args.arch == "arae":
@@ -202,11 +212,12 @@ def _load_attack_models(args):
     return generator, victim, lm, split, exclude
 
 
-def _require_class(resolved: dict, split: Split) -> int:
+def _require_class(args, resolved: dict, split: Split) -> int:
     y = resolved["attacked_class"]
     labels = {ex.label for ex in split.dev}
     if y not in labels:
-        raise ConfigError(f"attacked_class must be one of {sorted(labels)}")
+        raise _config_error(args, f"attacked_class must be one of "
+                                  f"{sorted(labels)}")
     return y
 
 
@@ -227,11 +238,11 @@ def _attack_outputs(args, selected, candidates, kind: str, digest: str,
 def _cmd_attack(args) -> int:
     resolved = _resolve(args, ATTACK_DEFAULTS)
     generator, victim, lm, split, exclude = _load_attack_models(args)
-    y = _require_class(resolved, split)
+    y = _require_class(args, resolved, split)
     mask = td.intersect_vocab(victim.vocab, generator.vocab, exclude=exclude)
     models = AttackModels(generator, victim, lm, mask)
-    cfg = _checked(AttackConfig, **{k: resolved[k] for k in ATTACK_DEFAULTS
-                                    if k != "workers"})
+    cfg = _checked(args, AttackConfig,
+                   **{k: resolved[k] for k in ATTACK_DEFAULTS if k != "workers"})
     dev_subset = _class_subset(split.dev, y)
     selected, candidates = nuts_attack(models, dev_subset, cfg,
                                        workers=resolved["workers"])
@@ -248,9 +259,9 @@ def _cmd_attack_baseline(args) -> int:
     # the baseline functions reject these as contract violations (exit 1)
     for key in ("trigger_length", "n_inits"):
         if resolved.get(key, 1) < 1:
-            raise ConfigError(f"config: {key} must be >= 1")
+            raise _config_error(args, f"{key} must be >= 1")
     generator, victim, lm, split, exclude = _load_attack_models(args)
-    y = _require_class(resolved, split)
+    y = _require_class(args, resolved, split)
     dev_subset = _class_subset(split.dev, y)
     L = resolved["trigger_length"]
 
@@ -258,7 +269,7 @@ def _cmd_attack_baseline(args) -> int:
     vocab = generator.vocab if generator else victim.vocab
     if kind == "token-gradient":  # its trigger lives in the victim's vocab
         mask = td.intersect_vocab(vocab, victim.vocab, exclude=exclude)
-        tg_cfg = _checked(TokenGradientConfig,
+        tg_cfg = _checked(args, TokenGradientConfig,
                           **{k: v for k, v in resolved.items()
                              if k not in _BASELINE_COMMON})
         tokens, _ = token_gradient_attack(victim, dev_subset, L, mask, tg_cfg)
@@ -289,7 +300,7 @@ def _cmd_evaluate(args) -> int:
     selected = read_selected(args.selected)
     trigger = selected["tokens"]
     kind = selected.get("kind", "nuts")
-    y = _require_class(resolved, split)
+    y = _require_class(args, resolved, split)
 
     classes = sorted({ex.label for ex in split.test})
     clean = {str(c): accuracy_under_trigger(victim, split.test, [], c)
@@ -335,7 +346,7 @@ def _cmd_transfer(args) -> int:
     split, _, _ = td.load_corpus(args.data_dir, vocab=victim.vocab)
     selected = read_selected(args.selected)
     trigger = selected["tokens"]
-    y = _require_class(resolved, split)
+    y = _require_class(args, resolved, split)
     res = transfer_eval(trigger, victim, split.test, y)
     payload = {"trigger": trigger, "attacked_class": y, "clean": res.clean,
                "attacked": res.attacked, "drop": res.drop,

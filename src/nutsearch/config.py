@@ -67,20 +67,25 @@ def _coerce(key: str, value, default):
 
 
 def resolve_config(defaults: dict, file_values: dict | None = None,
-                   flag_values: dict | None = None) -> dict:
+                   flag_values: dict | None = None, path=None) -> dict:
     """Merge defaults < config file < flags; reject unknown keys (a None
-    value means unset); coerce every value to the type of its default."""
+    value means unset); coerce every value to the type of its default.
+    An error in a file value names `path`, the file, when it is given."""
     resolved = dict(defaults)
-    for source, values in (("config file", file_values),
-                           ("flag", flag_values)):
+    in_file = f"{path}: " if path else ""
+    for source, values, where in (("config file", file_values, in_file),
+                                  ("flag", flag_values, "")):
         if not values:
             continue
         for key, value in values.items():
             if value is None:
                 continue
             if key not in defaults:
-                raise ConfigError(f"unknown {source} key {key!r}")
-            resolved[key] = _coerce(key, value, defaults[key])
+                raise ConfigError(f"{where}unknown {source} key {key!r}")
+            try:
+                resolved[key] = _coerce(key, value, defaults[key])
+            except ConfigError as err:
+                raise ConfigError(f"{where}{err}") from err
     return resolved
 
 

@@ -30,7 +30,7 @@ __all__ = [
     "rows_scale", "reciprocal",
     "matmul", "transpose", "tanh", "sigmoid", "absolute", "sqrt",
     "softmax", "embed", "concat", "narrow",
-    "sum_all", "mean_all", "sum_axis", "cross_entropy",
+    "mean_all", "sum_axis", "cross_entropy",
     "tile_rows", "straight_through", "lstm_cell", "gumbel_softmax",
     "l2_project",
 ]
@@ -65,6 +65,12 @@ class Tensor:
 
 
 class _Entry:
+    """What backward reads of a node: its parents, its backward closure,
+    and, for a leaf only, its value (for the shape of a zero gradient).
+    An op's output lives in its Node, so a forward-only graph frees an
+    intermediate value once no Node refers to it; a graph with backward
+    closures keeps what they capture."""
+
     __slots__ = ("kind", "parents", "value", "requires_grad", "back")
 
     def __init__(self, kind, parents, value, requires_grad, back):
@@ -76,29 +82,26 @@ class _Entry:
 
 
 class Node:
-    """Cheap handle: a graph plus an index into it."""
+    """Cheap handle: a graph, an index into it, and the node's value."""
 
-    __slots__ = ("graph", "idx")
+    __slots__ = ("graph", "idx", "value")
 
-    def __init__(self, graph, idx):
+    def __init__(self, graph, idx, value):
         self.graph = graph
         self.idx = idx
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.graph._entries[self.idx].value
+        self.value = value
 
     @property
     def shape(self):
-        return self.graph._entries[self.idx].value.shape
+        return self.value.shape
 
     @property
     def requires_grad(self):
         return self.graph._entries[self.idx].requires_grad
 
     def __repr__(self):
-        e = self.graph._entries[self.idx]
-        return f"Node({e.kind}, idx={self.idx}, shape={tuple(e.value.shape)})"
+        kind = self.graph._entries[self.idx].kind
+        return f"Node({kind}, idx={self.idx}, shape={tuple(self.value.shape)})"
 
 
 class Graph:
@@ -116,15 +119,15 @@ class Graph:
     def _push(self, kind, parents, value, back, requires_grad) -> Node:
         if not np.all(np.isfinite(value)):
             raise NumericError(f"op '{kind}' produced a non-finite value")
-        self._entries.append(_Entry(kind, parents, value, requires_grad, back))
-        return Node(self, len(self._entries) - 1)
+        self._entries.append(_Entry(kind, parents, None, requires_grad, back))
+        return Node(self, len(self._entries) - 1, value)
 
     def leaf(self, value, requires_grad: bool = False) -> Node:
         """Insert an input node. Leaves are the only nodes whose gradients
         backward() reports."""
         arr = value.data if isinstance(value, Tensor) else Tensor(value).data
         self._entries.append(_Entry("leaf", (), arr, requires_grad, None))
-        return Node(self, len(self._entries) - 1)
+        return Node(self, len(self._entries) - 1, arr)
 
     def constant(self, value) -> Node:
         return self.leaf(value, requires_grad=False)
@@ -351,13 +354,6 @@ def narrow(a: Node, axis: int, start: int, length: int) -> Node:
                          back if a.requires_grad else None, a.requires_grad)
 
 
-def sum_all(a: Node) -> Node:
-    av = a.value
-    back = (lambda go: (np.full_like(av, float(go)),)) if a.requires_grad else None
-    return a.graph._push("sum_all", (a.idx,), np.asarray(av.sum()), back,
-                         a.requires_grad)
-
-
 def mean_all(a: Node) -> Node:
     av = a.value
     n = av.size
@@ -407,10 +403,9 @@ def cross_entropy(logits: Node, targets, weights=None) -> Node:
     logp = shifted - lse
     rows = np.arange(lv.shape[0])
     out = np.asarray(-(w * logp[rows, targets]).sum() / wsum)
-    sm = np.exp(logp)
 
     def back(go):
-        gl = sm.copy()
+        gl = np.exp(logp)
         gl[rows, targets] -= 1.0
         gl *= (w / wsum)[:, None]
         return (gl * float(go),)
@@ -471,7 +466,7 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
                                 f"b {bv.shape}, live {live}")
     R = xv.shape[0]
     xn = xv[:n]
-    h = np.ascontiguousarray(sv[:n, :H])
+    h = sv[:n, :H]
     c = sv[:n, H:]
     gates = (xn @ ih + h @ hh) + bv
     if not np.all(np.isfinite(gates)):
@@ -480,8 +475,7 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
                for k in (0, 1, 3))
     u = np.tanh(gates[:, 2 * H:3 * H])
     c2 = f * c + i * u
-    tc = np.tanh(c2)
-    out = np.concatenate([o * tc, c2], axis=1)
+    out = np.concatenate([o * np.tanh(c2), c2], axis=1)
     if n < B:
         out = np.concatenate([out, sv[n:]])
 
@@ -490,6 +484,7 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
 
     def back(go):
         dh, dc = go[:n, :H], go[:n, H:]
+        tc = np.tanh(out[:n, H:])
         dc = dc + dh * o * (1.0 - tc * tc)
         dgates = np.concatenate([dc * u * i * (1.0 - i),
                                  dc * c * f * (1.0 - f),
@@ -523,17 +518,18 @@ def backward(graph: Graph, loss: Node) -> dict[int, Tensor]:
 
     Returns {leaf node id: gradient}; leaves the loss never touched get
     exact zeros. Node values are left untouched, so several losses can
-    be differentiated from one graph.
+    be differentiated from one graph. A node's gradient is dropped once
+    its backward has run, so at most the gradients of the nodes still
+    waiting for their backward are held at once.
     """
     if loss.graph is not graph:
         raise ContractViolation("loss node belongs to a different graph")
     entries = graph._entries
-    le = entries[loss.idx]
-    if le.value.size != 1:
-        raise ContractViolation(f"loss must be scalar, got shape {le.value.shape}")
+    if loss.value.size != 1:
+        raise ContractViolation(f"loss must be scalar, got shape {loss.shape}")
 
     grads: list = [None] * (loss.idx + 1)
-    grads[loss.idx] = np.ones_like(le.value)
+    grads[loss.idx] = np.ones_like(loss.value)
 
     for idx in range(loss.idx, -1, -1):
         go = grads[idx]
@@ -543,6 +539,7 @@ def backward(graph: Graph, loss: Node) -> dict[int, Tensor]:
         if e.back is None:
             continue
         pgrads = e.back(go)
+        grads[idx] = go = None
         for pg in pgrads:
             if pg is not None and not np.all(np.isfinite(pg)):
                 raise NumericError(f"backward through '{e.kind}' produced a "

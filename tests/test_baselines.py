@@ -222,3 +222,24 @@ class TestBeamAndBudget:
         token_gradient_attack(tiny_victim, tiny_dev, 3, mask, cfg)
         # one filler evaluation plus at most top_k per position per sweep
         assert counts["evals"] <= 1 + 3 * 4
+
+    def test_filler_loss_comes_from_the_gradient_pass(self, tiny_vocab,
+                                                      tiny_dev, tiny_victim,
+                                                      monkeypatch):
+        """The first sweep's gradient pass gives the filler's dev loss, so
+        no trigger is evaluated twice."""
+        import nutsearch.baselines as mod
+        calls = []
+        real = mod._trigger_loss
+
+        def spy(victim, trig_ids, batch, want_grads):
+            calls.append((tuple(trig_ids), want_grads))
+            return real(victim, trig_ids, batch, want_grads)
+
+        monkeypatch.setattr(mod, "_trigger_loss", spy)
+        mask = np.ones(len(tiny_vocab), dtype=bool)
+        cfg = TokenGradientConfig(top_k=4, beam_width=1, max_sweeps=1)
+        token_gradient_attack(tiny_victim, tiny_dev, 3, mask, cfg)
+        filler = (tiny_vocab.stoi["the"],) * 3
+        assert calls[0] == (filler, True)
+        assert len({trig for trig, _ in calls}) == len(calls)

@@ -673,6 +673,45 @@ def test_out_of_range_config_value_exits_two(tmp_path, workbench, caplog,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,line", [
+    ("attack", "eps = -1"),
+    ("attack", "x = 1"),
+    ("attack", "eps = nan"),
+    ("train-lm", "lr = -1"),
+    ("random-seq", "trigger_length = 0"),
+])
+def test_bad_config_file_value_names_the_file(tmp_path, workbench, caplog,
+                                              capsys, command, line):
+    """A config-file value the command rejects: exit 2, one ERROR line
+    naming the file, no traceback, nothing written."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    if command in _BASELINE_FLAGS:
+        argv = _baseline_args(workbench, command, out)
+    else:
+        argv = _command_args(workbench, command, out)
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and str(cfg) in errors[0]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_flag_value_beside_a_config_file_names_the_flag(tmp_path,
+                                                            workbench,
+                                                            caplog):
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text("lam = 0.5\n")
+    out = tmp_path / "out"
+    argv = _command_args(workbench, "attack", out)
+    assert run_cli(*argv, "--config", str(cfg), "--eps", "-1") == 2
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert "eps" in errors[0] and str(cfg) not in errors[0]
+    assert not out.exists()
+
+
 def test_output_parent_directories_are_created(tmp_path, workbench,
                                                attack_dir):
     ckpt = tmp_path / "deep" / "nested" / "victim.ckpt"

@@ -1,6 +1,9 @@
 """Engine checks: finite-difference oracles for every op, projection
 geometry, Gumbel sampling statistics, and determinism."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -47,26 +50,26 @@ class TestOpGradients:
         g = gc.Graph()
         x = g.leaf(np.asarray([1.0, 2.0]), requires_grad=True)
         unused = g.leaf(np.asarray([5.0, 5.0]), requires_grad=True)
-        loss = gc.sum_all(gc.mul(x, x))
+        loss = gc.mean_all(gc.mul(x, x))
         grads = gc.backward(g, loss)
         assert np.array_equal(grads[unused.idx].data, np.zeros(2))
 
     def test_add(self):
         r = RNG(0)
         b = r.standard_normal((3, 4))
-        _check_op(lambda g, x: gc.sum_all(gc.mul(gc.add(x, g.constant(b)), x)),
+        _check_op(lambda g, x: gc.mean_all(gc.mul(gc.add(x, g.constant(b)), x)),
                   r.standard_normal((3, 4)))
 
     def test_sub(self):
         r = RNG(1)
         b = r.standard_normal((3, 4))
-        _check_op(lambda g, x: gc.sum_all(gc.mul(gc.sub(x, g.constant(b)), x)),
+        _check_op(lambda g, x: gc.mean_all(gc.mul(gc.sub(x, g.constant(b)), x)),
                   r.standard_normal((3, 4)))
 
     def test_add_bias_on_bias(self):
         r = RNG(2)
         a = r.standard_normal((5, 3))
-        _check_op(lambda g, x: gc.sum_all(gc.tanh(gc.add_bias(g.constant(a), x))),
+        _check_op(lambda g, x: gc.mean_all(gc.tanh(gc.add_bias(g.constant(a), x))),
                   r.standard_normal(3))
 
     def test_mul(self):
@@ -77,49 +80,49 @@ class TestOpGradients:
 
     def test_scale_add_const(self):
         r = RNG(4)
-        _check_op(lambda g, x: gc.sum_all(gc.mul(gc.add_const(gc.scale(x, -2.5), 1.0), x)),
+        _check_op(lambda g, x: gc.mean_all(gc.mul(gc.add_const(gc.scale(x, -2.5), 1.0), x)),
                   r.standard_normal((4,)))
 
     def test_matmul_left_right(self):
         r = RNG(5)
         b = r.standard_normal((4, 3))
-        _check_op(lambda g, x: gc.sum_all(gc.tanh(gc.matmul(x, g.constant(b)))),
+        _check_op(lambda g, x: gc.mean_all(gc.tanh(gc.matmul(x, g.constant(b)))),
                   r.standard_normal((2, 4)))
         a = r.standard_normal((2, 4))
-        _check_op(lambda g, x: gc.sum_all(gc.tanh(gc.matmul(g.constant(a), x))),
+        _check_op(lambda g, x: gc.mean_all(gc.tanh(gc.matmul(g.constant(a), x))),
                   r.standard_normal((4, 3)))
 
     def test_transpose(self):
         r = RNG(6)
         b = r.standard_normal((3, 2))
-        _check_op(lambda g, x: gc.sum_all(gc.mul(gc.transpose(x), g.constant(b))),
+        _check_op(lambda g, x: gc.mean_all(gc.mul(gc.transpose(x), g.constant(b))),
                   r.standard_normal((2, 3)))
 
     def test_tanh_sigmoid(self):
         r = RNG(7)
-        _check_op(lambda g, x: gc.sum_all(gc.tanh(x)), r.standard_normal((3, 3)))
-        _check_op(lambda g, x: gc.sum_all(gc.sigmoid(x)), r.standard_normal((3, 3)))
+        _check_op(lambda g, x: gc.mean_all(gc.tanh(x)), r.standard_normal((3, 3)))
+        _check_op(lambda g, x: gc.mean_all(gc.sigmoid(x)), r.standard_normal((3, 3)))
 
     def test_abs_away_from_zero(self):
         x0 = np.array([1.5, -2.0, 0.75, -0.5])
-        _check_op(lambda g, x: gc.sum_all(gc.absolute(x)), x0)
+        _check_op(lambda g, x: gc.mean_all(gc.absolute(x)), x0)
 
     def test_sqrt(self):
         r = RNG(8)
-        _check_op(lambda g, x: gc.sum_all(gc.sqrt(x)),
+        _check_op(lambda g, x: gc.mean_all(gc.sqrt(x)),
                   r.random((3, 3)) + 0.5)
 
     def test_softmax(self):
         r = RNG(9)
         w = r.standard_normal((2, 5))
-        _check_op(lambda g, x: gc.sum_all(gc.mul(gc.softmax(x, axis=1), g.constant(w))),
+        _check_op(lambda g, x: gc.mean_all(gc.mul(gc.softmax(x, axis=1), g.constant(w))),
                   r.standard_normal((2, 5)))
 
     def test_embed(self):
         r = RNG(11)
         ids = np.array([0, 2, 2, 1])
         w = r.standard_normal((4, 3))
-        _check_op(lambda g, x: gc.sum_all(gc.mul(gc.embed(x, ids), g.constant(w))),
+        _check_op(lambda g, x: gc.mean_all(gc.mul(gc.embed(x, ids), g.constant(w))),
                   r.standard_normal((5, 3)))
 
     def test_concat_narrow(self):
@@ -128,15 +131,15 @@ class TestOpGradients:
 
         def build(g, x):
             cat = gc.concat([x, g.constant(b)], axis=1)
-            return gc.sum_all(gc.tanh(gc.narrow(cat, 1, 1, 4)))
+            return gc.mean_all(gc.tanh(gc.narrow(cat, 1, 1, 4)))
 
         _check_op(build, r.standard_normal((2, 3)))
 
     def test_sum_axis(self):
         r = RNG(13)
-        _check_op(lambda g, x: gc.sum_all(gc.tanh(gc.sum_axis(x, 1))),
+        _check_op(lambda g, x: gc.mean_all(gc.tanh(gc.sum_axis(x, 1))),
                   r.standard_normal((3, 4)))
-        _check_op(lambda g, x: gc.sum_all(gc.tanh(gc.sum_axis(x, 0))),
+        _check_op(lambda g, x: gc.mean_all(gc.tanh(gc.sum_axis(x, 0))),
                   r.standard_normal((3, 4)))
 
     def test_mean_all(self):
@@ -165,21 +168,21 @@ class TestOpGradients:
     def test_tile_rows(self):
         r = RNG(17)
         w = r.standard_normal((6, 3))
-        _check_op(lambda g, x: gc.sum_all(gc.mul(gc.tile_rows(x, 6), g.constant(w))),
+        _check_op(lambda g, x: gc.mean_all(gc.mul(gc.tile_rows(x, 6), g.constant(w))),
                   r.standard_normal((1, 3)))
 
     def test_rows_scale_both_sides(self):
         r = RNG(19)
         s = r.standard_normal(3) + 2.0
-        _check_op(lambda g, x: gc.sum_all(gc.tanh(gc.rows_scale(x, g.constant(s)))),
+        _check_op(lambda g, x: gc.mean_all(gc.tanh(gc.rows_scale(x, g.constant(s)))),
                   r.standard_normal((3, 4)))
         a = r.standard_normal((3, 4))
-        _check_op(lambda g, x: gc.sum_all(gc.tanh(gc.rows_scale(g.constant(a), x))),
+        _check_op(lambda g, x: gc.mean_all(gc.tanh(gc.rows_scale(g.constant(a), x))),
                   r.standard_normal(3))
 
     def test_reciprocal(self):
         r = RNG(20)
-        _check_op(lambda g, x: gc.sum_all(gc.reciprocal(x)), r.random((3,)) + 0.5)
+        _check_op(lambda g, x: gc.mean_all(gc.reciprocal(x)), r.random((3,)) + 0.5)
 
     def test_row_l2_normalize_matches_fd(self):
         # the composite the encoder uses: x / sqrt(sum(x^2) + eps) row-wise
@@ -189,7 +192,7 @@ class TestOpGradients:
         def build(g, x):
             nrm = gc.sqrt(gc.add_const(gc.sum_axis(gc.mul(x, x), 1), 1e-12))
             unit = gc.rows_scale(x, gc.reciprocal(nrm))
-            return gc.sum_all(gc.mul(unit, g.constant(w)))
+            return gc.mean_all(gc.mul(unit, g.constant(w)))
 
         _check_op(build, r.standard_normal((3, 4)))
 
@@ -242,7 +245,7 @@ class TestBackwardContract:
         g = gc.Graph()
         x = g.leaf(np.asarray([[1.0, 2.0]]), requires_grad=True)
         y = gc.tanh(x)
-        loss = gc.sum_all(y)
+        loss = gc.mean_all(y)
         before = y.value.copy()
         g1 = gc.backward(g, loss)
         g2 = gc.backward(g, loss)
@@ -272,6 +275,50 @@ class TestBackwardContract:
         assert l1 == l2
         assert np.array_equal(gx1, gx2)
         assert np.array_equal(gw1, gw2)
+
+
+def _peak_bytes(fn):
+    """The traced allocation peak while fn() runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """A graph keeps only what its backward reads."""
+
+    def test_forward_only_intermediate_freed_with_its_node(self):
+        g = gc.Graph()
+        y = gc.tanh(g.leaf(np.full((4, 4), 0.5)))
+        freed = weakref.ref(y.value)
+        z = gc.scale(y, 2.0)
+        del y
+        assert freed() is None
+        assert len(g) == 3 and z.value.shape == (4, 4)
+
+    def test_backward_holds_few_gradients_at_once(self):
+        g = gc.Graph()
+        x = g.leaf(np.full((256, 256), 0.01), requires_grad=True)
+        y = x
+        for _ in range(30):
+            y = gc.tanh(y)
+        loss = gc.mean_all(y)
+        peak, grads = _peak_bytes(lambda: gc.backward(g, loss))
+        # one gradient per node would be 30 arrays
+        assert peak < 5 * x.value.nbytes
+        assert grads[x.idx].shape == x.shape
+
+    def test_forward_only_cross_entropy_allocates_no_softmax(self):
+        logits = RNG(7).standard_normal((512, 512))
+        targets = RNG(8).integers(0, 512, size=512)
+        g = gc.Graph()
+        leaf = g.leaf(logits)
+        peak, _ = _peak_bytes(lambda: gc.cross_entropy(leaf, targets))
+        # the shifted logits and the log-probabilities; a softmax is a third
+        assert peak < 2.5 * logits.nbytes
 
 
 class TestL2Project:
@@ -353,7 +400,7 @@ class TestGumbelSoftmax:
             g = gc.Graph()
             logits = g.leaf(row, requires_grad=True)
             _, sample = gc.gumbel_softmax(logits, tau=0.5, rng=RNG(5), hard=hard)
-            loss = gc.sum_all(gc.mul(sample, g.constant(w)))
+            loss = gc.mean_all(gc.mul(sample, g.constant(w)))
             return gc.backward(g, loss)[logits.idx].data
 
         assert np.array_equal(grads(True), grads(False))
@@ -369,7 +416,7 @@ class TestGumbelSoftmax:
             logits = g.leaf(x, requires_grad=want_grad)
             noisy = gc.add(logits, g.constant(gumbel))
             soft = gc.softmax(gc.scale(noisy, 1.0 / 0.7), axis=1)
-            loss = gc.sum_all(gc.mul(soft, g.constant(w)))
+            loss = gc.mean_all(gc.mul(soft, g.constant(w)))
             return g, logits, loss
 
         g, logits, loss = f_graph(row, True)

@@ -75,7 +75,7 @@ class TestARAE:
 
         def build(g, x):
             z = tiny_arae.generate_node(g, tiny_arae.lift(g), x)
-            return gc.sum_all(gc.mul(z, g.constant(w)))
+            return gc.mean_all(gc.mul(z, g.constant(w)))
 
         g = gc.Graph()
         leaf = g.leaf(n0, requires_grad=True)
@@ -99,7 +99,9 @@ class TestARAE:
         g = gc.Graph()
         P = tiny_arae.lift(g)
         leaf = g.leaf(x, requires_grad=True)
-        score = gc.sum_all(tiny_arae.critic_score(g, P, leaf))
+        # the mean's gradient times the row count is each row's own
+        score = gc.scale(gc.mean_all(tiny_arae.critic_score(g, P, leaf)),
+                         len(x))
         want = gc.backward(g, score)[leaf.idx].data
         got = tiny_arae.critic_input_grad(g, P, g.leaf(x)).value
         assert rel_err(got, want) <= 1e-12
