@@ -31,6 +31,18 @@ class TokenGradientConfig:
                                     ">= 1")
 
 
+def _usable_ids(vocab: Vocab, mask, name: str) -> np.ndarray:
+    """The ids a boolean mask over `vocab` admits, minus the specials."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (len(vocab),):
+        raise ContractViolation(f"{name} must cover the vocabulary")
+    specials = (vocab.pad_id, vocab.unk_id, vocab.bos_id, vocab.eos_id)
+    allowed = np.array([i for i in np.flatnonzero(mask) if i not in specials])
+    if allowed.size == 0:
+        raise ContractViolation(f"{name} admits no usable tokens")
+    return allowed
+
+
 def _trigger_loss(victim, trig_ids: list[int], batch: list[Example],
                   want_grads: bool):
     """True mean victim loss of a trigger over `batch`; optionally also the
@@ -60,16 +72,8 @@ def token_gradient_attack(victim, dev_subset: list[Example], length: int,
     victim's vocabulary; `vocab_mask` is boolean over that vocabulary."""
     cfg = cfg or TokenGradientConfig()
     _check_subset(dev_subset)
-    mask = np.asarray(vocab_mask, dtype=bool)
     vocab: Vocab = victim.vocab
-    if mask.shape != (len(vocab),):
-        raise ContractViolation("vocab_mask must cover the victim vocabulary")
-    allowed = np.flatnonzero(mask)
-    allowed = np.array([i for i in allowed
-                        if i not in (vocab.pad_id, vocab.unk_id,
-                                     vocab.bos_id, vocab.eos_id)])
-    if allowed.size == 0:
-        raise ContractViolation("vocab_mask admits no usable tokens")
+    allowed = _usable_ids(vocab, vocab_mask, "vocab_mask")
     if cfg.filler not in vocab.stoi:
         raise ContractViolation(f"filler token {cfg.filler!r} not in vocab")
     emb = victim.weights["emb"].data
@@ -129,14 +133,7 @@ def random_sequence_attack(vocab: Vocab, allowed_mask, victim, lm,
     if n_candidates < 1:
         raise ContractViolation("n_candidates must be >= 1")
     y = _check_subset(dev_subset)
-    mask = np.asarray(allowed_mask, dtype=bool)
-    if mask.shape != (len(vocab),):
-        raise ContractViolation("allowed_mask must cover the vocabulary")
-    allowed = np.array([i for i in np.flatnonzero(mask)
-                        if i not in (vocab.pad_id, vocab.unk_id,
-                                     vocab.bos_id, vocab.eos_id)])
-    if allowed.size == 0:
-        raise ContractViolation("allowed_mask admits no usable tokens")
+    allowed = _usable_ids(vocab, allowed_mask, "allowed_mask")
     candidates = []
     for s in derive_init_seeds(seed, n_candidates):
         rng = np.random.default_rng(np.random.SeedSequence(s))

@@ -106,16 +106,21 @@ def load_checkpoint(path):
         header = json.loads(r.take(hlen, "header").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointConsistencyError(f"{path}: bad header: {err}") from err
+    if not isinstance(header, dict):
+        raise CheckpointConsistencyError(f"{path}: header is not a JSON object")
     for key in ("kind", "hyperparams", "vocab", "seed", "config_hash",
                 "tensors"):
         if key not in header:
             raise CheckpointConsistencyError(f"{path}: header lacks '{key}'")
-    kind = header["kind"]
-    if kind not in MODEL_KINDS:
+    kind, names = header["kind"], header["tensors"]
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise CheckpointConsistencyError(f"{path}: unknown model kind {kind!r}")
+    if not isinstance(names, list):
+        raise CheckpointConsistencyError(
+            f"{path}: header 'tensors' is not a list")
 
     weights: dict[str, Tensor] = {}
-    for expect in header["tensors"]:
+    for expect in names:
         nlen = r.u16("tensor name length")
         name = r.take(nlen, "tensor name").decode("utf-8")
         if name != expect:

@@ -139,6 +139,9 @@ def _cmd_make_synth(args) -> int:
     cfg = _resolve(args, SYNTH_DEFAULTS)
     if cfg["task"] not in td.TASK_TEXTS:
         raise _config_error(args, f"unknown task {cfg['task']!r}")
+    for key in ("train_size", "dev_size", "test_size"):
+        if cfg[key] < 1:
+            raise _config_error(args, f"{key} must be >= 1")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     split, vocab = td.make_synthetic(
@@ -241,13 +244,14 @@ def _cmd_attack(args) -> int:
     y = _require_class(args, resolved, split)
     mask = td.intersect_vocab(victim.vocab, generator.vocab, exclude=exclude)
     models = AttackModels(generator, victim, lm, mask)
-    cfg = _checked(args, AttackConfig,
-                   **{k: resolved[k] for k in ATTACK_DEFAULTS if k != "workers"})
+    # the results do not depend on `workers`, so neither does the hash
+    settings = {k: v for k, v in resolved.items() if k != "workers"}
+    cfg = _checked(args, AttackConfig, **settings)
     dev_subset = _class_subset(split.dev, y)
     selected, candidates = nuts_attack(models, dev_subset, cfg,
                                        workers=resolved["workers"])
     _attack_outputs(args, selected, candidates, "nuts",
-                    config_hash(resolved), victim, split, y)
+                    config_hash(settings), victim, split, y)
     return 0
 
 
@@ -265,10 +269,13 @@ def _cmd_attack_baseline(args) -> int:
     dev_subset = _class_subset(split.dev, y)
     L = resolved["trigger_length"]
 
-    # random-seq draws from the generator's vocabulary when there is one
+    # random-seq draws from the generator's vocabulary when there is one;
+    # the token-gradient trigger lives in the victim's
     vocab = generator.vocab if generator else victim.vocab
-    if kind == "token-gradient":  # its trigger lives in the victim's vocab
-        mask = td.intersect_vocab(vocab, victim.vocab, exclude=exclude)
+    known, over = ((vocab, victim.vocab) if kind == "token-gradient"
+                   else (victim.vocab, vocab))
+    mask = td.intersect_vocab(known, over, exclude=exclude)
+    if kind == "token-gradient":
         tg_cfg = _checked(args, TokenGradientConfig,
                           **{k: v for k, v in resolved.items()
                              if k not in _BASELINE_COMMON})
@@ -277,12 +284,10 @@ def _cmd_attack_baseline(args) -> int:
                                  resolved["seed"])
         candidates = [selected]
     elif kind == "random-arae":
-        mask = td.intersect_vocab(victim.vocab, vocab, exclude=exclude)
         selected, candidates = random_arae_attack(
             generator, victim, lm, dev_subset, resolved["n_inits"], L, mask,
             seed=resolved["seed"])
     else:  # random-seq
-        mask = td.intersect_vocab(victim.vocab, vocab, exclude=exclude)
         selected, candidates = random_sequence_attack(
             vocab, mask, victim, lm, dev_subset, resolved["n_inits"], L,
             seed=resolved["seed"])

@@ -6,6 +6,12 @@ Design constraints, fixed on purpose:
 
 * the graph is append-only; node ids are creation order, so reverse
   creation order is already a topological order for backward;
+* an op states only its math -- its output and its backward closure --
+  and Graph._push applies the graph rules once: the parents must be on
+  the pushing graph, the output needs a gradient iff a parent does, and
+  only then is the closure kept; a closure captures arrays and flags,
+  never a Node, and an entry records parent indices, so no graph is a
+  reference cycle;
 * every op validates shapes eagerly and checks its output for NaN/Inf
   (a silent non-finite value is always a bug upstream);
 * an LSTM step is one fused op, lstm_cell, on a packed [h | c] state with
@@ -65,7 +71,7 @@ class Tensor:
 
 
 class _Entry:
-    """What backward reads of a node: its parents, its backward closure,
+    """What backward reads of a node: its parents' ids, its backward closure,
     and, for a leaf only, its value (for the shape of a zero gradient).
     An op's output lives in its Node, so a forward-only graph frees an
     intermediate value once no Node refers to it; a graph with backward
@@ -116,11 +122,22 @@ class Graph:
     def __len__(self):
         return len(self._entries)
 
-    def _push(self, kind, parents, value, back, requires_grad) -> Node:
+    def _push(self, kind, parents, value, back) -> Node:
+        """Record op `kind`'s output `value` from the parent Nodes. The
+        output needs a gradient iff a parent does; only then is `back`
+        (go -> one gradient or None per parent) kept."""
+        entries = self._entries
+        ids = []
+        req = False
+        for p in parents:
+            if p.graph is not self:
+                raise ContractViolation("nodes belong to different graphs")
+            ids.append(p.idx)
+            req = req or entries[p.idx].requires_grad
         if not np.all(np.isfinite(value)):
             raise NumericError(f"op '{kind}' produced a non-finite value")
-        self._entries.append(_Entry(kind, parents, None, requires_grad, back))
-        return Node(self, len(self._entries) - 1, value)
+        entries.append(_Entry(kind, ids, None, req, back if req else None))
+        return Node(self, len(entries) - 1, value)
 
     def leaf(self, value, requires_grad: bool = False) -> Node:
         """Insert an input node. Leaves are the only nodes whose gradients
@@ -133,88 +150,64 @@ class Graph:
         return self.leaf(value, requires_grad=False)
 
 
-def _same_graph(*nodes) -> Graph:
-    g = nodes[0].graph
-    for n in nodes[1:]:
-        if n.graph is not g:
-            raise ContractViolation("nodes belong to different graphs")
-    return g
-
-
 # ---------------------------------------------------------------------------
 # ops
 
 
 def add(a: Node, b: Node) -> Node:
-    g = _same_graph(a, b)
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ContractViolation(f"add: shape mismatch {av.shape} vs {bv.shape}")
-    req = a.requires_grad or b.requires_grad
-    back = (lambda go: (go, go)) if req else None
-    return g._push("add", (a.idx, b.idx), av + bv, back, req)
+    return a.graph._push("add", (a, b), av + bv, lambda go: (go, go))
 
 
 def sub(a: Node, b: Node) -> Node:
-    g = _same_graph(a, b)
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ContractViolation(f"sub: shape mismatch {av.shape} vs {bv.shape}")
-    req = a.requires_grad or b.requires_grad
-    back = (lambda go: (go, -go)) if req else None
-    return g._push("sub", (a.idx, b.idx), av - bv, back, req)
+    return a.graph._push("sub", (a, b), av - bv, lambda go: (go, -go))
 
 
 def add_bias(a: Node, b: Node) -> Node:
     """a (..., H) + b (H,): broadcast over leading axes only."""
-    g = _same_graph(a, b)
     av, bv = a.value, b.value
     if bv.ndim != 1 or av.shape[-1] != bv.shape[0]:
         raise ContractViolation(f"add_bias: {av.shape} vs {bv.shape}")
-    req = a.requires_grad or b.requires_grad
     lead = tuple(range(av.ndim - 1))
-    back = (lambda go: (go, go.sum(axis=lead) if lead else go)) if req else None
-    return g._push("add_bias", (a.idx, b.idx), av + bv, back, req)
+    return a.graph._push("add_bias", (a, b), av + bv,
+                         lambda go: (go, go.sum(axis=lead) if lead else go))
 
 
 def mul(a: Node, b: Node) -> Node:
-    g = _same_graph(a, b)
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ContractViolation(f"mul: shape mismatch {av.shape} vs {bv.shape}")
-    req = a.requires_grad or b.requires_grad
-    back = (lambda go: (go * bv, go * av)) if req else None
-    return g._push("mul", (a.idx, b.idx), av * bv, back, req)
+    return a.graph._push("mul", (a, b), av * bv, lambda go: (go * bv, go * av))
 
 
 def scale(a: Node, c: float) -> Node:
     c = float(c)
-    back = (lambda go: (go * c,)) if a.requires_grad else None
-    return a.graph._push("scale", (a.idx,), a.value * c, back, a.requires_grad)
+    return a.graph._push("scale", (a,), a.value * c, lambda go: (go * c,))
 
 
 def add_const(a: Node, c: float) -> Node:
     c = float(c)
-    back = (lambda go: (go,)) if a.requires_grad else None
-    return a.graph._push("add_const", (a.idx,), a.value + c, back, a.requires_grad)
+    return a.graph._push("add_const", (a,), a.value + c, lambda go: (go,))
 
 
 def rows_scale(a: Node, s: Node) -> Node:
     """a (B x K) scaled row-wise by s (B,)."""
-    g = _same_graph(a, s)
     av, sv = a.value, s.value
     if av.ndim != 2 or sv.shape != (av.shape[0],):
         raise ContractViolation(f"rows_scale: {av.shape} vs {sv.shape}")
     a_req, s_req = a.requires_grad, s.requires_grad
-    req = a_req or s_req
 
     def back(go):
         ga = go * sv[:, None] if a_req else None
         gs = (go * av).sum(axis=1) if s_req else None
         return (ga, gs)
 
-    return g._push("rows_scale", (a.idx, s.idx), av * sv[:, None],
-                   back if req else None, req)
+    return a.graph._push("rows_scale", (a, s), av * sv[:, None], back)
 
 
 def reciprocal(a: Node) -> Node:
@@ -222,51 +215,47 @@ def reciprocal(a: Node) -> Node:
     if np.any(av == 0.0):
         raise NumericError("reciprocal of zero")
     out = 1.0 / av
-    back = (lambda go: (-go * out * out,)) if a.requires_grad else None
-    return a.graph._push("reciprocal", (a.idx,), out, back, a.requires_grad)
+    return a.graph._push("reciprocal", (a,), out, lambda go: (-go * out * out,))
 
 
 def matmul(a: Node, b: Node) -> Node:
-    g = _same_graph(a, b)
     av, bv = a.value, b.value
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ContractViolation(f"matmul: {av.shape} @ {bv.shape}")
     a_req, b_req = a.requires_grad, b.requires_grad
-    req = a_req or b_req
 
     def back(go):
         ga = go @ bv.T if a_req else None
         gb = av.T @ go if b_req else None
         return (ga, gb)
 
-    return g._push("matmul", (a.idx, b.idx), av @ bv, back if req else None, req)
+    return a.graph._push("matmul", (a, b), av @ bv, back)
 
 
 def transpose(a: Node) -> Node:
     if a.value.ndim != 2:
         raise ContractViolation("transpose expects a matrix")
-    back = (lambda go: (go.T,)) if a.requires_grad else None
-    return a.graph._push("transpose", (a.idx,), np.ascontiguousarray(a.value.T),
-                         back, a.requires_grad)
+    return a.graph._push("transpose", (a,), np.ascontiguousarray(a.value.T),
+                         lambda go: (go.T,))
 
 
 def tanh(a: Node) -> Node:
     out = np.tanh(a.value)
-    back = (lambda go: (go * (1.0 - out * out),)) if a.requires_grad else None
-    return a.graph._push("tanh", (a.idx,), out, back, a.requires_grad)
+    return a.graph._push("tanh", (a,), out,
+                         lambda go: (go * (1.0 - out * out),))
 
 
 def sigmoid(a: Node) -> Node:
     # 0.5*(1+tanh(x/2)) is stable for large |x|
     out = 0.5 * (1.0 + np.tanh(0.5 * a.value))
-    back = (lambda go: (go * out * (1.0 - out),)) if a.requires_grad else None
-    return a.graph._push("sigmoid", (a.idx,), out, back, a.requires_grad)
+    return a.graph._push("sigmoid", (a,), out,
+                         lambda go: (go * out * (1.0 - out),))
 
 
 def absolute(a: Node) -> Node:
     av = a.value
-    back = (lambda go: (go * np.sign(av),)) if a.requires_grad else None
-    return a.graph._push("abs", (a.idx,), np.abs(av), back, a.requires_grad)
+    return a.graph._push("abs", (a,), np.abs(av),
+                         lambda go: (go * np.sign(av),))
 
 
 def sqrt(a: Node) -> Node:
@@ -274,13 +263,8 @@ def sqrt(a: Node) -> Node:
     if np.any(av < 0.0):
         raise NumericError("sqrt of a negative value")
     out = np.sqrt(av)
-
-    def back(go):
-        # derivative blows up at 0; callers add an epsilon under the root
-        return (go * 0.5 / out,)
-
-    return a.graph._push("sqrt", (a.idx,), out,
-                         back if a.requires_grad else None, a.requires_grad)
+    # the derivative blows up at 0; callers add an epsilon under the root
+    return a.graph._push("sqrt", (a,), out, lambda go: (go * 0.5 / out,))
 
 
 def softmax(a: Node, axis: int = -1) -> Node:
@@ -293,8 +277,7 @@ def softmax(a: Node, axis: int = -1) -> Node:
         dot = (go * out).sum(axis=axis, keepdims=True)
         return (out * (go - dot),)
 
-    return a.graph._push("softmax", (a.idx,), out,
-                         back if a.requires_grad else None, a.requires_grad)
+    return a.graph._push("softmax", (a,), out, back)
 
 
 def embed(table: Node, ids) -> Node:
@@ -305,34 +288,27 @@ def embed(table: Node, ids) -> Node:
         raise ContractViolation("embed expects a (V, E) table")
     if ids.size and (ids.min() < 0 or ids.max() >= tv.shape[0]):
         raise ContractViolation("embed: id out of range")
-    out = tv[ids]
 
     def back(go):
         gt = np.zeros_like(tv)
         np.add.at(gt, ids, go)
         return (gt,)
 
-    return table.graph._push("embed", (table.idx,), out,
-                             back if table.requires_grad else None,
-                             table.requires_grad)
+    return table.graph._push("embed", (table,), tv[ids], back)
 
 
 def concat(nodes, axis: int = -1) -> Node:
-    nodes = list(nodes)
+    nodes = tuple(nodes)
     if not nodes:
         raise ContractViolation("concat of nothing")
-    g = _same_graph(*nodes)
     vals = [n.value for n in nodes]
     out = np.concatenate(vals, axis=axis)
-    req = any(n.requires_grad for n in nodes)
-    sizes = [v.shape[axis] for v in vals]
-    splits = np.cumsum(sizes[:-1])
+    splits = np.cumsum([v.shape[axis] for v in vals[:-1]])
 
     def back(go):
         return tuple(np.ascontiguousarray(p) for p in np.split(go, splits, axis=axis))
 
-    return g._push("concat", tuple(n.idx for n in nodes), out,
-                   back if req else None, req)
+    return nodes[0].graph._push("concat", nodes, out, back)
 
 
 def narrow(a: Node, axis: int, start: int, length: int) -> Node:
@@ -343,35 +319,30 @@ def narrow(a: Node, axis: int, start: int, length: int) -> Node:
     key = [slice(None)] * av.ndim
     key[axis] = slice(start, start + length)
     key = tuple(key)
-    out = np.ascontiguousarray(av[key])
 
     def back(go):
         ga = np.zeros_like(av)
         ga[key] = go
         return (ga,)
 
-    return a.graph._push("narrow", (a.idx,), out,
-                         back if a.requires_grad else None, a.requires_grad)
+    return a.graph._push("narrow", (a,), np.ascontiguousarray(av[key]), back)
 
 
 def mean_all(a: Node) -> Node:
     av = a.value
     n = av.size
-    back = (lambda go: (np.full_like(av, float(go) / n),)) if a.requires_grad else None
-    return a.graph._push("mean_all", (a.idx,), np.asarray(av.mean()), back,
-                         a.requires_grad)
+    return a.graph._push("mean_all", (a,), np.asarray(av.mean()),
+                         lambda go: (np.full_like(av, float(go) / n),))
 
 
 def sum_axis(a: Node, axis: int) -> Node:
     av = a.value
-    out = av.sum(axis=axis)
 
     def back(go):
         return (np.ascontiguousarray(np.broadcast_to(np.expand_dims(go, axis),
                                                      av.shape)),)
 
-    return a.graph._push("sum_axis", (a.idx,), out,
-                         back if a.requires_grad else None, a.requires_grad)
+    return a.graph._push("sum_axis", (a,), av.sum(axis=axis), back)
 
 
 def cross_entropy(logits: Node, targets, weights=None) -> Node:
@@ -410,9 +381,7 @@ def cross_entropy(logits: Node, targets, weights=None) -> Node:
         gl *= (w / wsum)[:, None]
         return (gl * float(go),)
 
-    return logits.graph._push("cross_entropy", (logits.idx,), out,
-                              back if logits.requires_grad else None,
-                              logits.requires_grad)
+    return logits.graph._push("cross_entropy", (logits,), out, back)
 
 
 def tile_rows(a: Node, n: int) -> Node:
@@ -420,9 +389,8 @@ def tile_rows(a: Node, n: int) -> Node:
     av = a.value
     if av.ndim != 2 or av.shape[0] != 1:
         raise ContractViolation("tile_rows expects a single-row matrix")
-    out = np.repeat(av, n, axis=0)
-    back = (lambda go: (go.sum(axis=0, keepdims=True),)) if a.requires_grad else None
-    return a.graph._push("tile_rows", (a.idx,), out, back, a.requires_grad)
+    return a.graph._push("tile_rows", (a,), np.repeat(av, n, axis=0),
+                         lambda go: (go.sum(axis=0, keepdims=True),))
 
 
 def straight_through(soft: Node, hard) -> Node:
@@ -430,9 +398,7 @@ def straight_through(soft: Node, hard) -> Node:
     hard = np.ascontiguousarray(hard, dtype=np.float64)
     if hard.shape != soft.value.shape:
         raise ContractViolation("straight_through: shape mismatch")
-    back = (lambda go: (go,)) if soft.requires_grad else None
-    return soft.graph._push("straight_through", (soft.idx,), hard, back,
-                            soft.requires_grad)
+    return soft.graph._push("straight_through", (soft,), hard, lambda go: (go,))
 
 
 def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
@@ -453,7 +419,6 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
     composition. The gates are checked for non-finite values as well as
     the output: a saturated sigmoid would otherwise hide an overflow.
     """
-    g = _same_graph(x, state, w_ih, w_hh, b)
     xv, sv, ih, hh, bv = x.value, state.value, w_ih.value, w_hh.value, b.value
     H = hh.shape[0]
     B = sv.shape[0]
@@ -479,8 +444,8 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
     if n < B:
         out = np.concatenate([out, sv[n:]])
 
-    reqs = tuple(node.requires_grad for node in (x, state, w_ih, w_hh, b))
-    x_req, s_req, ih_req, hh_req, b_req = reqs
+    parents = (x, state, w_ih, w_hh, b)
+    x_req, s_req, ih_req, hh_req, b_req = (p.requires_grad for p in parents)
 
     def back(go):
         dh, dc = go[:n, :H], go[:n, H:]
@@ -504,9 +469,7 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
                 h.T @ dgates if hh_req else None,
                 dgates.sum(axis=0) if b_req else None)
 
-    req = any(reqs)
-    return g._push("lstm_cell", (x.idx, state.idx, w_ih.idx, w_hh.idx, b.idx),
-                   out, back if req else None, req)
+    return x.graph._push("lstm_cell", parents, out, back)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,32 @@ def lstm2_model(sentiment_data):
     return VictimClassifier(vocab, kind="lstm2", n_classes=2, seed=5)
 
 
-def _rewrite_header(buf: bytes, mutate) -> bytes:
-    """Parse out the JSON header, apply `mutate`, and reassemble the file."""
+def _replace_header(buf: bytes, make) -> bytes:
+    """Parse out the JSON header, replace it by `make(header)`, and
+    reassemble the file."""
     hlen = struct.unpack("<I", buf[12:16])[0]
-    header = json.loads(buf[16:16 + hlen].decode("utf-8"))
-    mutate(header)
+    header = make(json.loads(buf[16:16 + hlen].decode("utf-8")))
     blob = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     return buf[:12] + struct.pack("<I", len(blob)) + blob + buf[16 + hlen:]
+
+
+def _rewrite_header(buf: bytes, mutate) -> bytes:
+    """Parse out the JSON header, apply `mutate` in place, and reassemble
+    the file."""
+    def make(header):
+        mutate(header)
+        return header
+    return _replace_header(buf, make)
+
+
+# headers that parse as JSON but not as a checkpoint header
+MALFORMED_HEADERS = {
+    "number": lambda h: 7,
+    "string-naming-every-key": lambda h: " ".join(h),
+    "kind-not-a-string": lambda h: dict(h, kind=[h["kind"]]),
+    "tensors-not-a-list": lambda h: dict(h, tensors=5),
+}
 
 
 class TestRoundTrip:
@@ -130,6 +148,14 @@ class TestCorruption:
         path, buf = saved
         path.write_bytes(_rewrite_header(buf, lambda h: h.pop("seed")))
         with pytest.raises(CheckpointConsistencyError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_names_path(self, saved, case):
+        path, buf = saved
+        path.write_bytes(_replace_header(buf, MALFORMED_HEADERS[case]))
+        with pytest.raises(CheckpointConsistencyError,
+                           match=re.escape(f"{path}: ")):
             load_checkpoint(path)
 
     def test_unknown_kind(self, saved):

@@ -5,6 +5,7 @@ import inspect
 import json
 import logging
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -105,6 +106,19 @@ def test_corrupt_checkpoint_exits_one(tmp_path, workbench):
                    str(tmp_path / "t.json"), "--attacked-class", "1") == 1
 
 
+def test_checkpoint_header_not_an_object_exits_one(tmp_path, workbench,
+                                                   caplog, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"NUTSCKPT" + struct.pack("<II", 1, 1) + b"7")
+    assert run_cli("transfer", "--data-dir", str(workbench["data"]),
+                   "--victim", str(bad), "--selected", str(bad), "--out",
+                   str(tmp_path / "t.json"), "--attacked-class", "1") == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert f"{bad}: header is not a JSON object" in errors[0]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_missing_checkpoint_file_exits_one(tmp_path, workbench):
     assert run_cli("transfer", "--data-dir", str(workbench["data"]),
                    "--victim", str(tmp_path / "nope.ckpt"), "--selected",
@@ -126,9 +140,22 @@ def test_attack_workers_below_one_exits_two(tmp_path, workbench, workers):
     assert not (out / "candidates.jsonl").exists()
 
 
+def test_attack_outputs_do_not_depend_on_workers(tmp_path, workbench):
+    # 9 restarts make two chunks, so two workers run a pool
+    outs = [tmp_path / f"w{n}" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        argv = list(_attack_args(workbench, out, "--workers", str(n)))
+        argv[argv.index("--n-inits") + 1] = "9"
+        assert run_cli(*argv) == 0
+    for name in ("candidates.jsonl", "selected.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def _command_args(wb, command, out, data=None, selected=None):
     """Every required option of `command`, reading the corpus in `data`
     (the workbench's by default) and writing under `out`."""
+    if command == "make-synth":
+        return ["make-synth", "--out-dir", str(out)]
     data = str(data or wb["data"])
     if command.startswith("train-"):
         argv = [command, "--data-dir", data, "--out", str(out / "model.ckpt"),
@@ -657,6 +684,8 @@ def test_explicit_lexicon_is_excluded(tmp_path, workbench):
     ("attack", "--eps", "nan"),
     ("attack", "--eta", "inf"),
     ("train-lm", "--lr", "nan"),
+    ("make-synth", "--train-size", "0"),
+    ("make-synth", "--dev-size", "-1"),
 ])
 def test_out_of_range_config_value_exits_two(tmp_path, workbench, caplog,
                                              command, flag, value):

@@ -11,6 +11,7 @@ from nutsearch import gradcore as gc
 from nutsearch.errors import ContractViolation, NumericError
 
 from helpers import fd_grad, rel_err
+from test_acceptance import _op_cases
 
 RNG = np.random.default_rng
 
@@ -275,6 +276,47 @@ class TestBackwardContract:
         assert l1 == l2
         assert np.array_equal(gx1, gx2)
         assert np.array_equal(gw1, gw2)
+
+
+OP_CASES = _op_cases()
+
+# each op with several parents, and parent shapes it accepts
+MULTI_PARENT = {
+    "add": (gc.add, [(2, 3), (2, 3)]),
+    "sub": (gc.sub, [(2, 3), (2, 3)]),
+    "add_bias": (gc.add_bias, [(2, 3), (3,)]),
+    "mul": (gc.mul, [(2, 3), (2, 3)]),
+    "rows_scale": (gc.rows_scale, [(2, 3), (2,)]),
+    "matmul": (gc.matmul, [(2, 3), (3, 2)]),
+    "concat": (lambda *nodes: gc.concat(nodes), [(2, 3), (2, 3)]),
+    "lstm_cell": (gc.lstm_cell, [(2, 2), (2, 4), (2, 8), (2, 8), (8,)]),
+}
+
+
+class TestGraphRules:
+    """The graph, not the op, decides which graph a node is on, whether
+    it needs a gradient, and whether it keeps a backward closure."""
+
+    @pytest.mark.parametrize("name,x0,build", OP_CASES,
+                             ids=[name for name, _, _ in OP_CASES])
+    def test_gradient_needed_iff_an_input_needs_one(self, name, x0, build):
+        g = gc.Graph()
+        loss = build(g, g.leaf(np.array(x0)))
+        assert not loss.requires_grad
+        assert all(e.back is None for e in g._entries)
+        g = gc.Graph()
+        assert build(g, g.leaf(np.array(x0), requires_grad=True)).requires_grad
+
+    @pytest.mark.parametrize("op,pos", [
+        (op, k) for op, (_, shapes) in MULTI_PARENT.items()
+        for k in range(len(shapes))])
+    def test_nodes_of_two_graphs_rejected(self, op, pos):
+        fn, shapes = MULTI_PARENT[op]
+        g, other = gc.Graph(), gc.Graph()
+        args = [(other if k == pos else g).leaf(RNG(k).standard_normal(shape))
+                for k, shape in enumerate(shapes)]
+        with pytest.raises(ContractViolation, match="different graphs"):
+            fn(*args)
 
 
 def _peak_bytes(fn):
