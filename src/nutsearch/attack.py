@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import gradcore as gc
 from .config import derive_init_seeds
-from .errors import ArtifactError, ConfigError, ContractViolation
+from .errors import ArtifactError, ContractViolation
 from .evaluation import accuracy_under_trigger
 from .gradcore import Graph, Node, Tensor, l2_project
 from .models import ARAEModel, ScoringLM, VictimClassifier
@@ -260,9 +261,8 @@ def _openblas_function(*symbols):
 
 
 def _one_blas_thread():
-    """Pool initializer: OpenBLAS runs one thread in each worker, so
-    `workers` processes run that many BLAS threads, not `workers` times
-    the cores."""
+    """Pool initializer: OpenBLAS runs one thread in each worker, so a
+    pool of N processes runs N BLAS threads, not N times the cores."""
     fn = _openblas_function("scipy_openblas_set_num_threads64_",
                             "openblas_set_num_threads")
     if fn is not None:
@@ -271,17 +271,22 @@ def _one_blas_thread():
 
 
 def nuts_attack(models: AttackModels, dev_subset: list[Example],
-                cfg: AttackConfig, workers: int = 1):
+                cfg: AttackConfig, workers: int | None = None):
     """Run n_inits independent candidates and rerank.
 
     The derived seeds are split, in order, into chunks of CHUNK_SIZE;
     each chunk climbs as the rows of one graph. The chunks run in turn,
-    or across a pool of `workers` processes with one BLAS thread each.
+    or across a pool of `workers` processes with one BLAS thread each: by
+    default one per CPU this process may run on, never more than chunks.
     Returns (selected, candidates); the candidate list follows the
     derived seed order, and neither it nor the split depends on
     `workers`."""
+    if workers is None:  # the affinity set, so `taskset` limits the pool
+        workers = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+        raise ContractViolation(f"workers must be >= 1, got {workers}")
     _check_subset(dev_subset, cfg.attacked_class)
     seeds = derive_init_seeds(cfg.seed, cfg.n_inits)
     chunks = [seeds[lo:lo + CHUNK_SIZE]

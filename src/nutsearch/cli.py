@@ -61,21 +61,23 @@ SYNTH_DEFAULTS = dict(task="sentiment", seed=11, train_size=2400,
                       dev_size=400, test_size=400)
 # evaluate and transfer
 _REPORT_DEFAULTS = dict(attacked_class=-1)
-ATTACK_DEFAULTS = dict(attacked_class=-1, trigger_length=3, eps=10.0,
-                       eta=1000.0, steps=1000, n_inits=256, lam=0.05,
-                       tau_start=1.0, tau_end=0.1, batch_size=32,
-                       normalize_gradient=False, seed=0, workers=1)
+ATTACK_DEFAULTS = dataclasses.asdict(AttackConfig(attacked_class=-1))
 # attack-baseline registers the flags of every kind, but each kind reads
-# only its own keys: a flag or config key of another kind exits 2
-_BASELINE_COMMON = dict(attacked_class=-1, trigger_length=3, seed=0)
+# only its own: a flag or config key of another kind exits 2
+_BASELINE_COMMON = {k: ATTACK_DEFAULTS[k]
+                    for k in ("attacked_class", "trigger_length", "seed")}
 BASELINE_DEFAULTS = {
-    "token-gradient": dict(_BASELINE_COMMON, top_k=20, beam_width=3,
-                           max_sweeps=5, filler="the"),
-    "random-arae": dict(_BASELINE_COMMON, n_inits=256),
-    "random-seq": dict(_BASELINE_COMMON, n_inits=256),
+    "token-gradient": dict(_BASELINE_COMMON,
+                           **dataclasses.asdict(TokenGradientConfig())),
+    "random-arae": dict(_BASELINE_COMMON, n_inits=ATTACK_DEFAULTS["n_inits"]),
+    "random-seq": dict(_BASELINE_COMMON, n_inits=ATTACK_DEFAULTS["n_inits"]),
 }
 _BASELINE_FLAGS = {key: val for defaults in BASELINE_DEFAULTS.values()
                    for key, val in defaults.items()}
+# the least value of each key, in every command that has it; below it a
+# size is empty and a seed is one no random generator accepts
+_MINIMUMS = dict(seed=0, train_size=1, dev_size=1, test_size=1,
+                 trigger_length=1, n_inits=1)
 # the model kinds each checkpoint flag accepts
 CHECKPOINT_KINDS = {"arae": ("arae",), "victim": VictimClassifier.KINDS,
                     "lm": ("lm",)}
@@ -99,6 +101,9 @@ def _resolve(args, defaults: dict) -> dict:
     resolved = resolve_config(defaults, file_values, flag_values, path)
     # the keys whose value came from the config file, for _config_error
     args.file_keys = {k for k in file_values if flag_values.get(k) is None}
+    for key, low in _MINIMUMS.items():
+        if resolved.get(key, low) < low:
+            raise _config_error(args, f"{key} must be >= {low}")
     log.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
     return resolved
 
@@ -139,9 +144,6 @@ def _cmd_make_synth(args) -> int:
     cfg = _resolve(args, SYNTH_DEFAULTS)
     if cfg["task"] not in td.TASK_TEXTS:
         raise _config_error(args, f"unknown task {cfg['task']!r}")
-    for key in ("train_size", "dev_size", "test_size"):
-        if cfg[key] < 1:
-            raise _config_error(args, f"{key} must be >= 1")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     split, vocab = td.make_synthetic(
@@ -244,14 +246,11 @@ def _cmd_attack(args) -> int:
     y = _require_class(args, resolved, split)
     mask = td.intersect_vocab(victim.vocab, generator.vocab, exclude=exclude)
     models = AttackModels(generator, victim, lm, mask)
-    # the results do not depend on `workers`, so neither does the hash
-    settings = {k: v for k, v in resolved.items() if k != "workers"}
-    cfg = _checked(args, AttackConfig, **settings)
+    cfg = _checked(args, AttackConfig, **resolved)
     dev_subset = _class_subset(split.dev, y)
-    selected, candidates = nuts_attack(models, dev_subset, cfg,
-                                       workers=resolved["workers"])
+    selected, candidates = nuts_attack(models, dev_subset, cfg)
     _attack_outputs(args, selected, candidates, "nuts",
-                    config_hash(settings), victim, split, y)
+                    config_hash(resolved), victim, split, y)
     return 0
 
 
@@ -260,10 +259,6 @@ def _cmd_attack_baseline(args) -> int:
     resolved = _resolve(args, BASELINE_DEFAULTS[kind])
     if kind == "random-arae" and not args.arae:
         raise ConfigError("--arae checkpoint is required")
-    # the baseline functions reject these as contract violations (exit 1)
-    for key in ("trigger_length", "n_inits"):
-        if resolved.get(key, 1) < 1:
-            raise _config_error(args, f"{key} must be >= 1")
     generator, victim, lm, split, exclude = _load_attack_models(args)
     y = _require_class(args, resolved, split)
     dev_subset = _class_subset(split.dev, y)

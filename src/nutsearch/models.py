@@ -26,6 +26,7 @@ from .gradcore import Graph, Node, Tensor
 from .textdata import Vocab
 
 LOGIT_BAN = -1e9  # additive penalty for disallowed tokens; keeps softmax finite
+LOGITS_BATCH = 512  # texts per graph in VictimClassifier.logits_batch
 
 
 def _uniform(rng, shape, k) -> Tensor:
@@ -493,17 +494,17 @@ class VictimClassifier(_ModelBase):
                 if self.kind == "pair" and premises is not None else None)
         return self.forward_embs(g, P, prefix, ids, lengths, emb_noise, prem)
 
-    def logits_batch(self, texts, premises=None, batch_size: int = 512,
+    def logits_batch(self, texts, premises=None,
                      prefix: list[int] = ()) -> np.ndarray:
-        """Logits in chunks of `batch_size` texts, each text preceded by
+        """Logits in chunks of LOGITS_BATCH texts, each text preceded by
         the token ids of `prefix`."""
         out = []
-        for lo in range(0, len(texts), batch_size):
+        for lo in range(0, len(texts), LOGITS_BATCH):
             g = Graph()
             P = self.lift(g)
             rows = [gc.embed(P["emb"], [t]) for t in prefix]
-            chunk_prem = premises[lo : lo + batch_size] if premises else None
-            node = self.logits_ids(g, P, texts[lo : lo + batch_size],
+            chunk_prem = premises[lo : lo + LOGITS_BATCH] if premises else None
+            node = self.logits_ids(g, P, texts[lo : lo + LOGITS_BATCH],
                                    chunk_prem, prefix=rows)
             out.append(node.value)
         return np.concatenate(out, axis=0)

@@ -117,13 +117,13 @@ def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
 
 
 def train_classifier(split: Split, vocab: Vocab, arch: str, n_classes: int,
-                     cfg: TrainConfig, emb_dim=32, hidden_dim=64,
-                     metrics_path=None, model: VictimClassifier | None = None):
+                     cfg: TrainConfig, metrics_path=None,
+                     model: VictimClassifier | None = None, **sizes):
     """Supervised training on the train split; returns (model, metrics)."""
     init_seed, shuffle_seed, noise_seed = derive_init_seeds(cfg.seed, 3)
     if model is None:
-        model = VictimClassifier(vocab, arch, n_classes, emb_dim=emb_dim,
-                                 hidden_dim=hidden_dim, seed=init_seed)
+        model = VictimClassifier(vocab, arch, n_classes, **sizes,
+                                 seed=init_seed)
     rng = np.random.default_rng(shuffle_seed)
     noise_rng = np.random.default_rng(noise_seed)
     opt = SGD(model.weights, cfg.lr, cfg.momentum, cfg.clip_norm)
@@ -184,11 +184,14 @@ def classifier_accuracy(model: VictimClassifier, examples) -> float:
 # scoring language model
 
 
-def lm_corpus_ce(model: ScoringLM, examples, batch_size: int = 256) -> float:
+LM_EVAL_BATCH = 256  # examples per graph in lm_corpus_ce
+
+
+def lm_corpus_ce(model: ScoringLM, examples) -> float:
     """Token-weighted mean CE over a list of Examples."""
     tot_ce, tot_tok = 0.0, 0
-    for lo in range(0, len(examples), batch_size):
-        texts = [ex.text for ex in examples[lo : lo + batch_size]]
+    for lo in range(0, len(examples), LM_EVAL_BATCH):
+        texts = [ex.text for ex in examples[lo : lo + LM_EVAL_BATCH]]
         g = Graph()
         ce = model.batch_ce(g, model.lift(g), texts)
         n = sum(len(t) for t in texts)
@@ -197,13 +200,12 @@ def lm_corpus_ce(model: ScoringLM, examples, batch_size: int = 256) -> float:
     return tot_ce / tot_tok
 
 
-def train_lm(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
-             hidden_dim=64, metrics_path=None, model: ScoringLM | None = None):
+def train_lm(split: Split, vocab: Vocab, cfg: TrainConfig, metrics_path=None,
+             model: ScoringLM | None = None, **sizes):
     """Next-token training on the train split; returns (model, metrics)."""
     init_seed, shuffle_seed = derive_init_seeds(cfg.seed, 2)
     if model is None:
-        model = ScoringLM(vocab, emb_dim=emb_dim, hidden_dim=hidden_dim,
-                          seed=init_seed)
+        model = ScoringLM(vocab, **sizes, seed=init_seed)
     rng = np.random.default_rng(shuffle_seed)
     opt = SGD(model.weights, cfg.lr, cfg.momentum, cfg.clip_norm)
     texts = [ex.text for ex in split.train]
@@ -230,19 +232,14 @@ AE_PARTS = ("emb_enc", "emb_dec", "enc.", "enc_proj.", "dec.", "dec_init.",
 ENC_PARTS = ("emb_enc", "enc.", "enc_proj.")
 
 
-def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, emb_dim=32,
-               hidden_dim=64, latent_dim=32, noise_dim=16, gen_hidden=64,
-               critic_hidden=64, latent_scale=1.0, metrics_path=None,
-               model: ARAEModel | None = None):
+def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, metrics_path=None,
+               model: ARAEModel | None = None, **sizes):
     """Three phases per batch: (1) reconstruction, (2) critic with a
     gradient penalty at interpolates, (3) adversarial encoder/generator.
     Returns (model, metrics)."""
     init_seed, shuffle_seed, noise_seed = derive_init_seeds(cfg.seed, 3)
     if model is None:
-        model = ARAEModel(vocab, emb_dim=emb_dim, hidden_dim=hidden_dim,
-                          latent_dim=latent_dim, noise_dim=noise_dim,
-                          gen_hidden=gen_hidden, critic_hidden=critic_hidden,
-                          latent_scale=latent_scale, seed=init_seed)
+        model = ARAEModel(vocab, **sizes, seed=init_seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     noise_rng = np.random.default_rng(noise_seed)
 

@@ -1,4 +1,7 @@
-"""Shared test utilities: finite-difference gradients and small oracles."""
+"""Shared test utilities: finite-difference gradients, small oracles and
+a CPU count to size the attack's pool by."""
+
+import os
 
 import numpy as np
 
@@ -25,3 +28,11 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     denom = max(1e-12, float(np.abs(a).max()), float(np.abs(b).max()))
     return float(np.abs(a - b).max()) / denom
+
+
+def see_cpus(monkeypatch, n: int) -> None:
+    """Make this process see n CPUs, as its affinity set and as the
+    machine's count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)

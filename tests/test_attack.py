@@ -15,12 +15,12 @@ from nutsearch import textdata as td
 from nutsearch.attack import (AttackConfig, AttackModels, TriggerCandidate,
                               attack_step, derive_init_seeds, nuts_attack,
                               rerank, run_candidate)
-from nutsearch.errors import ConfigError, ContractViolation
+from nutsearch.errors import ContractViolation
 from nutsearch.gradcore import Graph, Tensor, l2_project
 from nutsearch.models import ARAEModel, ScoringLM, VictimClassifier
 from nutsearch.textdata import Example
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, rel_err, see_cpus
 
 RNG = np.random.default_rng
 
@@ -363,22 +363,19 @@ class TestNutsAttack:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, tiny_models, tiny_dev,
                                         workers):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractViolation):
             nuts_attack(tiny_models, tiny_dev, _cfg(n_inits=2),
                         workers=workers)
 
-    # the jobs are chunks of CHUNK_SIZE (8) seeds, so 3 seeds are one job
-    # and run without a pool
-    @pytest.mark.parametrize("workers,n_inits,pools", [
-        (8, 3, []), (2, 3, []), (5, 1, []), (8, 20, [3]), (2, 10, [2])])
-    def test_pool_never_larger_than_jobs(self, tiny_models, tiny_dev,
-                                         monkeypatch, workers, n_inits,
-                                         pools):
-        made, chunks = [], []
+    @pytest.fixture
+    def pool_log(self, monkeypatch):
+        """The size of each pool nuts_attack makes, and the size of each
+        chunk it maps; the chunks run in this process."""
+        log = {"made": [], "chunks": []}
 
         class RecordingPool:
             def __init__(self, max_workers, initializer):
-                made.append(max_workers)
+                log["made"].append(max_workers)
 
             def __enter__(self):
                 return self
@@ -388,17 +385,40 @@ class TestNutsAttack:
 
             def map(self, fn, jobs):
                 jobs = list(jobs)
-                chunks.extend(len(seeds) for seeds, *_ in jobs)
+                log["chunks"].extend(len(seeds) for seeds, *_ in jobs)
                 return map(fn, jobs)
 
         monkeypatch.setattr(attack_mod, "ProcessPoolExecutor", RecordingPool)
+        return log
+
+    def _check_pools(self, models, dev, pool_log, workers, n_inits, pools):
         cfg = _cfg(steps=1, n_inits=n_inits)
-        _, got = nuts_attack(tiny_models, tiny_dev, cfg, workers=workers)
-        _, want = nuts_attack(tiny_models, tiny_dev, cfg, workers=1)
-        assert made == pools
+        _, got = nuts_attack(models, dev, cfg, workers=workers)
+        _, want = nuts_attack(models, dev, cfg, workers=1)
+        assert pool_log["made"] == pools
         if pools:
-            assert chunks == [8] * (n_inits // 8) + [n_inits % 8]
+            assert pool_log["chunks"] == [8] * (n_inits // 8) + [n_inits % 8]
         assert [c.tokens for c in got] == [c.tokens for c in want]
+
+    # the jobs are chunks of CHUNK_SIZE (8) seeds, so 3 seeds are one job
+    # and run without a pool
+    @pytest.mark.parametrize("workers,n_inits,pools", [
+        (8, 3, []), (2, 3, []), (5, 1, []), (8, 20, [3]), (2, 10, [2])])
+    def test_pool_never_larger_than_jobs(self, tiny_models, tiny_dev,
+                                         pool_log, workers, n_inits, pools):
+        self._check_pools(tiny_models, tiny_dev, pool_log, workers, n_inits,
+                          pools)
+
+    # by default, one process per CPU this process sees, but never more
+    # than there are chunks
+    @pytest.mark.parametrize("cpus,n_inits,pools", [
+        (1, 20, []), (3, 20, [3]), (8, 10, [2])])
+    def test_default_pool_follows_the_cpus(self, tiny_models, tiny_dev,
+                                           pool_log, monkeypatch, cpus,
+                                           n_inits, pools):
+        see_cpus(monkeypatch, cpus)
+        self._check_pools(tiny_models, tiny_dev, pool_log, None, n_inits,
+                          pools)
 
     def test_derived_seeds_deterministic(self):
         assert derive_init_seeds(9, 5) == derive_init_seeds(9, 5)

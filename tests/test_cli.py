@@ -6,16 +6,23 @@ import json
 import logging
 import shutil
 import struct
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import nutsearch.attack as attack_mod
 from nutsearch import textdata as td
+from nutsearch.attack import AttackConfig
 from nutsearch.checkpoint import load_checkpoint
-from nutsearch.cli import RECIPES, main
+from nutsearch.cli import (ATTACK_DEFAULTS, BASELINE_DEFAULTS, RECIPES,
+                           build_parser, main)
+from nutsearch.config import config_hash
 from nutsearch.models import MODEL_KINDS
 from nutsearch.textdata import sentiment_lexicon
 from nutsearch.trainers import TrainConfig
+
+from helpers import see_cpus
 
 
 def run_cli(*argv) -> int:
@@ -133,20 +140,25 @@ def test_bad_attacked_class_exits_two(tmp_path, workbench):
     assert run_cli(*argv) == 2
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_attack_workers_below_one_exits_two(tmp_path, workbench, workers):
-    out = tmp_path / "atk"
-    assert run_cli(*_attack_args(workbench, out, "--workers", workers)) == 2
-    assert not (out / "candidates.jsonl").exists()
+def test_attack_outputs_do_not_depend_on_workers(tmp_path, workbench,
+                                                monkeypatch):
+    # 9 restarts make two chunks: one CPU climbs both in this process,
+    # two CPUs run a pool of two
+    made = []
 
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, initializer):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers, initializer=initializer)
 
-def test_attack_outputs_do_not_depend_on_workers(tmp_path, workbench):
-    # 9 restarts make two chunks, so two workers run a pool
-    outs = [tmp_path / f"w{n}" for n in (1, 2)]
+    monkeypatch.setattr(attack_mod, "ProcessPoolExecutor", RecordingPool)
+    outs = [tmp_path / f"cpus{n}" for n in (1, 2)]
     for n, out in zip((1, 2), outs):
-        argv = list(_attack_args(workbench, out, "--workers", str(n)))
+        see_cpus(monkeypatch, n)
+        argv = list(_attack_args(workbench, out))
         argv[argv.index("--n-inits") + 1] = "9"
         assert run_cli(*argv) == 0
+    assert made == [2]
     for name in ("candidates.jsonl", "selected.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
@@ -174,6 +186,7 @@ def _command_args(wb, command, out, data=None, selected=None):
 
 
 @pytest.mark.parametrize("command,flag", [
+    ("attack", "--workers"),
     ("attack-baseline", "--steps"),
     ("train-lm", "--gp-weight"),
     ("train-classifier", "--lr-anneal"),
@@ -190,17 +203,40 @@ def test_flag_the_command_does_not_read_exits_two(tmp_path, workbench,
 
 
 @pytest.mark.parametrize("command,key", [
+    ("attack", "workers"),
     ("attack-baseline", "steps"),
     ("train-lm", "gp_weight"),
 ])
 def test_config_key_the_command_does_not_read_exits_two(tmp_path, workbench,
-                                                        command, key):
+                                                        caplog, command, key):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = 1\n")
+    cfg.write_text(f"{key} = 2\n")
     out = tmp_path / "out"
     assert run_cli(*_command_args(workbench, command, out), "--config",
                    str(cfg)) == 2
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and repr(key) in errors[0]
     assert not out.exists()
+
+
+def test_attack_keys_are_attack_config_fields(tmp_path, workbench):
+    args = build_parser().parse_args(_attack_args(workbench, tmp_path))
+    assert set(args.overrides) == {f.name for f in
+                                   dataclasses.fields(AttackConfig)}
+
+
+# the hash of each default config: a change to a default moves every run's
+# config_hash
+@pytest.mark.parametrize("command,digest", [
+    ("attack", "2474df082baf183b"),
+    ("token-gradient", "fab73b8bb7889d23"),
+    ("random-arae", "24cccef9390e0826"),
+    ("random-seq", "24cccef9390e0826"),
+])
+def test_default_config_hash_is_pinned(command, digest):
+    defaults = (ATTACK_DEFAULTS if command == "attack"
+                else BASELINE_DEFAULTS[command])
+    assert config_hash(defaults) == digest
 
 
 def test_recipes_hold_only_keys_that_are_read():
@@ -686,6 +722,12 @@ def test_explicit_lexicon_is_excluded(tmp_path, workbench):
     ("train-lm", "--lr", "nan"),
     ("make-synth", "--train-size", "0"),
     ("make-synth", "--dev-size", "-1"),
+    ("make-synth", "--seed", "-1"),
+    ("train-arae", "--seed", "-1"),
+    ("train-classifier", "--seed", "-1"),
+    ("train-lm", "--seed", "-1"),
+    ("attack", "--seed", "-1"),
+    ("random-seq", "--seed", "-1"),
 ])
 def test_out_of_range_config_value_exits_two(tmp_path, workbench, caplog,
                                              command, flag, value):
@@ -708,6 +750,7 @@ def test_out_of_range_config_value_exits_two(tmp_path, workbench, caplog,
     ("attack", "eps = nan"),
     ("train-lm", "lr = -1"),
     ("random-seq", "trigger_length = 0"),
+    ("make-synth", "seed = -1"),
 ])
 def test_bad_config_file_value_names_the_file(tmp_path, workbench, caplog,
                                               capsys, command, line):
