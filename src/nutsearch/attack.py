@@ -126,7 +126,8 @@ class AttackModels:
         return gc.scale(loss, K) if K > 1 else loss
 
     def decode_trigger(self, n: Tensor, length: int) -> list[str]:
-        z = self.generator.generate(n.data.reshape(-1))
+        """The greedy trigger of one (1, N) noise row."""
+        z = self.generator.generate(n)
         ids = self.generator.decode_greedy(z, length, self.allowed_mask)
         return self.generator.vocab.decode(ids)
 
@@ -134,28 +135,24 @@ class AttackModels:
 def attack_step(n_t: Tensor, n0: Tensor, batch: list[Example], models,
                 cfg: AttackConfig, tau: float | None = None,
                 rngs=None) -> Tensor:
-    """One projected-ascent update of K candidates, the rows of n_t (a
-    vector is one candidate): climb the gradient of the loss on `batch`,
-    K equal slices in row order, by eta, then project each row back into
-    the eps-ball around its row of n0. Row k draws its Gumbel noise from
-    rngs[k]."""
+    """One projected-ascent update of K candidates, the rows of n_t
+    (K x D): climb the gradient of the loss on `batch`, K equal slices in
+    row order, by eta, then project each row back into the eps-ball
+    around its row of n0. Row k draws its Gumbel noise from rngs[k]."""
     if not batch:
         raise ContractViolation("attack_step: empty batch")
     if tau is None:
         tau = cfg.tau_start
-    n, start = np.atleast_2d(n_t.data), np.atleast_2d(n0.data)
     if rngs is None:
-        rngs = [np.random.default_rng(0) for _ in n]
+        rngs = [np.random.default_rng(0) for _ in range(n_t.shape[0])]
     g = Graph()
     leaf = g.leaf(n_t, requires_grad=True)
     loss = models.build_loss(g, leaf, batch, tau, rngs, cfg)
-    grad = np.atleast_2d(gc.backward(g, loss)[leaf.idx].data)
+    grad = gc.backward(g, loss)[leaf.idx]
     if cfg.normalize_gradient:
         nrm = np.sqrt((grad * grad).sum(axis=1, keepdims=True))
         grad = grad / np.where(nrm > 0.0, nrm, 1.0)
-    rows = [l2_project(Tensor(x + cfg.eta * d), Tensor(x0), cfg.eps).data
-            for x, d, x0 in zip(n, grad, start)]
-    return Tensor(np.stack(rows).reshape(n_t.shape))
+    return Tensor(l2_project(n_t.data + cfg.eta * grad, n0.data, cfg.eps))
 
 
 def _check_subset(dev_subset: list[Example], y: int | None = None) -> int:

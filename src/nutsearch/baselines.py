@@ -60,7 +60,7 @@ def _trigger_loss(victim, trig_ids: list[int], batch: list[Example],
     if not want_grads:
         return float(loss.value), None
     grads = gc.backward(g, loss)
-    return float(loss.value), [grads[leaf.idx].data[0] for leaf in leaves]
+    return float(loss.value), [grads[leaf.idx][0] for leaf in leaves]
 
 
 def token_gradient_attack(victim, dev_subset: list[Example], length: int,

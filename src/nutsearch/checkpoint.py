@@ -29,7 +29,7 @@ from .errors import (CheckpointConsistencyError, CheckpointMagicError,
                      ContractViolation, NumericError)
 from .gradcore import Tensor
 from .models import MODEL_KINDS, model_from_parts
-from .textdata import Vocab
+from .textdata import SPECIALS, Vocab
 
 MAGIC = b"NUTSCKPT"
 VERSION = 1
@@ -145,21 +145,29 @@ def load_checkpoint(path):
 
     try:
         vocab = Vocab.from_jsonable(header["vocab"])
-    except (KeyError, TypeError, ContractViolation) as err:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ContractViolation) as err:
         raise CheckpointConsistencyError(
             f"{path}: bad vocab payload: {err}") from err
-    cls = MODEL_KINDS[kind]
-    for name in cls.vocab_sized:
-        if name not in weights:
-            raise CheckpointConsistencyError(
-                f"{path}: missing embedding tensor {name!r}")
-        if weights[name].data.shape[0] != len(vocab):
-            raise CheckpointConsistencyError(
-                f"{path}: vocab has {len(vocab)} entries but {name!r} has "
-                f"{weights[name].data.shape[0]} rows")
+    hp = header["hyperparams"]
     try:
-        model = model_from_parts(kind, header["hyperparams"], vocab, weights)
-    except (TypeError, ContractViolation) as err:
+        # weight names do not depend on sizes, so a probe with every
+        # integer size 1 names them without allocating what a header claims
+        probe = MODEL_KINDS[kind](Vocab(list(SPECIALS), {}), **{
+            k: 1 if type(v) is int else v for k, v in hp.items()})
+        model = model_from_parts(kind, hp, vocab, weights)
+    except (AttributeError, TypeError, ValueError, ContractViolation) as err:
         raise CheckpointConsistencyError(
             f"{path}: cannot rebuild model: {err}") from err
+    if weights.keys() != probe.weights.keys():
+        missing = sorted(probe.weights.keys() - weights.keys())
+        extra = sorted(weights.keys() - probe.weights.keys())
+        raise CheckpointConsistencyError(
+            f"{path}: tensors do not match a {kind} model's: missing "
+            f"{missing}, unexpected {extra}")
+    for name in model.vocab_sized:
+        if weights[name].data.shape[:1] != (len(vocab),):
+            raise CheckpointConsistencyError(
+                f"{path}: vocab has {len(vocab)} entries but {name!r} has "
+                f"shape {weights[name].data.shape}, not {len(vocab)} rows")
     return model, header

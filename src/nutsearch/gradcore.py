@@ -1,6 +1,9 @@
 """Reverse-mode autodiff over dense float64 arrays, plus the two attack
-primitives that live at the same level: projection onto an l2 ball and
-Gumbel-softmax sampling with a straight-through estimator.
+primitives that live at the same level: projection of (K, D) rows, each
+onto its own l2 ball, and Gumbel-softmax sampling with a straight-through
+estimator, whose noise takes one generator per row. A Tensor is a value
+checked once on the way in (a weight, a leaf input); what the graph hands
+back, node values and backward's gradients, are plain arrays.
 
 Design constraints, fixed on purpose:
 
@@ -58,13 +61,6 @@ class Tensor:
     @property
     def shape(self):
         return tuple(self.data.shape)
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -476,14 +472,15 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
 # backward
 
 
-def backward(graph: Graph, loss: Node) -> dict[int, Tensor]:
+def backward(graph: Graph, loss: Node) -> dict[int, np.ndarray]:
     """Accumulate dLoss/dLeaf for every leaf marked requires_grad.
 
-    Returns {leaf node id: gradient}; leaves the loss never touched get
-    exact zeros. Node values are left untouched, so several losses can
-    be differentiated from one graph. A node's gradient is dropped once
-    its backward has run, so at most the gradients of the nodes still
-    waiting for their backward are held at once.
+    Returns {leaf node id: gradient array}, each checked finite as it was
+    formed; leaves the loss never touched get exact zeros. Node values are
+    left untouched, so several losses can be differentiated from one
+    graph. A node's gradient is dropped once its backward has run, so at
+    most the gradients of the nodes still waiting for their backward are
+    held at once.
     """
     if loss.graph is not graph:
         raise ContractViolation("loss node belongs to a different graph")
@@ -515,11 +512,11 @@ def backward(graph: Graph, loss: Node) -> dict[int, Tensor]:
             else:
                 grads[pid] = grads[pid] + pg
 
-    out: dict[int, Tensor] = {}
+    out: dict[int, np.ndarray] = {}
     for idx, e in enumerate(entries):
         if e.kind == "leaf" and e.requires_grad:
             g = grads[idx] if idx <= loss.idx else None
-            out[idx] = Tensor(g) if g is not None else Tensor(np.zeros_like(e.value))
+            out[idx] = g if g is not None else np.zeros_like(e.value)
     return out
 
 
@@ -527,46 +524,44 @@ def backward(graph: Graph, loss: Node) -> dict[int, Tensor]:
 # attack primitives
 
 
-def l2_project(n: Tensor, n0: Tensor, eps: float) -> Tensor:
-    """Project n onto the l2 ball of radius eps around n0.
+def l2_project(n: np.ndarray, n0: np.ndarray, eps: float) -> np.ndarray:
+    """Project each row of n (K x D) onto the l2 ball of radius eps around
+    the same row of n0.
 
-    Interior points (within a 1e-12 relative margin, which also makes
-    the projection exactly idempotent) come back unchanged.
+    Rows inside the ball (within a 1e-12 relative margin, which also makes
+    the projection exactly idempotent) come back unchanged, and when every
+    row is inside, n itself comes back.
     """
-    if not isinstance(n, Tensor):
-        n = Tensor(n)
-    if not isinstance(n0, Tensor):
-        n0 = Tensor(n0)
-    if n.shape != n0.shape:
-        raise ContractViolation(f"l2_project: shape mismatch {n.shape} vs {n0.shape}")
+    if n.ndim != 2 or n.shape != n0.shape:
+        raise ContractViolation(f"l2_project: expected two (K, D) arrays, got "
+                                f"{n.shape} and {n0.shape}")
     eps = float(eps)
     if not eps > 0.0:
         raise ContractViolation("l2_project: eps must be positive")
-    d = n.data - n0.data
-    nrm = float(np.sqrt((d * d).sum()))
-    if nrm <= eps * (1.0 + 1e-12):
+    d = n - n0
+    nrm = np.sqrt((d * d).sum(axis=1))
+    out = nrm > eps * (1.0 + 1e-12)
+    if not out.any():
         return n
-    return Tensor(n0.data + d * (eps / nrm))
+    n = n.copy()
+    n[out] = n0[out] + d[out] * (eps / nrm[out])[:, None]
+    return n
 
 
-def sample_gumbel(shape, rng) -> np.ndarray:
-    """Standard Gumbel noise, G = -log(-log U) with U clipped into
-    (1e-12, 1 - 1e-12) so both logs stay finite. `rng` is a generator, or
-    a list of one generator per row of a (B, V) shape, which draws that
-    row's V uniforms."""
-    if isinstance(rng, list):
-        u = np.concatenate([r.random((1, shape[1])) for r in rng])
-    else:
-        u = rng.random(shape)
+def sample_gumbel(shape, rngs) -> np.ndarray:
+    """Standard Gumbel noise of a (B, V) shape, G = -log(-log U) with U
+    clipped into (1e-12, 1 - 1e-12) so both logs stay finite. `rngs` holds
+    one generator per row, which draws that row's V uniforms."""
+    u = np.concatenate([r.random((1, shape[1])) for r in rngs])
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
 
 
-def gumbel_softmax(logits: Node, tau: float, rng, hard: bool = False):
+def gumbel_softmax(logits: Node, tau: float, rngs, hard: bool = False):
     """Sample a relaxed categorical row-wise from logits (B x V).
 
     Returns (soft, sample): soft is softmax((logits + G)/tau), with G
-    drawn by `rng` as `sample_gumbel` draws it; with hard=True, sample
+    drawn by `rngs` as `sample_gumbel` draws it; with hard=True, sample
     forwards the one-hot argmax of soft but passes gradients through as
     if it were soft (straight-through), otherwise sample is soft itself.
     """
@@ -576,7 +571,7 @@ def gumbel_softmax(logits: Node, tau: float, rng, hard: bool = False):
     if lv.ndim != 2:
         raise ContractViolation("gumbel_softmax expects (B, V) logits")
     g = logits.graph
-    noise = g.constant(sample_gumbel(lv.shape, rng))
+    noise = g.constant(sample_gumbel(lv.shape, rngs))
     soft = softmax(scale(add(logits, noise), 1.0 / tau), axis=1)
     if not hard:
         return soft, soft

@@ -14,6 +14,10 @@ one engine carries every gradient in the pipeline:
 Victim texts are token ids, optionally preceded by embedding rows such
 as a trigger's; the attack passes decoded probability rows times the
 embedding table, which is what lets trigger gradients flow end to end.
+
+The generator works on rows: `generate` maps (K, N) noise rows to (K, Z)
+latent rows as a plain array, the greedy decoders take one (1, Z) row, and
+`decode_soft` draws each row's Gumbel noise with that row's own generator.
 """
 
 from __future__ import annotations
@@ -53,15 +57,22 @@ def step_masks(lengths: np.ndarray, n_steps: int) -> list[np.ndarray]:
     return [m[i] for i in range(n_steps)]
 
 
-def _init_lstm(rng, in_dim: int, hidden: int) -> dict[str, Tensor]:
+def _linear(w: dict, rng, weight: str, bias: str, n_in: int, n_out: int):
+    """Declare a dense layer: w[weight] (n_in x n_out), then w[bias]."""
+    k = 1.0 / np.sqrt(n_in)
+    w[weight] = _uniform(rng, (n_in, n_out), k)
+    w[bias] = _uniform(rng, (n_out,), k)
+
+
+def _lstm(w: dict, rng, name: str, in_dim: int, hidden: int):
+    """Declare LSTM `name`: its b is drawn before its ih and hh, but the
+    three are listed ih, hh, b, the order SGD sums the gradient norm in."""
     k = 1.0 / np.sqrt(hidden)
     b = rng.uniform(-k, k, size=4 * hidden)
     b[hidden : 2 * hidden] += 1.0  # open the forget gate at init
-    return {
-        "ih": _uniform(rng, (in_dim, 4 * hidden), k),
-        "hh": _uniform(rng, (hidden, 4 * hidden), k),
-        "b": Tensor(b),
-    }
+    w[f"{name}.ih"] = _uniform(rng, (in_dim, 4 * hidden), k)
+    w[f"{name}.hh"] = _uniform(rng, (hidden, 4 * hidden), k)
+    w[f"{name}.b"] = Tensor(b)
 
 
 def _lstm_cell(P, prefix, x: Node, state: Node, live=None) -> Node:
@@ -197,27 +208,15 @@ class ARAEModel(_ModelBase):
             "emb_enc": _uniform(rng, (V, E), 0.1),
             "emb_dec": _uniform(rng, (V, E), 0.1),
         }
-        for name, params in (("enc", _init_lstm(rng, E, H)),
-                             ("dec", _init_lstm(rng, E + Z, H))):
-            for suf, t in params.items():
-                w[f"{name}.{suf}"] = t
-        kH, kZ = 1.0 / np.sqrt(H), 1.0 / np.sqrt(Z)
-        w["enc_proj.w"] = _uniform(rng, (H, Z), kH)
-        w["enc_proj.b"] = _uniform(rng, (Z,), kH)
-        w["dec_init.w"] = _uniform(rng, (Z, H), kZ)
-        w["dec_init.b"] = _uniform(rng, (H,), kZ)
-        w["dec_out.w"] = _uniform(rng, (H, V), kH)
-        w["dec_out.b"] = _uniform(rng, (V,), kH)
-        kN, kG = 1.0 / np.sqrt(noise_dim), 1.0 / np.sqrt(gen_hidden)
-        w["gen.w1"] = _uniform(rng, (noise_dim, gen_hidden), kN)
-        w["gen.b1"] = _uniform(rng, (gen_hidden,), kN)
-        w["gen.w2"] = _uniform(rng, (gen_hidden, Z), kG)
-        w["gen.b2"] = _uniform(rng, (Z,), kG)
-        kC = 1.0 / np.sqrt(critic_hidden)
-        w["critic.w1"] = _uniform(rng, (Z, critic_hidden), kZ)
-        w["critic.b1"] = _uniform(rng, (critic_hidden,), kZ)
-        w["critic.w2"] = _uniform(rng, (critic_hidden, 1), kC)
-        w["critic.b2"] = _uniform(rng, (1,), kC)
+        _lstm(w, rng, "enc", E, H)
+        _lstm(w, rng, "dec", E + Z, H)
+        _linear(w, rng, "enc_proj.w", "enc_proj.b", H, Z)
+        _linear(w, rng, "dec_init.w", "dec_init.b", Z, H)
+        _linear(w, rng, "dec_out.w", "dec_out.b", H, V)
+        _linear(w, rng, "gen.w1", "gen.b1", noise_dim, gen_hidden)
+        _linear(w, rng, "gen.w2", "gen.b2", gen_hidden, Z)
+        _linear(w, rng, "critic.w1", "critic.b1", Z, critic_hidden)
+        _linear(w, rng, "critic.w2", "critic.b2", critic_hidden, 1)
         self.weights = w
 
     def hyperparams(self) -> dict:
@@ -259,16 +258,10 @@ class ARAEModel(_ModelBase):
         raw = gc.add_bias(gc.matmul(h, P["gen.w2"]), P["gen.b2"])
         return self._to_sphere(raw)
 
-    def generate(self, n) -> Tensor:
-        """Noise vector (N,) -> latent (Z,); inference convenience."""
-        n = np.asarray(n, dtype=np.float64)
-        if n.shape != (self.noise_dim,):
-            raise ContractViolation(f"generate: expected ({self.noise_dim},), "
-                                    f"got {n.shape}")
+    def generate(self, n) -> np.ndarray:
+        """Noise rows (K, N) -> latent rows (K, Z); inference convenience."""
         g = Graph()
-        P = self.lift(g)
-        z = self.generate_node(g, P, g.leaf(n[None, :]))
-        return Tensor(z.value[0])
+        return self.generate_node(g, self.lift(g), g.leaf(n)).value
 
     # -- critic
 
@@ -349,22 +342,23 @@ class ARAEModel(_ModelBase):
         return steps
 
     def decode_greedy(self, z, length: int, allowed_mask) -> list[int]:
-        """Deterministic argmax decode of exactly `length` tokens."""
+        """Deterministic argmax decode of exactly `length` tokens from a
+        (1, Z) latent row."""
         return self._argmax_decode(z, length, self._ban_vector(allowed_mask),
                                    stop_at_eos=False)
 
     def decode_until_eos(self, z, max_len: int = 12) -> list[int]:
-        """Greedy decode with EOS enabled; used for sample-quality checks."""
+        """Greedy decode from a (1, Z) latent row with EOS enabled; used
+        for sample-quality checks."""
         penalty = np.zeros(len(self.vocab))
         penalty[[self.vocab.pad_id, self.vocab.unk_id, self.vocab.bos_id]] = LOGIT_BAN
         return self._argmax_decode(z, max_len, penalty, stop_at_eos=True)
 
     def _argmax_decode(self, z, max_len: int, penalty: np.ndarray,
                        stop_at_eos: bool) -> list[int]:
-        z = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
         g = Graph()
         P = self.lift(g)
-        zn = g.leaf(z[None, :])
+        zn = g.leaf(z)
         state = self.dec_init_state(g, P, zn)
         tok = self.vocab.bos_id
         out = []
@@ -401,28 +395,15 @@ class VictimClassifier(_ModelBase):
         rng = np.random.default_rng(seed)
         V, E, H, C = len(vocab), emb_dim, hidden_dim, n_classes
         w: dict[str, Tensor] = {"emb": _uniform(rng, (V, E), 0.1)}
-        kH = 1.0 / np.sqrt(H)
         if kind == "lstm2":
-            for name, params in (("l1", _init_lstm(rng, E, H)),
-                                 ("l2", _init_lstm(rng, H, H))):
-                for suf, t in params.items():
-                    w[f"{name}.{suf}"] = t
-            w["head.w"] = _uniform(rng, (H, C), kH)
-            w["head.b"] = _uniform(rng, (C,), kH)
+            _lstm(w, rng, "l1", E, H)
+            _lstm(w, rng, "l2", H, H)
         elif kind == "bag":
-            kE = 1.0 / np.sqrt(E)
-            w["fc1.w"] = _uniform(rng, (E, H), kE)
-            w["fc1.b"] = _uniform(rng, (H,), kE)
-            w["head.w"] = _uniform(rng, (H, C), kH)
-            w["head.b"] = _uniform(rng, (C,), kH)
+            _linear(w, rng, "fc1.w", "fc1.b", E, H)
         else:  # pair: one encoder shared by premise and hypothesis
-            for suf, t in _init_lstm(rng, E, H).items():
-                w[f"enc.{suf}"] = t
-            k4 = 1.0 / np.sqrt(4 * H)
-            w["fc1.w"] = _uniform(rng, (4 * H, H), k4)
-            w["fc1.b"] = _uniform(rng, (H,), k4)
-            w["head.w"] = _uniform(rng, (H, C), kH)
-            w["head.b"] = _uniform(rng, (C,), kH)
+            _lstm(w, rng, "enc", E, H)
+            _linear(w, rng, "fc1.w", "fc1.b", 4 * H, H)
+        _linear(w, rng, "head.w", "head.b", H, C)
         self.weights = w
 
     def hyperparams(self) -> dict:
@@ -532,8 +513,7 @@ class ScoringLM(_ModelBase):
         rng = np.random.default_rng(seed)
         V, E, H = len(vocab), emb_dim, hidden_dim
         w: dict[str, Tensor] = {"emb": _uniform(rng, (V, E), 0.1)}
-        for suf, t in _init_lstm(rng, E, H).items():
-            w[f"lstm.{suf}"] = t
+        _lstm(w, rng, "lstm", E, H)
         # zero output layer: the untrained model is exactly uniform
         w["out.w"] = Tensor(np.zeros((H, V)))
         w["out.b"] = Tensor(np.zeros(V))

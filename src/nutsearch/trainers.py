@@ -96,7 +96,7 @@ def _sgd_step(model, opt: SGD, phase: str, build) -> Node:
         raw = gc.backward(g, loss)
     except NumericError as err:
         raise TrainingDiverged(f"{phase}: {err}") from err
-    opt.step({name: raw[node.idx].data for name, node in P.items()
+    opt.step({name: raw[node.idx] for name, node in P.items()
               if node.requires_grad})
     return loss
 

@@ -221,7 +221,7 @@ def _op_cases():
              gc.softmax(l, axis=-1),
              _softmax_rows(l.value)), W34)),
         ("gumbel_soft", W35,
-         lambda g, l: wsum(gc.gumbel_softmax(l, tau=0.7, rng=RNG(6),
+         lambda g, l: wsum(gc.gumbel_softmax(l, tau=0.7, rngs=[RNG(6)] * 3,
                                              hard=False)[0], W35)),
     ] + cell_cases
 
@@ -259,7 +259,7 @@ def test_gradients_match_finite_differences(e2e, fd_models):
         x0 = np.array(x0, dtype=np.float64)
         g = Graph()
         leaf = g.leaf(x0, requires_grad=True)
-        got = gc.backward(g, build(g, leaf))[leaf.idx].data
+        got = gc.backward(g, build(g, leaf))[leaf.idx]
 
         def f(x, build=build):
             g2 = Graph()
@@ -286,7 +286,7 @@ def test_gradients_match_finite_differences(e2e, fd_models):
     leaf = g.leaf(n0, requires_grad=True)
     loss = models.build_loss(g, leaf, dev[:2], tau=1.0, rngs=[RNG(5)],
                              cfg=cfg, hard=False)
-    got = gc.backward(g, loss)[leaf.idx].data
+    got = gc.backward(g, loss)[leaf.idx]
     pipe_err = rel_err(got, fd_grad(pipeline, n0.copy()))
     pipe_ok = pipe_err <= PIPELINE_TOL
 
@@ -309,22 +309,21 @@ def test_noise_ball_projection_properties(e2e):
     interior_seen = exterior_seen = 0
     for _ in range(1000):
         dim = int(r.integers(1, 9))
-        n0 = Tensor(r.standard_normal(dim) * float(r.uniform(0.5, 3.0)))
-        n = Tensor(n0.data + r.standard_normal(dim) * float(r.uniform(0, 3)))
+        n0 = r.standard_normal((1, dim)) * float(r.uniform(0.5, 3.0))
+        n = n0 + r.standard_normal((1, dim)) * float(r.uniform(0, 3))
         eps = float(r.uniform(0.1, 4.0))
-        dist = float(np.linalg.norm(n.data - n0.data))
+        dist = float(np.linalg.norm(n - n0))
         p = gc.l2_project(n, n0, eps)
-        in_ball &= float(np.linalg.norm(p.data - n0.data)) \
-            <= eps * (1.0 + 1e-12)
+        in_ball &= float(np.linalg.norm(p - n0)) <= eps * (1.0 + 1e-12)
         if dist <= eps:
             interior_seen += 1
-            identity &= np.array_equal(p.data, n.data)
+            identity &= np.array_equal(p, n)
         else:
             exterior_seen += 1
         pp = gc.l2_project(p, n0, eps)
-        idempotent &= np.array_equal(pp.data, p.data)
-    out = gc.l2_project(Tensor([3.0, 4.0]), Tensor([0.0, 0.0]), 2.5)
-    analytic = np.array_equal(out.data, np.array([1.5, 2.0]))
+        idempotent &= np.array_equal(pp, p)
+    out = gc.l2_project(np.array([[3.0, 4.0]]), np.zeros((1, 2)), 2.5)
+    analytic = np.array_equal(out, np.array([[1.5, 2.0]]))
     dt = time.perf_counter() - t0
     ok = (in_ball and identity and idempotent and analytic
           and interior_seen >= 100 and exterior_seen >= 100 and dt < 10.0)
@@ -345,7 +344,8 @@ def test_gumbel_sampling_and_straight_through(e2e):
     n = 100_000
     g = Graph()
     logits = g.constant(np.tile(row, (n, 1)))
-    _, sample = gc.gumbel_softmax(logits, tau=1.0, rng=RNG(8), hard=True)
+    _, sample = gc.gumbel_softmax(logits, tau=1.0, rngs=[RNG(8)] * n,
+                                  hard=True)
     freq = sample.value.mean(axis=0)
     e = np.exp(row - row.max())
     p = e / e.sum()
@@ -358,9 +358,10 @@ def test_gumbel_sampling_and_straight_through(e2e):
     def grads(hard):
         g2 = Graph()
         leaf = g2.leaf(x, requires_grad=True)
-        _, s = gc.gumbel_softmax(leaf, tau=0.5, rng=RNG(5), hard=hard)
+        _, s = gc.gumbel_softmax(leaf, tau=0.5, rngs=[RNG(5)] * 3,
+                                 hard=hard)
         return gc.backward(g2, gc.mean_all(gc.mul(s, g2.constant(w))))[
-            leaf.idx].data
+            leaf.idx]
 
     st_equal = np.array_equal(grads(True), grads(False))
     dt = time.perf_counter() - t0

@@ -124,20 +124,26 @@ class TestAttackStep:
         n0 = Tensor(np.zeros((1, 4)))
         n_t = Tensor(np.full((1, 4), 0.2))
         got = attack_step(n_t, n0, tiny_dev, _ZeroLossModels(), cfg)
-        want = l2_project(n_t, n0, cfg.eps)
-        assert np.array_equal(got.data, want.data)
+        want = l2_project(n_t.data, n0.data, cfg.eps)
+        assert np.array_equal(got.data, want)
 
     def test_identity_pipeline_one_step_clips_at_ball(self, tiny_dev):
         cfg = _cfg(eps=0.5, eta=1.0)
-        n0 = Tensor(np.zeros(1))
+        n0 = Tensor(np.zeros((1, 1)))
         got = attack_step(n0, n0, tiny_dev, _IdentityLossModels(), cfg)
-        assert got.data.shape == (1,)
-        assert abs(got.data[0] - 0.5) < 1e-12
+        assert got.data.shape == (1, 1)
+        assert abs(got.data[0, 0] - 0.5) < 1e-12
 
     def test_empty_batch_rejected(self, tiny_models):
         with pytest.raises(ContractViolation):
             attack_step(Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))),
                         [], tiny_models, _cfg())
+
+    def test_noise_vector_rejected(self, tiny_models, tiny_dev):
+        # the noise is (K, D) rows; a bare vector is no candidate
+        n = Tensor(np.zeros(6))
+        with pytest.raises(ContractViolation, match="matmul"):
+            attack_step(n, n, tiny_dev[:1], tiny_models, _cfg())
 
     def test_batch_splits_into_one_slice_per_row(self, tiny_models,
                                                  tiny_dev):
@@ -165,7 +171,7 @@ class TestAttackStep:
         leaf = g.leaf(n0, requires_grad=True)
         loss = tiny_models.build_loss(g, leaf, batch, tau=1.0, rngs=[RNG(5)],
                                       cfg=cfg, hard=False)
-        got = gc.backward(g, loss)[leaf.idx].data
+        got = gc.backward(g, loss)[leaf.idx]
         want = fd_grad(f, n0.copy(), h=1e-5)
         assert rel_err(got, want) <= 1e-3
 
@@ -211,7 +217,7 @@ class TestAttackStep:
 
     def test_normalized_gradient_step_length(self, tiny_dev):
         cfg = _cfg(eps=50.0, eta=0.25, normalize_gradient=True)
-        n0 = Tensor(np.zeros(3))
+        n0 = Tensor(np.zeros((1, 3)))
         got = attack_step(n0, n0, tiny_dev, _IdentityLossModels(), cfg)
         # gradient of the mean is (1/3, 1/3, 1/3); normalized to unit length
         assert abs(np.linalg.norm(got.data) - 0.25) < 1e-12
@@ -423,6 +429,34 @@ class TestNutsAttack:
     def test_derived_seeds_deterministic(self):
         assert derive_init_seeds(9, 5) == derive_init_seeds(9, 5)
         assert len(set(derive_init_seeds(9, 64))) == 64
+
+
+class TestBenchmarkCalls:
+    """The calls the benchmark (perfbench/) makes into the package, in its
+    shapes: a renamed argument or a changed return would otherwise show
+    only when the benchmark runs."""
+
+    def test_setup_probe_warm_up_step(self, tiny_models, tiny_dev):
+        # perfbench/setup_probe.py: one (1, D) row, tau and rngs defaulted
+        cfg = AttackConfig(attacked_class=1, eta=0.5, normalize_gradient=True)
+        n0 = Tensor(RNG(0).standard_normal(
+            (1, tiny_models.generator.noise_dim)))
+        out = attack_step(n0, n0, tiny_dev[:cfg.batch_size], tiny_models, cfg)
+        assert isinstance(out, Tensor) and out.shape == n0.shape
+        assert np.isclose(np.linalg.norm(out.data - n0.data), cfg.eta)
+
+    def test_stages_search_attack(self, tiny_models, tiny_dev):
+        # perfbench/stages.py's search: in-process, read as (selected,
+        # candidates) with each candidate's seed, tokens, m1 and m2
+        cfg = _cfg(steps=1, n_inits=3, seed=4)
+        selected, candidates = attack_mod.nuts_attack(tiny_models, tiny_dev,
+                                                      cfg, workers=1)
+        assert ([c.init_seed for c in candidates]
+                == derive_init_seeds(cfg.seed, cfg.n_inits))
+        assert selected is rerank(candidates, cfg.lam)
+        for c in candidates:
+            assert c.tokens and all(isinstance(t, str) for t in c.tokens)
+            assert np.isfinite(c.m1) and np.isfinite(c.m2)
 
 
 class TestCandidateDump:

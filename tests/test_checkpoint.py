@@ -10,6 +10,7 @@ import pytest
 from nutsearch.checkpoint import VERSION, load_checkpoint, save_checkpoint
 from nutsearch.errors import (CheckpointConsistencyError, CheckpointMagicError,
                               CheckpointTruncatedError, CheckpointVersionError)
+from nutsearch.gradcore import Tensor
 from nutsearch.models import ARAEModel, ScoringLM, VictimClassifier
 
 
@@ -174,6 +175,40 @@ class TestCorruption:
                 h["vocab"]["freq"].pop(t, None)
         path.write_bytes(_rewrite_header(buf, mutate))
         with pytest.raises(CheckpointConsistencyError, match="rows"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("freq", [
+        lambda f: dict(f, the="often"),  # a count that is not an integer
+        lambda f: sorted(f),             # a list, not a token -> count map
+    ], ids=["count-not-int", "freq-a-list"])
+    def test_bad_vocab_counts_name_path(self, saved, freq):
+        path, buf = saved
+        def mutate(h):
+            h["vocab"]["freq"] = freq(h["vocab"]["freq"])
+        path.write_bytes(_rewrite_header(buf, mutate))
+        with pytest.raises(CheckpointConsistencyError,
+                           match=re.escape(f"{path}: bad vocab payload")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change,name", [
+        (lambda w: w.pop("l1.b"), "l1.b"),
+        (lambda w: w.update({"l3.b": w["l2.b"]}), "l3.b"),
+    ], ids=["missing", "extra"])
+    def test_tensor_names_must_be_the_kinds(self, saved, lstm2_model,
+                                            change, name):
+        path, _ = saved
+        change(lstm2_model.weights)
+        save_checkpoint(lstm2_model, path)
+        with pytest.raises(CheckpointConsistencyError,
+                           match=re.escape(f"{path}: ") + f".*'{name}'"):
+            load_checkpoint(path)
+
+    def test_embedding_of_rank_zero_names_path(self, saved, lstm2_model):
+        path, _ = saved
+        lstm2_model.weights["emb"] = Tensor(np.asarray(1.0))
+        save_checkpoint(lstm2_model, path)
+        with pytest.raises(CheckpointConsistencyError,
+                           match=re.escape(f"{path}: vocab has")):
             load_checkpoint(path)
 
     def test_tensor_order_mismatch(self, saved):

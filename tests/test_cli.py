@@ -14,7 +14,7 @@ import pytest
 import nutsearch.attack as attack_mod
 from nutsearch import textdata as td
 from nutsearch.attack import AttackConfig
-from nutsearch.checkpoint import load_checkpoint
+from nutsearch.checkpoint import load_checkpoint, save_checkpoint
 from nutsearch.cli import (ATTACK_DEFAULTS, BASELINE_DEFAULTS, RECIPES,
                            build_parser, main)
 from nutsearch.config import config_hash
@@ -124,6 +124,27 @@ def test_checkpoint_header_not_an_object_exits_one(tmp_path, workbench,
     assert len(errors) == 1
     assert f"{bad}: header is not a JSON object" in errors[0]
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect", ["tensor-missing", "count-not-int"])
+def test_malformed_checkpoint_exits_one(tmp_path, workbench, attack_dir,
+                                        caplog, capsys, defect):
+    lm, _ = load_checkpoint(workbench["lm"])
+    if defect == "tensor-missing":
+        del lm.weights["lstm.b"]
+    else:
+        lm.vocab.freq["the"] = "often"
+    bad = tmp_path / "lm.ckpt"
+    save_checkpoint(lm, bad)
+    out = tmp_path / "report.json"
+    assert run_cli("evaluate", "--data-dir", str(workbench["data"]),
+                   "--victim", str(workbench["victim"]), "--lm", str(bad),
+                   "--selected", str(attack_dir / "selected.json"),
+                   "--attacked-class", "1", "--out-json", str(out)) == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and str(bad) in errors[0]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_checkpoint_file_exits_one(tmp_path, workbench):

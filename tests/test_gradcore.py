@@ -23,7 +23,7 @@ def _grad_of(build, x0):
     g = gc.Graph()
     x = g.leaf(np.asarray(x0, dtype=np.float64), requires_grad=True)
     loss = build(g, x)
-    return gc.backward(g, loss)[x.idx].data
+    return gc.backward(g, loss)[x.idx]
 
 
 def _check_op(build, x0, tol=FD_TOL):
@@ -45,7 +45,7 @@ class TestOpGradients:
         x = g.leaf(np.asarray(3.0), requires_grad=True)
         loss = gc.mul(x, x)
         grads = gc.backward(g, loss)
-        assert grads[x.idx].data == pytest.approx(6.0, abs=0.0)
+        assert grads[x.idx] == pytest.approx(6.0, abs=0.0)
 
     def test_constant_gets_exact_zero(self):
         g = gc.Graph()
@@ -53,7 +53,7 @@ class TestOpGradients:
         unused = g.leaf(np.asarray([5.0, 5.0]), requires_grad=True)
         loss = gc.mean_all(gc.mul(x, x))
         grads = gc.backward(g, loss)
-        assert np.array_equal(grads[unused.idx].data, np.zeros(2))
+        assert np.array_equal(grads[unused.idx], np.zeros(2))
 
     def test_add(self):
         r = RNG(0)
@@ -251,14 +251,14 @@ class TestBackwardContract:
         g1 = gc.backward(g, loss)
         g2 = gc.backward(g, loss)
         assert np.array_equal(y.value, before)
-        assert np.array_equal(g1[x.idx].data, g2[x.idx].data)
+        assert np.array_equal(g1[x.idx], g2[x.idx])
 
     def test_fanout_accumulates(self):
         g = gc.Graph()
         x = g.leaf(np.asarray(2.0), requires_grad=True)
         loss = gc.add(gc.mul(x, x), gc.scale(x, 3.0))  # x^2 + 3x
         grads = gc.backward(g, loss)
-        assert float(grads[x.idx].data) == pytest.approx(7.0, abs=0.0)
+        assert float(grads[x.idx]) == pytest.approx(7.0, abs=0.0)
 
     def test_determinism_bit_identical(self):
         def run():
@@ -269,7 +269,7 @@ class TestBackwardContract:
             h = gc.softmax(gc.matmul(gc.tanh(x), w), axis=1)
             loss = gc.mean_all(gc.mul(h, h))
             grads = gc.backward(g, loss)
-            return float(loss.value), grads[x.idx].data, grads[w.idx].data
+            return float(loss.value), grads[x.idx], grads[w.idx]
 
         l1, gx1, gw1 = run()
         l2, gx2, gw2 = run()
@@ -363,52 +363,84 @@ class TestMemory:
         assert peak < 2.5 * logits.nbytes
 
 
+def _project_one(n, n0, eps):
+    """The one-vector projection that the row-wise l2_project replaced,
+    kept as the reference each of its rows must match bit for bit."""
+    d = n - n0
+    nrm = float(np.sqrt((d * d).sum()))
+    if nrm <= eps * (1.0 + 1e-12):
+        return n
+    return n0 + d * (eps / nrm)
+
+
 class TestL2Project:
     def test_analytic_case_exact(self):
-        out = gc.l2_project(gc.Tensor([3.0, 4.0]), gc.Tensor([0.0, 0.0]), 2.5)
-        assert np.array_equal(out.data, np.array([1.5, 2.0]))
+        out = gc.l2_project(np.array([[3.0, 4.0]]), np.zeros((1, 2)), 2.5)
+        assert np.array_equal(out, np.array([[1.5, 2.0]]))
 
     def test_interior_identity(self):
-        n0 = gc.Tensor([1.0, 1.0])
-        n = gc.Tensor([1.0, 1.0 + 0.5])  # distance eps/2 for eps=1
+        n0 = np.array([[1.0, 1.0]])
+        n = np.array([[1.0, 1.0 + 0.5]])  # distance eps/2 for eps=1
         out = gc.l2_project(n, n0, 1.0)
         assert out is n
 
     def test_center_stays(self):
-        n0 = gc.Tensor([2.0, -3.0])
+        n0 = np.array([[2.0, -3.0]])
         out = gc.l2_project(n0, n0, 0.1)
-        assert np.array_equal(out.data, n0.data)
+        assert np.array_equal(out, n0)
 
     def test_random_suite(self):
         r = RNG(2024)
         for _ in range(1000):
             dim = int(r.integers(1, 9))
-            n0 = gc.Tensor(r.standard_normal(dim) * 3.0)
-            n = gc.Tensor(r.standard_normal(dim) * 5.0)
+            n0 = r.standard_normal((1, dim)) * 3.0
+            n = r.standard_normal((1, dim)) * 5.0
             eps = float(r.random() * 4.0 + 1e-3)
             p = gc.l2_project(n, n0, eps)
-            d = p.data - n0.data
+            d = p - n0
             assert float(np.sqrt((d * d).sum())) <= eps * (1.0 + 1e-12)
             # exact idempotence
             pp = gc.l2_project(p, n0, eps)
-            assert np.array_equal(pp.data, p.data)
+            assert np.array_equal(pp, p)
             # interior identity
-            inside = gc.Tensor(n0.data + d * (0.5 * eps / max(1e-9, np.linalg.norm(d))))
+            inside = n0 + d * (0.5 * eps / max(1e-9, np.linalg.norm(d)))
             q = gc.l2_project(inside, n0, eps)
-            assert np.array_equal(q.data, inside.data)
+            assert np.array_equal(q, inside)
+
+    @pytest.mark.parametrize("K", [1, 4, 8])
+    def test_rows_match_one_vector_projection(self, K):
+        """Each row is projected onto its own ball exactly as the
+        one-vector projection projects it alone, with the rows inside, on
+        and outside their balls mixed in one call."""
+        r = RNG(K)
+        for i in range(200):
+            dim = int(r.choice([1, 3, 16, 33]))
+            n0 = r.standard_normal((K, dim)) * 3.0
+            d = r.standard_normal((K, dim))
+            eps = float(r.random() * 4.0 + 1e-3)
+            # row k's distance is eps times 0.5 (inside), 1 (on the sphere,
+            # to rounding) or 2 (outside), in turn across rows and calls
+            ratio = np.array([0.5, 1.0, 2.0])[(np.arange(K) + i) % 3]
+            n = n0 + d * (ratio * eps / np.linalg.norm(d, axis=1))[:, None]
+            got = gc.l2_project(n, n0, eps)
+            want = np.stack([_project_one(a, b, eps) for a, b in zip(n, n0)])
+            assert np.array_equal(got, want)
 
     def test_bad_args(self):
         with pytest.raises(ContractViolation):
-            gc.l2_project(gc.Tensor([1.0]), gc.Tensor([1.0, 2.0]), 1.0)
+            gc.l2_project(np.ones((1, 1)), np.ones((1, 2)), 1.0)
         with pytest.raises(ContractViolation):
-            gc.l2_project(gc.Tensor([1.0]), gc.Tensor([1.0]), 0.0)
+            gc.l2_project(np.ones(2), np.ones(2), 1.0)
+        with pytest.raises(ContractViolation):
+            gc.l2_project(np.ones((1, 1)), np.ones((1, 1)), 0.0)
 
 
 class TestGumbelSoftmax:
     def test_peaked_logits_pick_argmax(self):
         g = gc.Graph()
         logits = g.constant(np.tile(np.array([10.0, 0.0, 0.0]), (10_000, 1)))
-        _, sample = gc.gumbel_softmax(logits, tau=0.5, rng=RNG(7), hard=True)
+        _, sample = gc.gumbel_softmax(logits, tau=0.5,
+                                      rngs=[RNG(7)] * 10_000, hard=True)
         freq0 = sample.value[:, 0].mean()
         assert freq0 >= 0.99
 
@@ -418,7 +450,8 @@ class TestGumbelSoftmax:
         n = 100_000
         g = gc.Graph()
         logits = g.constant(np.tile(row, (n, 1)))
-        _, sample = gc.gumbel_softmax(logits, tau=1.0, rng=RNG(8), hard=True)
+        _, sample = gc.gumbel_softmax(logits, tau=1.0, rngs=[RNG(8)] * n,
+                                      hard=True)
         freq = sample.value.mean(axis=0)
         e = np.exp(row - row.max())
         p = e / e.sum()
@@ -428,7 +461,8 @@ class TestGumbelSoftmax:
     def test_rows_sum_to_one(self):
         g = gc.Graph()
         logits = g.leaf(RNG(1).standard_normal((4, 6)), requires_grad=True)
-        soft, sample = gc.gumbel_softmax(logits, tau=0.7, rng=RNG(2), hard=True)
+        soft, sample = gc.gumbel_softmax(logits, tau=0.7, rngs=[RNG(2)] * 4,
+                                         hard=True)
         assert np.allclose(soft.value.sum(axis=1), 1.0, atol=1e-12)
         assert np.array_equal(sample.value.sum(axis=1), np.ones(4))
         assert np.array_equal(sample.value[sample.value > 0], np.ones(4))
@@ -441,9 +475,10 @@ class TestGumbelSoftmax:
         def grads(hard):
             g = gc.Graph()
             logits = g.leaf(row, requires_grad=True)
-            _, sample = gc.gumbel_softmax(logits, tau=0.5, rng=RNG(5), hard=hard)
+            _, sample = gc.gumbel_softmax(logits, tau=0.5, rngs=[RNG(5)] * 3,
+                                          hard=hard)
             loss = gc.mean_all(gc.mul(sample, g.constant(w)))
-            return gc.backward(g, loss)[logits.idx].data
+            return gc.backward(g, loss)[logits.idx]
 
         assert np.array_equal(grads(True), grads(False))
 
@@ -451,7 +486,7 @@ class TestGumbelSoftmax:
         r = RNG(43)
         row = r.standard_normal((2, 4))
         w = r.standard_normal((2, 4))
-        gumbel = gc.sample_gumbel((2, 4), RNG(6))
+        gumbel = gc.sample_gumbel((2, 4), [RNG(6)] * 2)
 
         def f_graph(x, want_grad):
             g = gc.Graph()
@@ -462,15 +497,29 @@ class TestGumbelSoftmax:
             return g, logits, loss
 
         g, logits, loss = f_graph(row, True)
-        got = gc.backward(g, loss)[logits.idx].data
+        got = gc.backward(g, loss)[logits.idx]
         want = fd_grad(lambda x: float(f_graph(x, False)[2].value), row.copy())
         assert rel_err(got, want) <= FD_TOL
+
+    def test_one_generator_per_row_draws_as_one_draw_did(self):
+        """A shared generator draws the rows in turn, which is what one
+        rng.random((B, V)) call drew; distinct generators draw a row each."""
+        def gumbel(u):
+            u = np.clip(u, 1e-12, 1.0 - 1e-12)
+            return -np.log(-np.log(u))
+
+        for B, V in [(1, 1), (3, 7), (8, 33)]:
+            got = gc.sample_gumbel((B, V), [RNG(6)] * B)
+            assert np.array_equal(got, gumbel(RNG(6).random((B, V))))
+            got = gc.sample_gumbel((B, V), [RNG(k) for k in range(B)])
+            want = np.concatenate([RNG(k).random((1, V)) for k in range(B)])
+            assert np.array_equal(got, gumbel(want))
 
     def test_bad_tau(self):
         g = gc.Graph()
         logits = g.constant(np.zeros((1, 3)))
         with pytest.raises(ContractViolation):
-            gc.gumbel_softmax(logits, tau=0.0, rng=RNG(0))
+            gc.gumbel_softmax(logits, tau=0.0, rngs=[RNG(0)])
 
 
 def _unfused_cell(x, h, c, w_ih, w_hh, b, live=None):
@@ -545,7 +594,7 @@ class TestLSTMCell:
         grads = gc.backward(g, loss)
         return (float(loss.value),
                 [(h.value, c.value) for h, c in l1 + l2],
-                {k: grads[n.idx].data for k, n in P.items()})
+                {k: grads[n.idx] for k, n in P.items()})
 
     def test_bit_identical_to_unfused_composition(self):
         loss_f, states_f, grads_f = self._run(fused=True)

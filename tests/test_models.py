@@ -79,7 +79,7 @@ class TestARAE:
 
         g = gc.Graph()
         leaf = g.leaf(n0, requires_grad=True)
-        got = gc.backward(g, build(g, leaf))[leaf.idx].data
+        got = gc.backward(g, build(g, leaf))[leaf.idx]
 
         def f(x):
             g2 = gc.Graph()
@@ -88,11 +88,11 @@ class TestARAE:
         assert rel_err(got, fd_grad(f, n0.copy())) <= 1e-4
 
     def test_generate_inference_matches_node(self, tiny_arae):
-        n = RNG(2).standard_normal(tiny_arae.noise_dim)
+        n = RNG(2).standard_normal((3, tiny_arae.noise_dim))
         z = tiny_arae.generate(n)
         g = gc.Graph()
-        z2 = tiny_arae.generate_node(g, tiny_arae.lift(g), g.leaf(n[None, :]))
-        assert np.array_equal(z.data, z2.value[0])
+        z2 = tiny_arae.generate_node(g, tiny_arae.lift(g), g.leaf(n))
+        assert np.array_equal(z, z2.value)
 
     def test_critic_input_grad_matches_backward(self, tiny_arae):
         x = RNG(3).standard_normal((4, tiny_arae.latent_dim))
@@ -102,7 +102,7 @@ class TestARAE:
         # the mean's gradient times the row count is each row's own
         score = gc.scale(gc.mean_all(tiny_arae.critic_score(g, P, leaf)),
                          len(x))
-        want = gc.backward(g, score)[leaf.idx].data
+        want = gc.backward(g, score)[leaf.idx]
         got = tiny_arae.critic_input_grad(g, P, g.leaf(x)).value
         assert rel_err(got, want) <= 1e-12
 
@@ -126,12 +126,12 @@ class TestARAE:
 
     def test_decode_soft_zero_noise_cold_tau_equals_greedy(self, tiny_arae, tiny_vocab):
         mask = np.ones(len(tiny_vocab), dtype=bool)
-        n = RNG(6).standard_normal(tiny_arae.noise_dim)
+        n = RNG(6).standard_normal((1, tiny_arae.noise_dim))
         z = tiny_arae.generate(n)
         greedy = tiny_arae.decode_greedy(z, 5, mask)
         g = gc.Graph()
         P = tiny_arae.lift(g)
-        zn = g.leaf(z.data[None, :])
+        zn = g.leaf(z)
         steps = tiny_arae.decode_soft(g, P, zn, 5, tau=1e-3,
                                       rngs=[_ZeroGumbel()], allowed_mask=mask,
                                       hard=True)
@@ -139,11 +139,11 @@ class TestARAE:
 
     def test_decode_greedy_deterministic(self, tiny_arae, tiny_vocab):
         mask = np.ones(len(tiny_vocab), dtype=bool)
-        z = tiny_arae.generate(RNG(7).standard_normal(tiny_arae.noise_dim))
+        z = tiny_arae.generate(RNG(7).standard_normal((1, tiny_arae.noise_dim)))
         assert tiny_arae.decode_greedy(z, 3, mask) == tiny_arae.decode_greedy(z, 3, mask)
 
     def test_decode_until_eos_stops_or_caps(self, tiny_arae):
-        z = tiny_arae.generate(RNG(8).standard_normal(tiny_arae.noise_dim))
+        z = tiny_arae.generate(RNG(8).standard_normal((1, tiny_arae.noise_dim)))
         toks = tiny_arae.decode_until_eos(z, max_len=7)
         assert len(toks) <= 7
         assert tiny_arae.vocab.eos_id not in toks
@@ -151,7 +151,9 @@ class TestARAE:
 
     def test_generate_bad_shape(self, tiny_arae):
         with pytest.raises(ContractViolation):
-            tiny_arae.generate(np.zeros(tiny_arae.noise_dim + 1))
+            tiny_arae.generate(np.zeros((1, tiny_arae.noise_dim + 1)))
+        with pytest.raises(ContractViolation):
+            tiny_arae.generate(np.zeros(tiny_arae.noise_dim))
 
 
 class TestVictims:
@@ -215,7 +217,7 @@ class TestVictims:
         leaf_ids = [i for i, e in enumerate(g._entries)
                     if e.kind == "leaf" and e.requires_grad]
         grads = gc.backward(g, loss)
-        got = np.concatenate([grads[i].data for i in leaf_ids], axis=0)
+        got = np.concatenate([grads[i] for i in leaf_ids], axis=0)
         want = fd_grad(lambda x: float(loss_of(x)[1].value), rows.copy())
         assert rel_err(got, want) <= 1e-4
 
@@ -291,7 +293,7 @@ class TestFullSoftPipelineGradient:
 
         g = gc.Graph()
         leaf = g.leaf(n0, requires_grad=True)
-        got = gc.backward(g, build(g, leaf))[leaf.idx].data
+        got = gc.backward(g, build(g, leaf))[leaf.idx]
 
         def f(x):
             g2 = gc.Graph()

@@ -123,7 +123,7 @@ def _ref_trigger_loss(victim, trig_ids, batch):
     logits = _ref_victim_logits(victim, g, PV, leaves, batch)
     loss = gc.cross_entropy(logits, np.array([ex.label for ex in batch]))
     grads = gc.backward(g, loss)
-    return float(loss.value), [grads[leaf.idx].data[0] for leaf in leaves]
+    return float(loss.value), [grads[leaf.idx][0] for leaf in leaves]
 
 
 def _ref_build_loss(models, g, noise_leaf, batch, tau, rng, cfg, hard=True):
@@ -254,7 +254,7 @@ def test_build_loss_matches_inline_reference(vocab, kind, hard):
         g = Graph()
         leaf = g.leaf(n0, requires_grad=True)
         loss = build(g, leaf, batch, 0.7, rng, cfg, hard=hard)
-        out.append((float(loss.value), gc.backward(g, loss)[leaf.idx].data,
+        out.append((float(loss.value), gc.backward(g, loss)[leaf.idx],
                     len(g)))
     (got_loss, got_grad, got_nodes), (want_loss, want_grad, want_nodes) = out
     exact = kind == "bag"
@@ -321,8 +321,8 @@ def _victim_run(victim, forward, texts, premises, n_prefix, seed):
     loss = gc.cross_entropy(logits, r.integers(0, victim.n_classes,
                                                len(texts)))
     grads = gc.backward(g, loss)
-    named = {name: grads[node.idx].data for name, node in P.items()}
-    named.update({f"prefix{k}": grads[leaf.idx].data
+    named = {name: grads[node.idx] for name, node in P.items()}
+    named.update({f"prefix{k}": grads[leaf.idx]
                   for k, leaf in enumerate(prefix)})
     return logits.value, float(loss.value), named, len(g)
 
@@ -378,7 +378,7 @@ def test_arae_encode_is_bit_identical_to_keep_masked_reference(vocab):
         z = encode(g, P, ids, lengths)
         loss = gc.mean_all(gc.mul(z, g.constant(w)))
         grads = gc.backward(g, loss)
-        out.append((z.value, {name: grads[node.idx].data
+        out.append((z.value, {name: grads[node.idx]
                               for name, node in P.items()}))
     (got_z, got_grads), (want_z, want_grads) = out
     assert np.array_equal(got_z, want_z)
@@ -431,7 +431,7 @@ def test_k_rows_match_one_candidate_at_a_time(vocab, kind, hard):
     rngs = [_Recording(30 + k) for k in range(K)]
     loss = models.build_loss(g, leaf, [ex for s in slices for ex in s], 0.7,
                              rngs, cfg, hard=hard)
-    grad = gc.backward(g, loss)[leaf.idx].data
+    grad = gc.backward(g, loss)[leaf.idx]
     total = 0.0
     for k, batch in enumerate(slices):
         solo = _Recording(30 + k)
@@ -439,7 +439,7 @@ def test_k_rows_match_one_candidate_at_a_time(vocab, kind, hard):
         leaf1 = g1.leaf(n0[k:k + 1], requires_grad=True)
         ref = _ref_build_loss(models, g1, leaf1, batch, 0.7, solo, cfg,
                               hard=hard)
-        want = gc.backward(g1, ref)[leaf1.idx].data
+        want = gc.backward(g1, ref)[leaf1.idx]
         assert rel_err(grad[k:k + 1], want) <= TOL, k
         assert np.any(want != 0.0)
         assert len(rngs[k].draws) == len(solo.draws) == cfg.trigger_length
@@ -490,7 +490,7 @@ def test_batch_ce_matches_inline_reference(vocab):
         loss = build(g, P)
         grads = gc.backward(g, loss)
         out.append((float(loss.value),
-                    {name: grads[node.idx].data for name, node in P.items()}))
+                    {name: grads[node.idx] for name, node in P.items()}))
     (got_loss, got_grads), (want_loss, want_grads) = out
     assert got_loss == want_loss
     assert got_grads.keys() == want_grads.keys()

@@ -252,7 +252,7 @@ class TestARAETraining:
         model, _ = arae_sentiment
         rng = np.random.default_rng(123)
         outs = [tuple(model.decode_until_eos(
-            model.generate(rng.standard_normal(model.noise_dim))))
+            model.generate(rng.standard_normal((1, model.noise_dim)))))
             for _ in range(100)]
         valid = sum(1 for o in outs
                     if grammar_errors("sentiment", vocab.decode(o)) == 0)
