@@ -29,7 +29,7 @@ from .errors import (CheckpointConsistencyError, CheckpointMagicError,
                      ContractViolation, NumericError)
 from .gradcore import Tensor
 from .models import MODEL_KINDS, model_from_parts
-from .textdata import SPECIALS, Vocab
+from .textdata import Vocab
 
 MAGIC = b"NUTSCKPT"
 VERSION = 1
@@ -149,19 +149,15 @@ def load_checkpoint(path):
             ContractViolation) as err:
         raise CheckpointConsistencyError(
             f"{path}: bad vocab payload: {err}") from err
-    hp = header["hyperparams"]
     try:
-        # weight names do not depend on sizes, so a probe with every
-        # integer size 1 names them without allocating what a header claims
-        probe = MODEL_KINDS[kind](Vocab(list(SPECIALS), {}), **{
-            k: 1 if type(v) is int else v for k, v in hp.items()})
-        model = model_from_parts(kind, hp, vocab, weights)
+        model = model_from_parts(kind, header["hyperparams"], vocab, weights)
+        shapes = model.weight_shapes()
     except (AttributeError, TypeError, ValueError, ContractViolation) as err:
         raise CheckpointConsistencyError(
             f"{path}: cannot rebuild model: {err}") from err
-    if weights.keys() != probe.weights.keys():
-        missing = sorted(probe.weights.keys() - weights.keys())
-        extra = sorted(weights.keys() - probe.weights.keys())
+    if weights.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - weights.keys())
+        extra = sorted(weights.keys() - shapes.keys())
         raise CheckpointConsistencyError(
             f"{path}: tensors do not match a {kind} model's: missing "
             f"{missing}, unexpected {extra}")
@@ -170,4 +166,11 @@ def load_checkpoint(path):
             raise CheckpointConsistencyError(
                 f"{path}: vocab has {len(vocab)} entries but {name!r} has "
                 f"shape {weights[name].data.shape}, not {len(vocab)} rows")
+    for name, shape in shapes.items():
+        # a float or bool size would compare equal to an int one
+        if (weights[name].data.shape != shape
+                or any(type(d) is not int for d in shape)):
+            raise CheckpointConsistencyError(
+                f"{path}: tensor {name!r} has shape "
+                f"{weights[name].data.shape}, expected {shape}")
     return model, header

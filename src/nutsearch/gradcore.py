@@ -16,7 +16,9 @@ Design constraints, fixed on purpose:
   never a Node, and an entry records parent indices, so no graph is a
   reference cycle;
 * every op validates shapes eagerly and checks its output for NaN/Inf
-  (a silent non-finite value is always a bug upstream);
+  (a silent non-finite value is always a bug upstream); backward checks
+  only the leaf gradients it returns, and replays a checked pass to name
+  the op when one is not finite;
 * an LSTM step is one fused op, lstm_cell, on a packed [h | c] state with
   a hand-written backward; it steps only the first `live` rows, and it
   also checks its internal gates, because a saturated sigmoid would hide
@@ -54,7 +56,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("Tensor constructed with non-finite values")
         self.data = arr
 
@@ -130,7 +132,7 @@ class Graph:
                 raise ContractViolation("nodes belong to different graphs")
             ids.append(p.idx)
             req = req or entries[p.idx].requires_grad
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise NumericError(f"op '{kind}' produced a non-finite value")
         entries.append(_Entry(kind, ids, None, req, back if req else None))
         return Node(self, len(entries) - 1, value)
@@ -294,10 +296,16 @@ def embed(table: Node, ids) -> Node:
 
 
 def concat(nodes, axis: int = -1) -> Node:
+    """Join nodes of one rank along `axis`; every other size must match."""
     nodes = tuple(nodes)
     if not nodes:
         raise ContractViolation("concat of nothing")
     vals = [n.value for n in nodes]
+    shapes = [v.shape for v in vals]
+    nd = len(shapes[0])
+    ax = axis % nd if -nd <= axis < nd else None
+    if ax is None or len({(len(s), s[:ax] + s[ax + 1:]) for s in shapes}) > 1:
+        raise ContractViolation(f"concat: shapes {shapes} along axis {axis}")
     out = np.concatenate(vals, axis=axis)
     splits = np.cumsum([v.shape[axis] for v in vals[:-1]])
 
@@ -430,7 +438,7 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
     h = sv[:n, :H]
     c = sv[:n, H:]
     gates = (xn @ ih + h @ hh) + bv
-    if not np.all(np.isfinite(gates)):
+    if not np.isfinite(gates).all():
         raise NumericError("op 'lstm_cell' produced non-finite gates")
     i, f, o = (0.5 * (1.0 + np.tanh(0.5 * gates[:, k * H:(k + 1) * H]))
                for k in (0, 1, 3))
@@ -475,19 +483,42 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
 def backward(graph: Graph, loss: Node) -> dict[int, np.ndarray]:
     """Accumulate dLoss/dLeaf for every leaf marked requires_grad.
 
-    Returns {leaf node id: gradient array}, each checked finite as it was
-    formed; leaves the loss never touched get exact zeros. Node values are
-    left untouched, so several losses can be differentiated from one
-    graph. A node's gradient is dropped once its backward has run, so at
-    most the gradients of the nodes still waiting for their backward are
-    held at once.
+    Returns {leaf node id: gradient array}; leaves the loss never touched
+    get exact zeros. Node values are left untouched, so several losses can
+    be differentiated from one graph. A node's gradient is dropped once its
+    backward has run, so at most the gradients of the nodes still waiting
+    for their backward are held at once.
+
+    The pass checks only what it returns: each leaf gradient, once. When
+    one is not finite, the same graph is replayed with every check on,
+    which raises the NumericError naming the op whose backward first formed
+    a non-finite gradient or sum. The replay recomputes the same gradients,
+    because backward changes no value and no closure. And no closure of
+    the ops above turns a non-finite gradient into a finite one: each
+    multiplies its incoming gradient by checked forward values, sums,
+    gathers or scatters it, and a float product or sum with a NaN or Inf
+    term is NaN or Inf. So a non-finite gradient either shows at a leaf or
+    reaches no leaf that needs a gradient; then it changes no result and
+    raises nothing.
     """
     if loss.graph is not graph:
         raise ContractViolation("loss node belongs to a different graph")
-    entries = graph._entries
     if loss.value.size != 1:
         raise ContractViolation(f"loss must be scalar, got shape {loss.shape}")
+    out = _backward(graph, loss, checked=False)
+    for idx, g in out.items():
+        if not np.isfinite(g).all():
+            _backward(graph, loss, checked=True)
+            raise NumericError(f"backward produced a non-finite gradient for "
+                               f"leaf {idx}")
+    return out
 
+
+def _backward(graph: Graph, loss: Node, checked: bool) -> dict[int, np.ndarray]:
+    """backward's pass. With `checked`, every gradient a closure forms and
+    every sum of two is checked finite, and the first that is not raises
+    a NumericError naming the op; the gradients are the same either way."""
+    entries = graph._entries
     grads: list = [None] * (loss.idx + 1)
     grads[loss.idx] = np.ones_like(loss.value)
 
@@ -500,17 +531,19 @@ def backward(graph: Graph, loss: Node) -> dict[int, np.ndarray]:
             continue
         pgrads = e.back(go)
         grads[idx] = go = None
-        for pg in pgrads:
-            if pg is not None and not np.all(np.isfinite(pg)):
+        for pid, pg in zip(e.parents, pgrads):
+            if checked and pg is not None and not np.isfinite(pg).all():
                 raise NumericError(f"backward through '{e.kind}' produced a "
                                    "non-finite gradient")
-        for pid, pg in zip(e.parents, pgrads):
             if pg is None or not entries[pid].requires_grad:
                 continue
             if grads[pid] is None:
                 grads[pid] = pg.copy() if pg.base is not None else pg
             else:
                 grads[pid] = grads[pid] + pg
+                if checked and not np.isfinite(grads[pid]).all():
+                    raise NumericError(f"backward through '{e.kind}' produced "
+                                       "a non-finite gradient sum")
 
     out: dict[int, np.ndarray] = {}
     for idx, e in enumerate(entries):

@@ -33,8 +33,9 @@ LOGIT_BAN = -1e9  # additive penalty for disallowed tokens; keeps softmax finite
 LOGITS_BATCH = 512  # texts per graph in VictimClassifier.logits_batch
 
 
-def _uniform(rng, shape, k) -> Tensor:
-    return Tensor(rng.uniform(-k, k, size=shape))
+def _uniform(rng, shape, k):
+    """A Tensor drawn uniform in (-k, k); with no generator, only `shape`."""
+    return shape if rng is None else Tensor(rng.uniform(-k, k, size=shape))
 
 
 def pad_batch(seqs, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -59,7 +60,7 @@ def step_masks(lengths: np.ndarray, n_steps: int) -> list[np.ndarray]:
 
 def _linear(w: dict, rng, weight: str, bias: str, n_in: int, n_out: int):
     """Declare a dense layer: w[weight] (n_in x n_out), then w[bias]."""
-    k = 1.0 / np.sqrt(n_in)
+    k = None if rng is None else 1.0 / np.sqrt(n_in)
     w[weight] = _uniform(rng, (n_in, n_out), k)
     w[bias] = _uniform(rng, (n_out,), k)
 
@@ -67,12 +68,13 @@ def _linear(w: dict, rng, weight: str, bias: str, n_in: int, n_out: int):
 def _lstm(w: dict, rng, name: str, in_dim: int, hidden: int):
     """Declare LSTM `name`: its b is drawn before its ih and hh, but the
     three are listed ih, hh, b, the order SGD sums the gradient norm in."""
-    k = 1.0 / np.sqrt(hidden)
-    b = rng.uniform(-k, k, size=4 * hidden)
-    b[hidden : 2 * hidden] += 1.0  # open the forget gate at init
+    k = None if rng is None else 1.0 / np.sqrt(hidden)
+    b = _uniform(rng, (4 * hidden,), k)
+    if rng is not None:
+        b.data[hidden : 2 * hidden] += 1.0  # open the forget gate at init
     w[f"{name}.ih"] = _uniform(rng, (in_dim, 4 * hidden), k)
     w[f"{name}.hh"] = _uniform(rng, (hidden, 4 * hidden), k)
-    w[f"{name}.b"] = Tensor(b)
+    w[f"{name}.b"] = b
 
 
 def _lstm_cell(P, prefix, x: Node, state: Node, live=None) -> Node:
@@ -160,6 +162,12 @@ class _ModelBase:
     vocab: Vocab
     weights: dict[str, Tensor]
 
+    def weight_shapes(self) -> dict[str, tuple]:
+        """Each weight's shape by name, from the declarations that draw the
+        weights, with nothing allocated: a checkpoint's tensors must have
+        exactly these."""
+        return self._declare(None)
+
     def lift(self, g: Graph, trainable=()) -> dict[str, Node]:
         """Map weight names to leaves of `g`. A weight is pushed the first
         time an op reads it, so the graph holds only the weights it uses;
@@ -199,12 +207,13 @@ class ARAEModel(_ModelBase):
         self.gen_hidden = gen_hidden
         self.critic_hidden = critic_hidden
         self.latent_scale = float(latent_scale)
-        if weights is not None:
-            self.weights = weights
-            return
-        rng = np.random.default_rng(seed)
-        V, E, H, Z = len(vocab), emb_dim, hidden_dim, latent_dim
-        w: dict[str, Tensor] = {
+        self.weights = (weights if weights is not None
+                        else self._declare(np.random.default_rng(seed)))
+
+    def _declare(self, rng) -> dict:
+        V, E, H, Z = (len(self.vocab), self.emb_dim, self.hidden_dim,
+                      self.latent_dim)
+        w = {
             "emb_enc": _uniform(rng, (V, E), 0.1),
             "emb_dec": _uniform(rng, (V, E), 0.1),
         }
@@ -213,11 +222,11 @@ class ARAEModel(_ModelBase):
         _linear(w, rng, "enc_proj.w", "enc_proj.b", H, Z)
         _linear(w, rng, "dec_init.w", "dec_init.b", Z, H)
         _linear(w, rng, "dec_out.w", "dec_out.b", H, V)
-        _linear(w, rng, "gen.w1", "gen.b1", noise_dim, gen_hidden)
-        _linear(w, rng, "gen.w2", "gen.b2", gen_hidden, Z)
-        _linear(w, rng, "critic.w1", "critic.b1", Z, critic_hidden)
-        _linear(w, rng, "critic.w2", "critic.b2", critic_hidden, 1)
-        self.weights = w
+        _linear(w, rng, "gen.w1", "gen.b1", self.noise_dim, self.gen_hidden)
+        _linear(w, rng, "gen.w2", "gen.b2", self.gen_hidden, Z)
+        _linear(w, rng, "critic.w1", "critic.b1", Z, self.critic_hidden)
+        _linear(w, rng, "critic.w2", "critic.b2", self.critic_hidden, 1)
+        return w
 
     def hyperparams(self) -> dict:
         return {"emb_dim": self.emb_dim, "hidden_dim": self.hidden_dim,
@@ -389,22 +398,23 @@ class VictimClassifier(_ModelBase):
         self.n_classes = n_classes
         self.emb_dim = emb_dim
         self.hidden_dim = hidden_dim
-        if weights is not None:
-            self.weights = weights
-            return
-        rng = np.random.default_rng(seed)
-        V, E, H, C = len(vocab), emb_dim, hidden_dim, n_classes
-        w: dict[str, Tensor] = {"emb": _uniform(rng, (V, E), 0.1)}
-        if kind == "lstm2":
+        self.weights = (weights if weights is not None
+                        else self._declare(np.random.default_rng(seed)))
+
+    def _declare(self, rng) -> dict:
+        V, E, H, C = (len(self.vocab), self.emb_dim, self.hidden_dim,
+                      self.n_classes)
+        w = {"emb": _uniform(rng, (V, E), 0.1)}
+        if self.kind == "lstm2":
             _lstm(w, rng, "l1", E, H)
             _lstm(w, rng, "l2", H, H)
-        elif kind == "bag":
+        elif self.kind == "bag":
             _linear(w, rng, "fc1.w", "fc1.b", E, H)
         else:  # pair: one encoder shared by premise and hypothesis
             _lstm(w, rng, "enc", E, H)
             _linear(w, rng, "fc1.w", "fc1.b", 4 * H, H)
         _linear(w, rng, "head.w", "head.b", H, C)
-        self.weights = w
+        return w
 
     def hyperparams(self) -> dict:
         return {"kind": self.kind, "n_classes": self.n_classes,
@@ -507,17 +517,17 @@ class ScoringLM(_ModelBase):
         self.vocab = vocab
         self.emb_dim = emb_dim
         self.hidden_dim = hidden_dim
-        if weights is not None:
-            self.weights = weights
-            return
-        rng = np.random.default_rng(seed)
-        V, E, H = len(vocab), emb_dim, hidden_dim
-        w: dict[str, Tensor] = {"emb": _uniform(rng, (V, E), 0.1)}
+        self.weights = (weights if weights is not None
+                        else self._declare(np.random.default_rng(seed)))
+
+    def _declare(self, rng) -> dict:
+        V, E, H = len(self.vocab), self.emb_dim, self.hidden_dim
+        w = {"emb": _uniform(rng, (V, E), 0.1)}
         _lstm(w, rng, "lstm", E, H)
         # zero output layer: the untrained model is exactly uniform
-        w["out.w"] = Tensor(np.zeros((H, V)))
-        w["out.b"] = Tensor(np.zeros(V))
-        self.weights = w
+        for name, shape in (("out.w", (H, V)), ("out.b", (V,))):
+            w[name] = shape if rng is None else Tensor(np.zeros(shape))
+        return w
 
     def hyperparams(self) -> dict:
         return {"emb_dim": self.emb_dim, "hidden_dim": self.hidden_dim}

@@ -211,6 +211,27 @@ class TestCorruption:
                            match=re.escape(f"{path}: vocab has")):
             load_checkpoint(path)
 
+    def test_tensor_of_wrong_shape_names_path_and_shapes(self, saved,
+                                                         lstm2_model):
+        path, _ = saved
+        want = lstm2_model.weights["l1.ih"].data.shape
+        lstm2_model.weights["l1.ih"] = Tensor(np.zeros((5, 12)))
+        save_checkpoint(lstm2_model, path)
+        with pytest.raises(CheckpointConsistencyError, match=re.escape(
+                f"{path}: tensor 'l1.ih' has shape (5, 12), expected {want}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("size", [lambda d: 10 ** 12, float],
+                             ids=["huge", "float-of-the-right-size"])
+    def test_header_sizes_must_be_the_tensors(self, saved, size):
+        path, buf = saved
+        def mutate(h):
+            h["hyperparams"]["hidden_dim"] = size(h["hyperparams"]["hidden_dim"])
+        path.write_bytes(_rewrite_header(buf, mutate))
+        with pytest.raises(CheckpointConsistencyError,
+                           match=re.escape(f"{path}: tensor ")):
+            load_checkpoint(path)
+
     def test_tensor_order_mismatch(self, saved):
         path, buf = saved
         def mutate(h):

@@ -18,6 +18,7 @@ from nutsearch.checkpoint import load_checkpoint, save_checkpoint
 from nutsearch.cli import (ATTACK_DEFAULTS, BASELINE_DEFAULTS, RECIPES,
                            build_parser, main)
 from nutsearch.config import config_hash
+from nutsearch.gradcore import Tensor
 from nutsearch.models import MODEL_KINDS
 from nutsearch.textdata import sentiment_lexicon
 from nutsearch.trainers import TrainConfig
@@ -126,12 +127,15 @@ def test_checkpoint_header_not_an_object_exits_one(tmp_path, workbench,
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("defect", ["tensor-missing", "count-not-int"])
+@pytest.mark.parametrize("defect", ["tensor-missing", "tensor-wrong-shape",
+                                    "count-not-int"])
 def test_malformed_checkpoint_exits_one(tmp_path, workbench, attack_dir,
                                         caplog, capsys, defect):
     lm, _ = load_checkpoint(workbench["lm"])
     if defect == "tensor-missing":
         del lm.weights["lstm.b"]
+    elif defect == "tensor-wrong-shape":
+        lm.weights["lstm.ih"] = Tensor(np.zeros((5, 12)))
     else:
         lm.vocab.freq["the"] = "often"
     bad = tmp_path / "lm.ckpt"

@@ -1,6 +1,7 @@
 """Engine checks: finite-difference oracles for every op, projection
 geometry, Gumbel sampling statistics, and determinism."""
 
+import re
 import tracemalloc
 import weakref
 
@@ -231,6 +232,37 @@ class TestBackwardContract:
         b = g.leaf(np.asarray([[1e308]]))
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul"):
             gc.mul(a, b)
+
+    def test_overflowing_gradient_names_op(self):
+        # every value is finite, but b's gradient is 1e200 * 1e200
+        g = gc.Graph()
+        a = g.leaf(np.asarray([1e200]), requires_grad=True)
+        b = g.leaf(np.asarray([1e-200]), requires_grad=True)
+        loss = gc.mean_all(gc.scale(gc.mul(a, b), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError,
+                match="backward through 'mul' produced a non-finite gradient"):
+            gc.backward(g, loss)
+
+    def test_overflowing_gradient_sum_raises(self):
+        # each path's gradient is 1e308; only their sum overflows
+        g = gc.Graph()
+        a = g.leaf(np.asarray([1e-300]), requires_grad=True)
+        loss = gc.mean_all(gc.add(gc.scale(a, 1e308), gc.scale(a, 1e308)))
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="'scale'"):
+            gc.backward(g, loss)
+
+    def test_overflow_reaching_only_a_constant_raises_nothing(self):
+        # the constant's gradient is 1e200 * 1e200, but no result reads it
+        g = gc.Graph()
+        x = g.leaf(np.asarray([1e200]), requires_grad=True)
+        c = g.constant(np.asarray([1e-200]))
+        loss = gc.mean_all(gc.scale(gc.mul(x, c), 1e200))
+        with np.errstate(over="ignore"):
+            grads = gc.backward(g, loss)
+        assert grads.keys() == {x.idx}
+        assert grads[x.idx] == pytest.approx([1.0], rel=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_raw_input_rejected(self, bad):
@@ -629,3 +661,18 @@ class TestLSTMCell:
         with pytest.raises(ContractViolation):  # x holds fewer rows than live
             gc.lstm_cell(g.leaf(np.zeros((1, 3))), g.leaf(np.zeros((2, 4))),
                          w_ih, w_hh, b, live=2)
+
+
+@pytest.mark.parametrize("shapes,axis", [
+    (((2, 3), (3, 3)), 1),      # sizes differ off the axis
+    (((2, 3), (2, 3, 1)), 1),   # ranks differ
+    (((2, 3), (2, 3)), 2),      # no such axis
+    (((2, 3), (2, 3)), -3),
+    (((), ()), 0),              # scalars have no axis
+], ids=["off-axis", "rank", "axis", "negative-axis", "scalars"])
+def test_concat_bad_shapes_rejected(shapes, axis):
+    g = gc.Graph()
+    nodes = [g.leaf(np.zeros(s)) for s in shapes]
+    with pytest.raises(ContractViolation, match=re.escape(str(list(shapes)))):
+        gc.concat(nodes, axis=axis)
+    assert len(g) == len(shapes)

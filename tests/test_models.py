@@ -142,6 +142,12 @@ class TestARAE:
         z = tiny_arae.generate(RNG(7).standard_normal((1, tiny_arae.noise_dim)))
         assert tiny_arae.decode_greedy(z, 3, mask) == tiny_arae.decode_greedy(z, 3, mask)
 
+    def test_decode_greedy_rejects_two_latent_rows(self, tiny_arae, tiny_vocab):
+        mask = np.ones(len(tiny_vocab), dtype=bool)
+        z = tiny_arae.generate(RNG(7).standard_normal((2, tiny_arae.noise_dim)))
+        with pytest.raises(ContractViolation, match="concat"):
+            tiny_arae.decode_greedy(z, 3, mask)
+
     def test_decode_until_eos_stops_or_caps(self, tiny_arae):
         z = tiny_arae.generate(RNG(8).standard_normal((1, tiny_arae.noise_dim)))
         toks = tiny_arae.decode_until_eos(z, max_len=7)
@@ -311,3 +317,20 @@ class TestModelRebuild:
         assert isinstance(m2, VictimClassifier) and m2.kind == "bag"
         texts = [tiny_vocab.encode(["the", "movie", "was", "wonderful"])]
         assert np.array_equal(m.logits_batch(texts), m2.logits_batch(texts))
+
+    @pytest.mark.parametrize("build", [
+        lambda v: ARAEModel(v, emb_dim=8, hidden_dim=12, latent_dim=10,
+                            noise_dim=6, gen_hidden=10, critic_hidden=9),
+        lambda v: VictimClassifier(v, "lstm2", n_classes=2, emb_dim=8,
+                                   hidden_dim=10),
+        lambda v: VictimClassifier(v, "bag", n_classes=3, emb_dim=8,
+                                   hidden_dim=10),
+        lambda v: VictimClassifier(v, "pair", n_classes=3, emb_dim=8,
+                                   hidden_dim=10),
+        lambda v: ScoringLM(v, emb_dim=8, hidden_dim=10),
+    ], ids=["arae", "lstm2", "bag", "pair", "lm"])
+    def test_weight_shapes_are_the_drawn_weights(self, tiny_vocab, build):
+        m = build(tiny_vocab)
+        shapes = m.weight_shapes()
+        assert list(shapes) == list(m.weights)
+        assert shapes == {k: t.data.shape for k, t in m.weights.items()}
