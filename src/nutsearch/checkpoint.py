@@ -155,6 +155,10 @@ def load_checkpoint(path):
     except (AttributeError, TypeError, ValueError, ContractViolation) as err:
         raise CheckpointConsistencyError(
             f"{path}: cannot rebuild model: {err}") from err
+    if model.kind != kind:  # a victim's kind is also in its hyperparams
+        raise CheckpointConsistencyError(
+            f"{path}: header kind {kind!r} but hyperparams kind "
+            f"{model.kind!r}")
     if weights.keys() != shapes.keys():
         missing = sorted(shapes.keys() - weights.keys())
         extra = sorted(weights.keys() - shapes.keys())

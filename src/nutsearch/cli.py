@@ -16,8 +16,6 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import textdata as td
 from .attack import (AttackConfig, AttackModels, nuts_attack,
                      read_candidates, read_selected, score_trigger,
@@ -27,9 +25,8 @@ from .baselines import (TokenGradientConfig, random_arae_attack,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_hash, parse_config_file, resolve_config
 from .errors import ConfigError, ContractViolation, NutsearchError
-from .evaluation import (EvalReport, accuracy_under_trigger,
-                         avg_word_frequency, candidate_stats, stat_delta,
-                         transfer_eval)
+from .evaluation import (accuracy_under_trigger, candidate_stats,
+                         evaluate_trigger, transfer_eval)
 from .models import VictimClassifier
 from .textdata import Example, Split
 from .trainers import TrainConfig, train_arae, train_classifier, train_lm
@@ -136,6 +133,11 @@ def _prepare_out(path):
     return path
 
 
+def _write_json(path, payload) -> None:
+    Path(_prepare_out(path)).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -154,8 +156,7 @@ def _cmd_make_synth(args) -> int:
     lexicon = td.sentiment_lexicon() if cfg["task"] == "sentiment" else set()
     td.write_lexicon(out_dir / "lexicon.txt", lexicon)
     meta = dict(cfg, config_hash=config_hash(cfg))
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=2,
-                                                  sort_keys=True) + "\n")
+    _write_json(out_dir / "meta.json", meta)
     log.info("wrote %s (%d/%d/%d examples)", out_dir, len(split.train),
              len(split.dev), len(split.test))
     return 0
@@ -171,21 +172,21 @@ def _cmd_train(args) -> int:
     cfg = _checked(args, TrainConfig, **{k: v for k, v in resolved.items()
                                          if k in _TRAIN_FIELDS})
     sizes = {k: v for k, v in resolved.items() if k not in _TRAIN_FIELDS}
-    metrics_path = _prepare_out(args.metrics)
     if args.arch == "arae":
-        model, metrics = train_arae(split, vocab, cfg, **sizes,
-                                    metrics_path=metrics_path)
+        model, metrics = train_arae(split, vocab, cfg, **sizes)
         final = ("reconstruction accuracy", "recon_acc")
     elif args.arch == "lm":
-        model, metrics = train_lm(split, vocab, cfg, **sizes,
-                                  metrics_path=metrics_path)
+        model, metrics = train_lm(split, vocab, cfg, **sizes)
         final = ("dev cross-entropy", "dev_ce")
     else:
         n_classes = max(ex.label for ex in split.train) + 1
         model, metrics = train_classifier(split, vocab, args.arch, n_classes,
-                                          cfg, **sizes,
-                                          metrics_path=metrics_path)
+                                          cfg, **sizes)
         final = ("dev accuracy", "dev_acc")
+    if args.metrics is not None:  # one JSON row per epoch
+        Path(_prepare_out(args.metrics)).write_text(
+            "".join(json.dumps(row) + "\n" for row in metrics),
+            encoding="utf-8")
     save_checkpoint(model, _prepare_out(args.out), seed=resolved["seed"],
                     config_hash=config_hash(resolved))
     log.info("final %s: %.4f", final[0],
@@ -298,41 +299,12 @@ def _cmd_evaluate(args) -> int:
     lm = _load_model(args, "lm")
     split, _, task = td.load_corpus(args.data_dir, vocab=victim.vocab)
     selected = read_selected(args.selected)
-    trigger = selected["tokens"]
-    kind = selected.get("kind", "nuts")
     y = _require_class(args, resolved, split)
-
-    classes = sorted({ex.label for ex in split.test})
-    clean = {str(c): accuracy_under_trigger(victim, split.test, [], c)
-             for c in classes}
-    m1_dev = accuracy_under_trigger(victim, split.dev, trigger, y)
-    m1_test = accuracy_under_trigger(victim, split.test, trigger, y)
-    m2 = lm.avg_ce(trigger)
-
-    # benign-vs-trigger stat deltas over the attacked-class test sentences
-    benign = _class_subset(split.test, y)
-    benign_tokens = [victim.vocab.decode(ex.text) for ex in benign]
-    benign_ce = float(np.mean([lm.avg_ce(toks) for toks in benign_tokens]))
-    benign_freq = float(np.mean(
-        [avg_word_frequency(toks, victim.vocab, normalized=True)
-         for toks in benign_tokens]))
-    deltas = {
-        "lm_ce": stat_delta(benign_ce, m2),
-        "word_freq_normalized": stat_delta(
-            benign_freq,
-            avg_word_frequency(trigger, victim.vocab, normalized=True)),
-    }
-
-    report = EvalReport(
-        task=task, attack_kind=kind, trigger=trigger, attacked_class=y,
-        clean_acc=clean, attacked_acc=m1_test, m1_dev=m1_dev,
-        m1_test=m1_test, m2=m2,
-        word_freq=avg_word_frequency(trigger, victim.vocab),
-        word_freq_normalized=avg_word_frequency(trigger, victim.vocab,
-                                                normalized=True),
-        stat_deltas=deltas, config_hash=selected.get("config_hash", ""))
-    Path(_prepare_out(args.out_json)).write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    report = evaluate_trigger(
+        victim, lm, split, selected["tokens"], y, task=task,
+        attack_kind=selected.get("kind", "nuts"),
+        config_hash=selected.get("config_hash", ""))
+    _write_json(args.out_json, report.to_json_dict())
     text = report.to_text()
     if args.out_text:
         Path(_prepare_out(args.out_text)).write_text(text + "\n")
@@ -351,8 +323,7 @@ def _cmd_transfer(args) -> int:
     payload = {"trigger": trigger, "attacked_class": y, "clean": res.clean,
                "attacked": res.attacked, "drop": res.drop,
                "config_hash": selected.get("config_hash", "")}
-    Path(_prepare_out(args.out)).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                              + "\n")
+    _write_json(args.out, payload)
     log.info("transfer drop: %.4f (clean %.4f -> attacked %.4f)", res.drop,
              res.clean, res.attacked)
     return 0
@@ -366,8 +337,7 @@ def _cmd_stats(args) -> int:
     out = candidate_stats(cands)
     out["count"] = len(cands)
     out["config_hash"] = rows[0].get("config_hash", "")
-    Path(_prepare_out(args.out)).write_text(json.dumps(out, indent=2, sort_keys=True)
-                              + "\n")
+    _write_json(args.out, out)
     log.info("candidate stats: %s", json.dumps(out, sort_keys=True))
     return 0
 

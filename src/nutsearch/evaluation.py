@@ -1,5 +1,6 @@
 """Attack evaluation: accuracy under a prepended trigger, naturalness
-statistics, candidate-population summaries, and transfer measurement."""
+statistics, the report on one selected trigger, candidate-population
+summaries, and transfer measurement."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .textdata import Example, Vocab
+from .textdata import Example, Split, Vocab
 
 log = logging.getLogger(__name__)
 
@@ -42,11 +43,6 @@ def avg_word_frequency(trigger: list[str], vocab: Vocab,
         total = vocab.total_count()
         return mean / total if total else 0.0
     return mean
-
-
-def stat_delta(benign_stat: float, trigger_stat: float) -> float:
-    """Benign-minus-trigger difference of any scalar text statistic."""
-    return benign_stat - trigger_stat
 
 
 def candidate_stats(candidates) -> dict:
@@ -141,3 +137,33 @@ class EvalReport:
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
+
+def evaluate_trigger(victim, lm, split: Split, trigger: list[str], y: int, *,
+                     task: str, attack_kind: str,
+                     config_hash: str) -> EvalReport:
+    """The report on `trigger` against class `y`: clean accuracy per test
+    class, attack success on dev and test, the trigger's LM cross-entropy
+    and word frequency, and the benign-minus-trigger deltas of both
+    statistics over the class-`y` test sentences."""
+    clean = {str(c): accuracy_under_trigger(victim, split.test, [], c)
+             for c in sorted({ex.label for ex in split.test})}
+    m1_dev = accuracy_under_trigger(victim, split.dev, trigger, y)
+    m1_test = accuracy_under_trigger(victim, split.test, trigger, y)
+    m2 = lm.avg_ce(trigger)
+    freq_normalized = avg_word_frequency(trigger, victim.vocab,
+                                         normalized=True)
+    benign = [victim.vocab.decode(ex.text) for ex in split.test
+              if ex.label == y]
+    benign_ce = float(np.mean([lm.avg_ce(toks) for toks in benign]))
+    benign_freq = float(np.mean(
+        [avg_word_frequency(toks, victim.vocab, normalized=True)
+         for toks in benign]))
+    return EvalReport(
+        task=task, attack_kind=attack_kind, trigger=trigger,
+        attacked_class=y, clean_acc=clean, attacked_acc=m1_test,
+        m1_dev=m1_dev, m1_test=m1_test, m2=m2,
+        word_freq=avg_word_frequency(trigger, victim.vocab),
+        word_freq_normalized=freq_normalized,
+        stat_deltas={"lm_ce": benign_ce - m2,
+                     "word_freq_normalized": benign_freq - freq_normalized},
+        config_hash=config_hash)

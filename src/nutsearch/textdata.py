@@ -209,13 +209,18 @@ def _read_task(meta_path: Path) -> str:
 def load_corpus(data_dir, vocab: Vocab | None = None) -> tuple[Split, Vocab, str]:
     """The split, vocabulary and task of a make-synth directory. With
     vocab=None the vocabulary is built from the train split (training);
-    otherwise the text is encoded with the given (checkpoint) vocabulary."""
+    otherwise the text is encoded with the given (checkpoint) vocabulary.
+    A split with no rows is rejected."""
     data_dir = Path(data_dir)
     task = _read_task(data_dir / "meta.json")
-    parts = {part: [(label, [tokenize(t) for t in texts])
-                    for label, *texts in read_corpus(data_dir / f"{part}.tsv",
-                                                     TASK_TEXTS[task])]
-             for part in ("train", "dev", "test")}
+    parts = {}
+    for part in ("train", "dev", "test"):
+        path = data_dir / f"{part}.tsv"
+        rows = read_corpus(path, TASK_TEXTS[task])
+        if not rows:
+            raise ContractViolation(f"{path}: holds no rows")
+        parts[part] = [(label, [tokenize(t) for t in texts])
+                       for label, *texts in rows]
     if vocab is None:
         vocab = build_vocab(toks for _, texts in parts["train"]
                             for toks in texts)

@@ -9,7 +9,6 @@ a divergence error naming the phase that produced it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,12 +100,6 @@ def _sgd_step(model, opt: SGD, phase: str, build) -> Node:
     return loss
 
 
-def _write_metrics(path, rows) -> None:
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(row) + "\n" for row in rows)
-
-
 def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     order = rng.permutation(n)
     return [order[lo : lo + batch_size] for lo in range(0, n, batch_size)]
@@ -117,9 +110,10 @@ def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
 
 
 def train_classifier(split: Split, vocab: Vocab, arch: str, n_classes: int,
-                     cfg: TrainConfig, metrics_path=None,
-                     model: VictimClassifier | None = None, **sizes):
-    """Supervised training on the train split; returns (model, metrics)."""
+                     cfg: TrainConfig, model: VictimClassifier | None = None,
+                     **sizes):
+    """Supervised training on the train split; returns (model, metrics),
+    one metrics row per epoch."""
     init_seed, shuffle_seed, noise_seed = derive_init_seeds(cfg.seed, 3)
     if model is None:
         model = VictimClassifier(vocab, arch, n_classes, **sizes,
@@ -166,7 +160,6 @@ def train_classifier(split: Split, vocab: Vocab, arch: str, n_classes: int,
         dev_acc = classifier_accuracy(model, split.dev)
         metrics.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                         "dev_acc": dev_acc})
-    _write_metrics(metrics_path, metrics)
     return model, metrics
 
 
@@ -200,9 +193,10 @@ def lm_corpus_ce(model: ScoringLM, examples) -> float:
     return tot_ce / tot_tok
 
 
-def train_lm(split: Split, vocab: Vocab, cfg: TrainConfig, metrics_path=None,
+def train_lm(split: Split, vocab: Vocab, cfg: TrainConfig,
              model: ScoringLM | None = None, **sizes):
-    """Next-token training on the train split; returns (model, metrics)."""
+    """Next-token training on the train split; returns (model, metrics),
+    one metrics row per epoch."""
     init_seed, shuffle_seed = derive_init_seeds(cfg.seed, 2)
     if model is None:
         model = ScoringLM(vocab, **sizes, seed=init_seed)
@@ -219,7 +213,6 @@ def train_lm(split: Split, vocab: Vocab, cfg: TrainConfig, metrics_path=None,
             losses.append(float(loss.value))
         metrics.append({"epoch": epoch, "train_ce": float(np.mean(losses)),
                         "dev_ce": lm_corpus_ce(model, split.dev)})
-    _write_metrics(metrics_path, metrics)
     return model, metrics
 
 
@@ -232,11 +225,11 @@ AE_PARTS = ("emb_enc", "emb_dec", "enc.", "enc_proj.", "dec.", "dec_init.",
 ENC_PARTS = ("emb_enc", "enc.", "enc_proj.")
 
 
-def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, metrics_path=None,
+def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig,
                model: ARAEModel | None = None, **sizes):
     """Three phases per batch: (1) reconstruction, (2) critic with a
     gradient penalty at interpolates, (3) adversarial encoder/generator.
-    Returns (model, metrics)."""
+    Returns (model, metrics), one metrics row per epoch."""
     init_seed, shuffle_seed, noise_seed = derive_init_seeds(cfg.seed, 3)
     if model is None:
         model = ARAEModel(vocab, **sizes, seed=init_seed)
@@ -342,5 +335,4 @@ def train_arae(split: Split, vocab: Vocab, cfg: TrainConfig, metrics_path=None,
             "gp": float(np.mean(gp_vals)),
             "gen_loss": float(np.mean(gen_vals)),
         })
-    _write_metrics(metrics_path, metrics)
     return model, metrics

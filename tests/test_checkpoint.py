@@ -167,6 +167,19 @@ class TestCorruption:
         with pytest.raises(CheckpointConsistencyError):
             load_checkpoint(path)
 
+    def test_header_kind_must_be_the_hyperparams_kind(self, sentiment_data,
+                                                       tmp_path):
+        _, vocab = sentiment_data
+        path = tmp_path / "bag.ckpt"
+        save_checkpoint(VictimClassifier(vocab, kind="bag", n_classes=2,
+                                         seed=2), path)
+        def mutate(h):
+            h["kind"] = "lstm2"
+        path.write_bytes(_rewrite_header(path.read_bytes(), mutate))
+        with pytest.raises(CheckpointConsistencyError, match=re.escape(
+                f"{path}: header kind 'lstm2' but hyperparams kind 'bag'")):
+            load_checkpoint(path)
+
     def test_vocab_size_mismatch(self, saved):
         path, buf = saved
         def mutate(h):

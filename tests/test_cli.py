@@ -13,11 +13,12 @@ import pytest
 
 import nutsearch.attack as attack_mod
 from nutsearch import textdata as td
-from nutsearch.attack import AttackConfig
+from nutsearch.attack import AttackConfig, read_selected
 from nutsearch.checkpoint import load_checkpoint, save_checkpoint
 from nutsearch.cli import (ATTACK_DEFAULTS, BASELINE_DEFAULTS, RECIPES,
                            build_parser, main)
 from nutsearch.config import config_hash
+from nutsearch.evaluation import evaluate_trigger
 from nutsearch.gradcore import Tensor
 from nutsearch.models import MODEL_KINDS
 from nutsearch.textdata import sentiment_lexicon
@@ -550,6 +551,7 @@ def attack_dir(workbench, tmp_path_factory):
 
 
 def test_evaluate_report(tmp_path, workbench, attack_dir):
+    """The report is evaluate_trigger's, written as indented sorted JSON."""
     out_json = tmp_path / "report.json"
     out_text = tmp_path / "report.txt"
     assert run_cli("evaluate", "--data-dir", str(workbench["data"]),
@@ -566,6 +568,15 @@ def test_evaluate_report(tmp_path, workbench, attack_dir):
     assert rep["stat_deltas"].keys() == {"lm_ce", "word_freq_normalized"}
     text = out_text.read_text()
     assert "m1 dev" in text and "config hash" in text
+    victim, _ = load_checkpoint(workbench["victim"])
+    lm, _ = load_checkpoint(workbench["lm"])
+    split, _, _ = td.load_corpus(workbench["data"], vocab=victim.vocab)
+    selected = read_selected(attack_dir / "selected.json")
+    report = evaluate_trigger(victim, lm, split, selected["tokens"], 1,
+                              task="sentiment", attack_kind="nuts",
+                              config_hash=selected["config_hash"])
+    assert out_json.read_text() == json.dumps(
+        report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def test_transfer_output(tmp_path, workbench, attack_dir):
@@ -652,11 +663,13 @@ def test_bad_artifact_record_exits_one(tmp_path, workbench, caplog, capsys,
 
 
 # every input file a command reads: (file, case) -> bytes. Each case is
-# text that is not UTF-8, a malformed line, or a missing or bad field.
+# text that is not UTF-8, a malformed line, a missing or bad field, or a
+# corpus split with no rows.
 _BAD_INPUTS = {
     ("dev.tsv", "not-utf8"): b"1\tthe \xff plot was warm\n",
     ("dev.tsv", "field-count"): b"1\tthe plot\twas warm\n",
     ("dev.tsv", "bad-label"): b"pos\tthe plot was warm\n",
+    ("dev.tsv", "no-rows"): b"\n\n",
     ("meta.json", "not-utf8"): b'{"task": "sentiment\xff"}\n',
     ("meta.json", "not-json"): b'{"task": "sentiment"\n',
     ("meta.json", "no-task"): b'{"seed": 11}\n',

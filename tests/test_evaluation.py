@@ -1,5 +1,6 @@
-"""Evaluation metrics: trigger accuracy, frequency stats, population
-statistics with exact analytic fixtures, transfer, and report formats."""
+"""Evaluation metrics: trigger accuracy, frequency stats, the selected
+trigger's report, population statistics with exact analytic fixtures,
+transfer, and report formats."""
 
 import json
 import logging
@@ -13,10 +14,10 @@ from nutsearch import textdata as td
 from nutsearch.errors import ContractViolation
 from nutsearch.evaluation import (EvalReport, TransferResult,
                                   accuracy_under_trigger, avg_word_frequency,
-                                  candidate_stats, stat_delta,
+                                  candidate_stats, evaluate_trigger,
                                   transfer_eval)
-from nutsearch.models import VictimClassifier
-from nutsearch.textdata import Example
+from nutsearch.models import ScoringLM, VictimClassifier
+from nutsearch.textdata import Example, Split
 
 
 @pytest.fixture(scope="module")
@@ -94,12 +95,44 @@ class TestWordFrequency:
             avg_word_frequency([], tiny_vocab)
 
 
-class TestStatDelta:
-    def test_arithmetic(self):
-        assert stat_delta(5.0, 3.0) == 2.0
-        assert stat_delta(4.0, 4.0) == 0.0
-        # a trigger MORE natural than benign text gives a positive delta
-        assert stat_delta(3.0, 2.5) > 0.0
+class TestEvaluateTrigger:
+    TRIGGER = ["awful", "awful"]
+
+    @pytest.fixture(scope="class")
+    def report(self, tiny_vocab, tiny_victim, tiny_data):
+        lm = ScoringLM(tiny_vocab, emb_dim=8, hidden_dim=10, seed=3)
+        split = Split(train=tiny_data, dev=tiny_data[:3], test=tiny_data)
+        rep = evaluate_trigger(tiny_victim, lm, split, self.TRIGGER, 1,
+                               task="sentiment", attack_kind="nuts",
+                               config_hash="abcd")
+        return rep, lm
+
+    def test_stat_deltas_are_benign_minus_trigger(self, report):
+        rep, lm = report
+        # the class-1 test sentences, and the corpus's counts: 13 tokens,
+        # "the" 2, "was" 3, "awful" 1, every other word 1
+        benign = [["the", "movie", "was", "wonderful"],
+                  ["the", "plot", "was", "fresh"]]
+        benign_ce = (lm.avg_ce(benign[0]) + lm.avg_ce(benign[1])) / 2
+        assert rep.stat_deltas == {
+            "lm_ce": benign_ce - lm.avg_ce(self.TRIGGER),
+            "word_freq_normalized": 7 / 4 / 13 - 1 / 13,
+        }
+        assert rep.word_freq == 1.0
+        assert rep.word_freq_normalized == 1 / 13
+        assert rep.m2 == lm.avg_ce(self.TRIGGER)
+
+    def test_accuracies_are_the_splits(self, report, tiny_victim, tiny_data):
+        rep, _ = report
+        acc = accuracy_under_trigger
+        assert rep.clean_acc == {"0": acc(tiny_victim, tiny_data, [], 0),
+                                 "1": acc(tiny_victim, tiny_data, [], 1)}
+        assert rep.m1_dev == acc(tiny_victim, tiny_data[:3], self.TRIGGER, 1)
+        assert rep.m1_test == rep.attacked_acc == acc(tiny_victim, tiny_data,
+                                                      self.TRIGGER, 1)
+        assert (rep.task, rep.attack_kind, rep.trigger, rep.attacked_class,
+                rep.config_hash) == ("sentiment", "nuts", self.TRIGGER, 1,
+                                     "abcd")
 
 
 def _cands(m1s, m2s):

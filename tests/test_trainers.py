@@ -1,8 +1,6 @@
 """Trainer behavior: quality thresholds at pinned seeds, determinism,
 zero-epoch identity, divergence reporting, and optimizer math."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -166,15 +164,12 @@ class TestClassifierTraining:
             with pytest.raises(TrainingDiverged, match="classifier epoch 1"):
                 train_classifier(split, vocab, "lstm2", 2, cfg, model=model)
 
-    def test_metrics_file_written(self, sentiment_data, tmp_path):
+    def test_metrics_rows_returned(self, sentiment_data):
         split, vocab = sentiment_data
-        path = tmp_path / "metrics.jsonl"
-        train_classifier(split, vocab, "bag", 2,
-                         TrainConfig(epochs=2, lr=0.05, seed=9),
-                         metrics_path=path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(rows) == 2
-        assert rows[0]["epoch"] == 1 and "dev_acc" in rows[0]
+        _, rows = train_classifier(split, vocab, "bag", 2,
+                                   TrainConfig(epochs=2, lr=0.05, seed=9))
+        assert [r["epoch"] for r in rows] == [1, 2]
+        assert all(set(r) == {"epoch", "train_loss", "dev_acc"} for r in rows)
 
 
 class TestLMTraining:
