@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gradcore as gc
 from .config import derive_init_seeds
-from .errors import ArtifactError, ContractViolation
+from .errors import ContractViolation, InputFileError
 from .evaluation import accuracy_under_trigger
 from .gradcore import Graph, Node, Tensor, l2_project
 from .models import ARAEModel, ScoringLM, VictimClassifier
@@ -328,15 +328,15 @@ def write_selected(path, selected: TriggerCandidate, m1_test: float,
 def _check_record(rec, where: str) -> dict:
     """A candidate record with the fields the readers use, of their types."""
     if not isinstance(rec, dict):
-        raise ArtifactError(f"{where}: expected a JSON object, got "
-                            f"{type(rec).__name__}")
+        raise InputFileError(f"{where}: expected a JSON object, got "
+                             f"{type(rec).__name__}")
     for key in ("tokens", "m1_dev", "m2"):
         if key not in rec:
-            raise ArtifactError(f"{where}: field '{key}' is missing")
+            raise InputFileError(f"{where}: field '{key}' is missing")
 
     def bad(key, want):
-        return ArtifactError(f"{where}: field '{key}' must be {want}, got "
-                             f"{json.dumps(rec[key])}")
+        return InputFileError(f"{where}: field '{key}' must be {want}, "
+                              f"got {json.dumps(rec[key])}")
 
     tokens = rec["tokens"]
     if not (isinstance(tokens, list) and tokens
@@ -355,7 +355,7 @@ def _check_record(rec, where: str) -> dict:
 
 def read_candidates(path) -> list[dict]:
     """The records of a candidates.jsonl file, one JSON object a line;
-    blank lines are skipped. A bad line raises ArtifactError naming the
+    blank lines are skipped. A bad line raises InputFileError naming the
     path, the line and the field."""
     records = []
     for no, raw in enumerate(Path(path).read_bytes().split(b"\n"), 1):
@@ -366,7 +366,7 @@ def read_candidates(path) -> list[dict]:
                 continue
             rec = json.loads(line)
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
-            raise ArtifactError(f"{where}: not UTF-8 JSON ({err})") from None
+            raise InputFileError(f"{where}: not UTF-8 JSON ({err})") from None
         records.append(_check_record(rec, where))
     return records
 
@@ -376,6 +376,6 @@ def read_selected(path) -> dict:
     checks each line."""
     records = read_candidates(path)
     if len(records) != 1:
-        raise ArtifactError(f"{path}: expected one record, found "
-                            f"{len(records)}")
+        raise InputFileError(f"{path}: expected one record, found "
+                             f"{len(records)}")
     return records[0]

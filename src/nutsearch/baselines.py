@@ -74,8 +74,9 @@ def token_gradient_attack(victim, dev_subset: list[Example], length: int,
     _check_subset(dev_subset)
     vocab: Vocab = victim.vocab
     allowed = _usable_ids(vocab, vocab_mask, "vocab_mask")
-    if cfg.filler not in vocab.stoi:
-        raise ContractViolation(f"filler token {cfg.filler!r} not in vocab")
+    if vocab.stoi.get(cfg.filler) not in allowed:
+        raise ContractViolation(f"filler {cfg.filler!r} is not a token "
+                                f"vocab_mask admits")
     emb = victim.weights["emb"].data
 
     trigger = [vocab.stoi[cfg.filler]] * length

@@ -24,9 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CheckpointConsistencyError, CheckpointMagicError,
-                     CheckpointTruncatedError, CheckpointVersionError,
-                     ContractViolation, NumericError)
+from .errors import ContractViolation, InputFileError, NumericError
 from .gradcore import Tensor
 from .models import MODEL_KINDS, model_from_parts
 from .textdata import Vocab
@@ -72,7 +70,7 @@ class _Reader:
 
     def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.buf):
-            raise CheckpointTruncatedError(
+            raise InputFileError(
                 f"file ended inside {what} ({self.pos + n} bytes needed, "
                 f"{len(self.buf)} present)")
         out = self.buf[self.pos:self.pos + n]
@@ -92,39 +90,40 @@ class _Reader:
 def load_checkpoint(path):
     """Read a checkpoint and rebuild the model it describes.
 
-    Returns (model, header) where header is the parsed JSON dict."""
+    Returns (model, header) where header is the parsed JSON dict. A file
+    that is not such a checkpoint raises InputFileError."""
     buf = Path(path).read_bytes()
     r = _Reader(buf)
     if r.take(len(MAGIC), "magic") != MAGIC:
-        raise CheckpointMagicError(f"{path}: not a checkpoint file")
+        raise InputFileError(f"{path}: not a checkpoint file")
     version = r.u32("version")
     if version != VERSION:
-        raise CheckpointVersionError(
+        raise InputFileError(
             f"{path}: format version {version}, supported: {VERSION}")
     hlen = r.u32("header length")
     try:
         header = json.loads(r.take(hlen, "header").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise CheckpointConsistencyError(f"{path}: bad header: {err}") from err
+        raise InputFileError(f"{path}: bad header: {err}") from err
     if not isinstance(header, dict):
-        raise CheckpointConsistencyError(f"{path}: header is not a JSON object")
+        raise InputFileError(f"{path}: header is not a JSON object")
     for key in ("kind", "hyperparams", "vocab", "seed", "config_hash",
                 "tensors"):
         if key not in header:
-            raise CheckpointConsistencyError(f"{path}: header lacks '{key}'")
+            raise InputFileError(f"{path}: header lacks '{key}'")
     kind, names = header["kind"], header["tensors"]
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
-        raise CheckpointConsistencyError(f"{path}: unknown model kind {kind!r}")
+        raise InputFileError(f"{path}: unknown model kind {kind!r}")
     if not isinstance(names, list):
-        raise CheckpointConsistencyError(
-            f"{path}: header 'tensors' is not a list")
+        raise InputFileError(f"{path}: header 'tensors' is not a list")
 
     weights: dict[str, Tensor] = {}
     for expect in names:
         nlen = r.u16("tensor name length")
-        name = r.take(nlen, "tensor name").decode("utf-8")
+        # a name that is not UTF-8 decodes to one that no model has
+        name = r.take(nlen, "tensor name").decode("utf-8", "replace")
         if name != expect:
-            raise CheckpointConsistencyError(
+            raise InputFileError(
                 f"{path}: tensor order mismatch: header says {expect!r}, "
                 f"file has {name!r}")
         rank = r.u8("tensor rank")
@@ -137,44 +136,37 @@ def load_checkpoint(path):
         try:
             weights[name] = Tensor(arr)
         except NumericError:
-            raise CheckpointConsistencyError(
+            raise InputFileError(
                 f"{path}: tensor {name!r} holds a non-finite value") from None
     if r.pos != len(buf):
-        raise CheckpointConsistencyError(
+        raise InputFileError(
             f"{path}: {len(buf) - r.pos} trailing bytes after last tensor")
 
     try:
         vocab = Vocab.from_jsonable(header["vocab"])
     except (AttributeError, KeyError, TypeError, ValueError,
             ContractViolation) as err:
-        raise CheckpointConsistencyError(
-            f"{path}: bad vocab payload: {err}") from err
+        raise InputFileError(f"{path}: bad vocab payload: {err}") from err
     try:
         model = model_from_parts(kind, header["hyperparams"], vocab, weights)
         shapes = model.weight_shapes()
     except (AttributeError, TypeError, ValueError, ContractViolation) as err:
-        raise CheckpointConsistencyError(
-            f"{path}: cannot rebuild model: {err}") from err
+        raise InputFileError(f"{path}: cannot rebuild model: {err}") from err
     if model.kind != kind:  # a victim's kind is also in its hyperparams
-        raise CheckpointConsistencyError(
+        raise InputFileError(
             f"{path}: header kind {kind!r} but hyperparams kind "
             f"{model.kind!r}")
     if weights.keys() != shapes.keys():
         missing = sorted(shapes.keys() - weights.keys())
         extra = sorted(weights.keys() - shapes.keys())
-        raise CheckpointConsistencyError(
+        raise InputFileError(
             f"{path}: tensors do not match a {kind} model's: missing "
             f"{missing}, unexpected {extra}")
-    for name in model.vocab_sized:
-        if weights[name].data.shape[:1] != (len(vocab),):
-            raise CheckpointConsistencyError(
-                f"{path}: vocab has {len(vocab)} entries but {name!r} has "
-                f"shape {weights[name].data.shape}, not {len(vocab)} rows")
     for name, shape in shapes.items():
         # a float or bool size would compare equal to an int one
         if (weights[name].data.shape != shape
                 or any(type(d) is not int for d in shape)):
-            raise CheckpointConsistencyError(
+            raise InputFileError(
                 f"{path}: tensor {name!r} has shape "
                 f"{weights[name].data.shape}, expected {shape}")
     return model, header

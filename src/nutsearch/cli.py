@@ -113,11 +113,11 @@ def _config_error(args, message: str) -> ConfigError:
     return ConfigError(f"{where}: {message}")
 
 
-def _checked(args, cls, **values):
-    """cls(**values) for values from a resolved config: a value out of
+def _checked(args, fn, *pos, **values):
+    """fn(*pos, **values) for values from a resolved config: a value out of
     its range is a configuration error (exit 2)."""
     try:
-        return cls(**values)
+        return fn(*pos, **values)
     except ContractViolation as err:
         raise _config_error(args, str(err)) from None
 
@@ -219,11 +219,14 @@ def _load_attack_models(args):
 
 
 def _require_class(args, resolved: dict, split: Split) -> int:
+    """The attacked class, which the dev and the test split must hold."""
     y = resolved["attacked_class"]
-    labels = {ex.label for ex in split.dev}
-    if y not in labels:
-        raise _config_error(args, f"attacked_class must be one of "
-                                  f"{sorted(labels)}")
+    for part in ("dev", "test"):
+        labels = {ex.label for ex in getattr(split, part)}
+        if y not in labels:
+            raise _config_error(args, f"attacked_class must be one of "
+                                      f"{sorted(labels)}, the classes of "
+                                      f"{Path(args.data_dir) / part}.tsv")
     return y
 
 
@@ -275,7 +278,9 @@ def _cmd_attack_baseline(args) -> int:
         tg_cfg = _checked(args, TokenGradientConfig,
                           **{k: v for k, v in resolved.items()
                              if k not in _BASELINE_COMMON})
-        tokens, _ = token_gradient_attack(victim, dev_subset, L, mask, tg_cfg)
+        # a filler the mask does not admit is a configuration error
+        tokens, _ = _checked(args, token_gradient_attack, victim, dev_subset,
+                             L, mask, tg_cfg)
         selected = score_trigger(victim, lm, dev_subset, y, tokens, 0.0,
                                  resolved["seed"])
         candidates = [selected]

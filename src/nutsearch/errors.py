@@ -6,7 +6,7 @@ class NutsearchError(Exception):
 
 
 class ContractViolation(NutsearchError):
-    """An argument or state broke a documented precondition."""
+    """A caller broke a documented precondition of a function or class."""
 
 
 class NumericError(NutsearchError):
@@ -17,30 +17,11 @@ class ConfigError(NutsearchError):
     """Bad config file, unknown key, or unparseable value."""
 
 
-class ArtifactError(NutsearchError):
-    """A selected.json or candidates.jsonl record is unreadable; the
-    message names the path, the line and the field."""
+class InputFileError(NutsearchError):
+    """An input file (corpus split, meta.json, lexicon, checkpoint,
+    selected.json or candidates.jsonl) is not UTF-8, breaks its format, or
+    holds a value its reader rejects."""
 
 
 class TrainingDiverged(NutsearchError):
     """A training loss went non-finite; message names the phase."""
-
-
-class CheckpointError(NutsearchError):
-    """Base class for checkpoint load failures."""
-
-
-class CheckpointMagicError(CheckpointError):
-    """File does not start with the checkpoint magic string."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """Checkpoint format version is not supported."""
-
-
-class CheckpointTruncatedError(CheckpointError):
-    """File ended in the middle of a declared block."""
-
-
-class CheckpointConsistencyError(CheckpointError):
-    """Header and tensor blocks disagree (names, shapes, vocab size)."""

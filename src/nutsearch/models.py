@@ -158,7 +158,6 @@ class _Sorted:
 
 class _ModelBase:
     kind: str = ""
-    vocab_sized: tuple[str, ...] = ()
     vocab: Vocab
     weights: dict[str, Tensor]
 
@@ -194,7 +193,6 @@ class _Lifted(dict):
 
 class ARAEModel(_ModelBase):
     kind = "arae"
-    vocab_sized = ("emb_enc", "emb_dec")
 
     def __init__(self, vocab: Vocab, emb_dim=32, hidden_dim=64, latent_dim=32,
                  noise_dim=16, gen_hidden=64, critic_hidden=64,
@@ -386,7 +384,6 @@ class ARAEModel(_ModelBase):
 
 
 class VictimClassifier(_ModelBase):
-    vocab_sized = ("emb",)
     KINDS = ("lstm2", "bag", "pair")
 
     def __init__(self, vocab: Vocab, kind: str, n_classes: int,
@@ -510,7 +507,6 @@ class VictimClassifier(_ModelBase):
 
 class ScoringLM(_ModelBase):
     kind = "lm"
-    vocab_sized = ("emb",)
 
     def __init__(self, vocab: Vocab, emb_dim=32, hidden_dim=64, seed=0,
                  weights=None):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, InputFileError
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 SPECIALS = (PAD, UNK, BOS, EOS)
@@ -37,7 +37,8 @@ def detokenize(tokens: list[str]) -> str:
 class Vocab:
     """Token/id mapping with training-corpus frequencies.
 
-    Ids 0..3 are pinned to <pad>, <unk>, <bos>, <eos>.
+    Ids 0..3 are pinned to <pad>, <unk>, <bos>, <eos>; every count is an
+    int >= 0.
     """
 
     def __init__(self, tokens: list[str], freq: dict[str, int]):
@@ -45,6 +46,10 @@ class Vocab:
             raise ContractViolation("vocab must start with the four specials")
         if len(set(tokens)) != len(tokens):
             raise ContractViolation("vocab has duplicate tokens")
+        for token, count in freq.items():
+            if type(count) is not int or count < 0:  # bool is not int
+                raise ContractViolation(f"count of {token!r} must be an int "
+                                        f">= 0, got {count!r}")
         self.itos = list(tokens)
         self.stoi = {t: i for i, t in enumerate(self.itos)}
         self.freq = dict(freq)
@@ -54,17 +59,12 @@ class Vocab:
     def __len__(self):
         return len(self.itos)
 
-    def __contains__(self, token):
-        return token in self.stoi
-
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.stoi.get(t, self.unk_id) for t in tokens]
 
-    def decode(self, ids, strip_specials: bool = True) -> list[str]:
+    def decode(self, ids) -> list[str]:
         toks = [self.itos[int(i)] for i in ids]
-        if strip_specials:
-            toks = [t for t in toks if t not in SPECIALS]
-        return toks
+        return [t for t in toks if t not in SPECIALS]
 
     def total_count(self) -> int:
         return sum(self.freq.values())
@@ -74,19 +74,17 @@ class Vocab:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "Vocab":
-        return cls(obj["tokens"], {k: int(v) for k, v in obj["freq"].items()})
+        return cls(obj["tokens"], obj["freq"])
 
 
-def build_vocab(token_seqs, min_freq: int = 1) -> Vocab:
-    """Count tokens across sequences, keep those seen >= min_freq times,
-    order by descending frequency then token for a stable id assignment."""
-    if min_freq < 1:
-        raise ContractViolation("min_freq must be >= 1")
+def build_vocab(token_seqs) -> Vocab:
+    """Count tokens across sequences and order them by descending frequency
+    then token for a stable id assignment."""
     counts: dict[str, int] = {}
     for seq in token_seqs:
         for t in seq:
             counts[t] = counts.get(t, 0) + 1
-    kept = sorted((t for t, c in counts.items() if c >= min_freq and t not in SPECIALS),
+    kept = sorted((t for t in counts if t not in SPECIALS),
                   key=lambda t: (-counts[t], t))
     freq = {t: counts[t] for t in kept}
     for s in SPECIALS:
@@ -142,7 +140,7 @@ TASK_TEXTS = {"sentiment": 1, "nli": 2}
 _LABEL_RE = re.compile(r"-?\d+")
 
 
-def read_lines(path, error=ContractViolation):
+def read_lines(path, error=InputFileError):
     """(number, line) for each line of a UTF-8 text file, without its line
     ending; text that is not UTF-8 raises `error` naming path and line."""
     raw = Path(path).read_bytes()
@@ -164,14 +162,14 @@ def read_corpus(path, n_texts: int) -> list[tuple]:
             continue
         parts = line.split("\t")
         if len(parts) != n_texts + 1:
-            raise ContractViolation(f"{path}, line {ln}: expected "
-                                    f"{n_texts + 1} tab-separated fields, "
-                                    f"got {len(parts)}")
+            raise InputFileError(f"{path}, line {ln}: expected "
+                                 f"{n_texts + 1} tab-separated fields, "
+                                 f"got {len(parts)}")
         label, *texts = parts
         if not _LABEL_RE.fullmatch(label):
-            raise ContractViolation(f"{path}, line {ln}: bad label {label!r}")
+            raise InputFileError(f"{path}, line {ln}: bad label {label!r}")
         if not all(t.strip() for t in texts):
-            raise ContractViolation(f"{path}, line {ln}: empty text")
+            raise InputFileError(f"{path}, line {ln}: empty text")
         rows.append((int(label), *texts))
     return rows
 
@@ -198,11 +196,11 @@ def _read_task(meta_path: Path) -> str:
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ContractViolation(f"{meta_path}: not UTF-8 JSON ({err})") from None
+        raise InputFileError(f"{meta_path}: not UTF-8 JSON ({err})") from None
     task = meta.get("task") if isinstance(meta, dict) else None
     if not (isinstance(task, str) and task in TASK_TEXTS):
-        raise ContractViolation(f"{meta_path}: field 'task' must be one of "
-                                f"{sorted(TASK_TEXTS)}, got {json.dumps(task)}")
+        raise InputFileError(f"{meta_path}: field 'task' must be one of "
+                             f"{sorted(TASK_TEXTS)}, got {json.dumps(task)}")
     return task
 
 
@@ -218,7 +216,7 @@ def load_corpus(data_dir, vocab: Vocab | None = None) -> tuple[Split, Vocab, str
         path = data_dir / f"{part}.tsv"
         rows = read_corpus(path, TASK_TEXTS[task])
         if not rows:
-            raise ContractViolation(f"{path}: holds no rows")
+            raise InputFileError(f"{path}: holds no rows")
         parts[part] = [(label, [tokenize(t) for t in texts])
                        for label, *texts in rows]
     if vocab is None:
@@ -241,8 +239,8 @@ def load_lexicon(path) -> set[str]:
         if not word:
             continue
         if tokenize(word) != [word]:
-            raise ContractViolation(f"{path}, line {ln}: expected one token, "
-                                    f"got {word!r}")
+            raise InputFileError(f"{path}, line {ln}: expected one token, "
+                                 f"got {word!r}")
         out.add(word)
     return out
 
@@ -537,7 +535,7 @@ def make_synthetic(task: str, seed: int, sizes=(2400, 400, 400)) -> tuple[Split,
     train_seqs = [t for _, t, _ in parts[0]]
     if task == "nli":
         train_seqs = train_seqs + [p for _, _, p in parts[0]]
-    vocab = build_vocab(train_seqs, min_freq=1)
+    vocab = build_vocab(train_seqs)
 
     def enc(rows):
         return [Example(label=l, text=vocab.encode(t),

@@ -95,6 +95,20 @@ class TestTokenGradient:
         tokens, _ = token_gradient_attack(tiny_victim, tiny_dev, 3, mask)
         assert set(tokens) <= {"the", "plot", "awful", "dull"}
 
+    @pytest.mark.parametrize("filler", ["the", "<pad>", "zzz"],
+                             ids=["excluded", "special", "unknown"])
+    def test_filler_must_be_a_token_the_mask_admits(self, tiny_victim,
+                                                    tiny_dev, tiny_vocab,
+                                                    filler):
+        """When no sweep raises the dev loss the filler is the trigger, so
+        a filler outside the mask would break the exclusion list."""
+        mask = np.ones(len(tiny_vocab), dtype=bool)
+        mask[tiny_vocab.stoi["the"]] = False
+        cfg = TokenGradientConfig(top_k=1, beam_width=1, max_sweeps=1,
+                                  filler=filler)
+        with pytest.raises(ContractViolation, match=f"filler '{filler}'"):
+            token_gradient_attack(tiny_victim, tiny_dev, 2, mask, cfg)
+
     def test_deterministic(self, tiny_victim, tiny_dev, tiny_vocab):
         mask = np.ones(len(tiny_vocab), dtype=bool)
         a = token_gradient_attack(tiny_victim, tiny_dev, 2, mask)

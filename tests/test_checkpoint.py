@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from nutsearch.checkpoint import VERSION, load_checkpoint, save_checkpoint
-from nutsearch.errors import (CheckpointConsistencyError, CheckpointMagicError,
-                              CheckpointTruncatedError, CheckpointVersionError)
+from nutsearch.errors import InputFileError
 from nutsearch.gradcore import Tensor
 from nutsearch.models import ARAEModel, ScoringLM, VictimClassifier
 
@@ -118,45 +117,49 @@ class TestCorruption:
     def test_bad_magic(self, saved):
         path, buf = saved
         path.write_bytes(b"X" + buf[1:])
-        with pytest.raises(CheckpointMagicError):
+        with pytest.raises(InputFileError, match=re.escape(
+                f"{path}: not a checkpoint file")):
             load_checkpoint(path)
 
     def test_unsupported_version(self, saved):
         path, buf = saved
         path.write_bytes(buf[:8] + struct.pack("<I", VERSION + 9) + buf[12:])
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(InputFileError, match=re.escape(
+                f"{path}: format version {VERSION + 9}, supported: ")):
             load_checkpoint(path)
 
     def test_truncated_tensor_block(self, saved):
         path, buf = saved
         path.write_bytes(buf[:-10])
-        with pytest.raises(CheckpointTruncatedError):
+        with pytest.raises(InputFileError,
+                           match="file ended inside tensor data for "):
             load_checkpoint(path)
 
     def test_truncated_header(self, saved):
         path, buf = saved
         path.write_bytes(buf[:20])
-        with pytest.raises(CheckpointTruncatedError):
+        with pytest.raises(InputFileError, match="file ended inside header "):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, saved):
         path, buf = saved
         path.write_bytes(buf + b"xx")
-        with pytest.raises(CheckpointConsistencyError):
+        with pytest.raises(InputFileError, match=re.escape(
+                f"{path}: 2 trailing bytes after last tensor")):
             load_checkpoint(path)
 
     def test_missing_header_key(self, saved):
         path, buf = saved
         path.write_bytes(_rewrite_header(buf, lambda h: h.pop("seed")))
-        with pytest.raises(CheckpointConsistencyError):
+        with pytest.raises(InputFileError,
+                           match=re.escape(f"{path}: header lacks 'seed'")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
     def test_malformed_header_names_path(self, saved, case):
         path, buf = saved
         path.write_bytes(_replace_header(buf, MALFORMED_HEADERS[case]))
-        with pytest.raises(CheckpointConsistencyError,
-                           match=re.escape(f"{path}: ")):
+        with pytest.raises(InputFileError, match=re.escape(f"{path}: ")):
             load_checkpoint(path)
 
     def test_unknown_kind(self, saved):
@@ -164,7 +167,8 @@ class TestCorruption:
         def mutate(h):
             h["kind"] = "transformer"
         path.write_bytes(_rewrite_header(buf, mutate))
-        with pytest.raises(CheckpointConsistencyError):
+        with pytest.raises(InputFileError, match=re.escape(
+                f"{path}: unknown model kind 'transformer'")):
             load_checkpoint(path)
 
     def test_header_kind_must_be_the_hyperparams_kind(self, sentiment_data,
@@ -176,30 +180,40 @@ class TestCorruption:
         def mutate(h):
             h["kind"] = "lstm2"
         path.write_bytes(_rewrite_header(path.read_bytes(), mutate))
-        with pytest.raises(CheckpointConsistencyError, match=re.escape(
+        with pytest.raises(InputFileError, match=re.escape(
                 f"{path}: header kind 'lstm2' but hyperparams kind 'bag'")):
             load_checkpoint(path)
 
-    def test_vocab_size_mismatch(self, saved):
+    def test_vocab_size_mismatch(self, saved, lstm2_model):
+        """The embedding's rows are sized from the vocabulary, so the shape
+        check rejects a vocabulary of another size."""
         path, buf = saved
+        rows, dim = lstm2_model.weights["emb"].data.shape
         def mutate(h):
             h["vocab"]["tokens"] = h["vocab"]["tokens"][:-3]
             for t in list(h["vocab"]["freq"])[:3]:
                 h["vocab"]["freq"].pop(t, None)
         path.write_bytes(_rewrite_header(buf, mutate))
-        with pytest.raises(CheckpointConsistencyError, match="rows"):
+        with pytest.raises(InputFileError, match=re.escape(
+                f"{path}: tensor 'emb' has shape ({rows}, {dim}), expected "
+                f"({rows - 3}, {dim})")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("freq", [
         lambda f: dict(f, the="often"),  # a count that is not an integer
         lambda f: sorted(f),             # a list, not a token -> count map
-    ], ids=["count-not-int", "freq-a-list"])
+        lambda f: dict(f, the=-5),
+        lambda f: dict(f, the=1.7),
+        lambda f: dict(f, the="3"),      # JSON text, however numeric
+        lambda f: dict(f, the=True),     # a bool is not a count
+    ], ids=["count-not-int", "freq-a-list", "count-negative", "count-float",
+            "count-numeric-string", "count-bool"])
     def test_bad_vocab_counts_name_path(self, saved, freq):
         path, buf = saved
         def mutate(h):
             h["vocab"]["freq"] = freq(h["vocab"]["freq"])
         path.write_bytes(_rewrite_header(buf, mutate))
-        with pytest.raises(CheckpointConsistencyError,
+        with pytest.raises(InputFileError,
                            match=re.escape(f"{path}: bad vocab payload")):
             load_checkpoint(path)
 
@@ -212,16 +226,17 @@ class TestCorruption:
         path, _ = saved
         change(lstm2_model.weights)
         save_checkpoint(lstm2_model, path)
-        with pytest.raises(CheckpointConsistencyError,
+        with pytest.raises(InputFileError,
                            match=re.escape(f"{path}: ") + f".*'{name}'"):
             load_checkpoint(path)
 
     def test_embedding_of_rank_zero_names_path(self, saved, lstm2_model):
         path, _ = saved
+        want = lstm2_model.weights["emb"].data.shape
         lstm2_model.weights["emb"] = Tensor(np.asarray(1.0))
         save_checkpoint(lstm2_model, path)
-        with pytest.raises(CheckpointConsistencyError,
-                           match=re.escape(f"{path}: vocab has")):
+        with pytest.raises(InputFileError, match=re.escape(
+                f"{path}: tensor 'emb' has shape (), expected {want}")):
             load_checkpoint(path)
 
     def test_tensor_of_wrong_shape_names_path_and_shapes(self, saved,
@@ -230,7 +245,7 @@ class TestCorruption:
         want = lstm2_model.weights["l1.ih"].data.shape
         lstm2_model.weights["l1.ih"] = Tensor(np.zeros((5, 12)))
         save_checkpoint(lstm2_model, path)
-        with pytest.raises(CheckpointConsistencyError, match=re.escape(
+        with pytest.raises(InputFileError, match=re.escape(
                 f"{path}: tensor 'l1.ih' has shape (5, 12), expected {want}")):
             load_checkpoint(path)
 
@@ -241,7 +256,7 @@ class TestCorruption:
         def mutate(h):
             h["hyperparams"]["hidden_dim"] = size(h["hyperparams"]["hidden_dim"])
         path.write_bytes(_rewrite_header(buf, mutate))
-        with pytest.raises(CheckpointConsistencyError,
+        with pytest.raises(InputFileError,
                            match=re.escape(f"{path}: tensor ")):
             load_checkpoint(path)
 
@@ -250,7 +265,17 @@ class TestCorruption:
         def mutate(h):
             h["tensors"][0], h["tensors"][1] = h["tensors"][1], h["tensors"][0]
         path.write_bytes(_rewrite_header(buf, mutate))
-        with pytest.raises(CheckpointConsistencyError):
+        with pytest.raises(InputFileError, match=re.escape(
+                f"{path}: tensor order mismatch: ")):
+            load_checkpoint(path)
+
+    def test_tensor_name_not_utf8_names_path(self, saved):
+        path, buf = saved
+        hlen = struct.unpack("<I", buf[12:16])[0]
+        first = 16 + hlen + 2  # the first tensor name's first byte
+        path.write_bytes(buf[:first] + b"\xff" + buf[first + 1:])
+        with pytest.raises(InputFileError, match=re.escape(
+                f"{path}: tensor order mismatch: ")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -260,6 +285,6 @@ class TestCorruption:
         # the last value of the last tensor in the file
         path.write_bytes(buf[:-4] + np.asarray(value, dtype="<f4").tobytes())
         last = sorted(lstm2_model.weights)[-1]
-        with pytest.raises(CheckpointConsistencyError,
+        with pytest.raises(InputFileError,
                            match=re.escape(f"{path}: tensor {last!r}")):
             load_checkpoint(path)

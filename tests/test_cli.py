@@ -18,6 +18,7 @@ from nutsearch.checkpoint import load_checkpoint, save_checkpoint
 from nutsearch.cli import (ATTACK_DEFAULTS, BASELINE_DEFAULTS, RECIPES,
                            build_parser, main)
 from nutsearch.config import config_hash
+from nutsearch.errors import InputFileError
 from nutsearch.evaluation import evaluate_trigger
 from nutsearch.gradcore import Tensor
 from nutsearch.models import MODEL_KINDS
@@ -166,6 +167,28 @@ def test_bad_attacked_class_exits_two(tmp_path, workbench):
     assert run_cli(*argv) == 2
 
 
+@pytest.mark.parametrize("part", ["dev", "test"])
+@pytest.mark.parametrize("command", ["attack", "attack-baseline", "evaluate",
+                                     "transfer"])
+def test_split_without_the_attacked_class_exits_two(tmp_path, workbench,
+                                                    attack_dir, caplog,
+                                                    command, part):
+    """A split with no rows of the attacked class: exit 2 before any search
+    or scoring, one ERROR line naming the split file, no --out-dir."""
+    data = tmp_path / "data"
+    shutil.copytree(workbench["data"], data)
+    path = data / f"{part}.tsv"
+    path.write_text("".join(line for line in path.read_text().splitlines(True)
+                            if not line.startswith("1\t")))
+    out = tmp_path / "out"
+    argv = _command_args(workbench, command, out, data,
+                         attack_dir / "selected.json")
+    assert run_cli(*argv) == 2
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and str(path) in errors[0]
+    assert not out.exists()
+
+
 def test_attack_outputs_do_not_depend_on_workers(tmp_path, workbench,
                                                 monkeypatch):
     # 9 restarts make two chunks: one CPU climbs both in this process,
@@ -200,6 +223,10 @@ def _command_args(wb, command, out, data=None, selected=None):
                 "--epochs", "1"]
         return argv + (["--arch", "bag"] if command == "train-classifier"
                        else [])
+    if command == "transfer":
+        return ["transfer", "--data-dir", data, "--victim", str(wb["victim"]),
+                "--selected", str(selected), "--attacked-class", "1",
+                "--out", str(out / "transfer.json")]
     models = ["--victim", str(wb["victim"]), "--lm", str(wb["lm"])]
     if command == "evaluate":
         return ["evaluate", "--data-dir", data, *models, "--selected",
@@ -717,6 +744,24 @@ def test_bad_input_file_exits_with_one_error(tmp_path, workbench, attack_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("file,case", [key for key in _BAD_INPUTS
+                                       if key[0] != "run.cfg"])
+def test_bad_input_file_raises_input_file_error(tmp_path, workbench, file,
+                                                case):
+    """The readers themselves raise InputFileError naming the path, not
+    ContractViolation, for each bad corpus, meta.json or lexicon."""
+    data = tmp_path / "data"
+    shutil.copytree(workbench["data"], data)
+    path = data / file
+    path.write_bytes(_BAD_INPUTS[file, case])
+    with pytest.raises(InputFileError) as exc:
+        if file == "lexicon.txt":
+            td.load_lexicon(path)
+        else:
+            td.load_corpus(data)
+    assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("command", ["attack", "attack-baseline"])
 def test_explicit_lexicon_that_does_not_exist_exits_one(tmp_path, workbench,
                                                         caplog, command):
@@ -755,6 +800,8 @@ def test_explicit_lexicon_is_excluded(tmp_path, workbench):
     ("random-seq", "--n-inits", "0"),
     ("random-arae", "--trigger-length", "0"),
     ("token-gradient", "--top-k", "0"),
+    ("token-gradient", "--filler", "<pad>"),      # a special
+    ("token-gradient", "--filler", "wonderful"),  # in the corpus lexicon
     ("attack", "--eps", "nan"),
     ("attack", "--eta", "inf"),
     ("train-lm", "--lr", "nan"),

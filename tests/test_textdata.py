@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nutsearch import textdata as td
-from nutsearch.errors import ContractViolation
+from nutsearch.errors import ContractViolation, InputFileError
 
 
 class TestTokenize:
@@ -34,17 +34,11 @@ class TestVocab:
         assert v.itos[4:] == ["a", "b", "c"]
         assert v.freq["a"] == 3
 
-    def test_min_freq_filters(self):
-        v = td.build_vocab([["a", "a", "b"]], min_freq=2)
-        assert "b" not in v
-        assert v.encode(["b"]) == [v.unk_id]
-
     def test_encode_decode(self):
         v = td.build_vocab([["deep", "blue", "sea"]])
         ids = v.encode(["deep", "sea", "missing"])
         assert ids[2] == v.unk_id
         assert v.decode(ids) == ["deep", "sea"]
-        assert v.decode(ids, strip_specials=False)[2] == td.UNK
 
     def test_specials_pinned(self):
         v = td.build_vocab([["x"]])
@@ -108,13 +102,13 @@ class TestCorpusFiles:
     def test_single_malformed_names_line(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_text("1\tok text\nbadline\n")
-        with pytest.raises(ContractViolation, match="line 2"):
+        with pytest.raises(InputFileError, match="line 2"):
             td.read_single_corpus(p)
 
     def test_single_bad_label(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_text("pos\tok text\n")
-        with pytest.raises(ContractViolation, match="label"):
+        with pytest.raises(InputFileError, match="label"):
             td.read_single_corpus(p)
 
     def test_pair_roundtrip(self, tmp_path):
@@ -126,13 +120,13 @@ class TestCorpusFiles:
     def test_pair_wrong_columns(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_text("1\tonly premise\n")
-        with pytest.raises(ContractViolation, match="line 1"):
+        with pytest.raises(InputFileError, match="line 1"):
             td.read_corpus(p, 2)
 
     def test_not_utf8_names_line(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_bytes(b"1\tok text\n0\tbad \xff text\n")
-        with pytest.raises(ContractViolation, match="line 2: not UTF-8"):
+        with pytest.raises(InputFileError, match="line 2: not UTF-8"):
             td.read_single_corpus(p)
 
     def test_line_endings_match_text_mode(self, tmp_path):
@@ -148,7 +142,7 @@ class TestCorpusFiles:
     def test_lexicon_entry_of_two_tokens_names_line(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text("wonderful\nvery dull\n")
-        with pytest.raises(ContractViolation, match="line 2: expected one"):
+        with pytest.raises(InputFileError, match="line 2: expected one"):
             td.load_lexicon(p)
 
     def test_lexicon_roundtrip(self, tmp_path):
