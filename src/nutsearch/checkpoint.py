@@ -5,7 +5,7 @@ Layout, all integers little-endian:
     8-byte ASCII magic "NUTSCKPT"
     uint32 format version (currently 1)
     uint32 header byte length, then that many bytes of UTF-8 JSON
-    per tensor, in the header's listed order:
+    per tensor, in sorted name order (the header's list):
         uint16 name byte length, then the UTF-8 name
         uint8 rank, then rank x uint32 dims
         row-major IEEE-754 float32 data
@@ -19,6 +19,7 @@ saving a freshly loaded model reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -64,15 +65,15 @@ def save_checkpoint(model, path, seed: int = 0, config_hash: str = "") -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    def __init__(self, buf: bytes, path):
+        self.buf, self.path = buf, path
         self.pos = 0
 
     def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.buf):
             raise InputFileError(
-                f"file ended inside {what} ({self.pos + n} bytes needed, "
-                f"{len(self.buf)} present)")
+                f"{self.path}: file ended inside {what} ({self.pos + n} "
+                f"bytes needed, {len(self.buf)} present)")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -88,12 +89,13 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint and rebuild the model it describes.
-
-    Returns (model, header) where header is the parsed JSON dict. A file
-    that is not such a checkpoint raises InputFileError."""
+    """Read a checkpoint and rebuild the model it describes: the header
+    declares the model, then each tensor is read against its declared name
+    and shape. Returns (model, header) where header is the parsed JSON
+    dict. A file that is not such a checkpoint raises InputFileError, its
+    message starting with the path."""
     buf = Path(path).read_bytes()
-    r = _Reader(buf)
+    r = _Reader(buf, path)
     if r.take(len(MAGIC), "magic") != MAGIC:
         raise InputFileError(f"{path}: not a checkpoint file")
     version = r.u32("version")
@@ -117,7 +119,27 @@ def load_checkpoint(path):
     if not isinstance(names, list):
         raise InputFileError(f"{path}: header 'tensors' is not a list")
 
-    weights: dict[str, Tensor] = {}
+    try:
+        vocab = Vocab.from_jsonable(header["vocab"])
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ContractViolation) as err:
+        raise InputFileError(f"{path}: bad vocab payload: {err}") from err
+    try:  # the declaration alone: no weights drawn
+        model = model_from_parts(kind, header["hyperparams"], vocab, {})
+        shapes = model.weight_shapes()
+    except (AttributeError, TypeError, ValueError, ContractViolation) as err:
+        raise InputFileError(f"{path}: cannot rebuild model: {err}") from err
+    if model.kind != kind:  # a victim's kind is also in its hyperparams
+        raise InputFileError(
+            f"{path}: header kind {kind!r} but hyperparams kind "
+            f"{model.kind!r}")
+    declared = sorted(shapes)
+    if names != declared:
+        raise InputFileError(
+            f"{path}: header tensors are not a {kind} model's sorted list: "
+            f"missing {[n for n in declared if n not in names]}, "
+            f"unexpected {[n for n in names if n not in declared]}")
+
     for expect in names:
         nlen = r.u16("tensor name length")
         # a name that is not UTF-8 decodes to one that no model has
@@ -128,45 +150,19 @@ def load_checkpoint(path):
                 f"file has {name!r}")
         rank = r.u8("tensor rank")
         dims = tuple(r.u32("tensor dims") for _ in range(rank))
-        count = 1
-        for d in dims:
-            count *= d
-        raw = r.take(4 * count, f"tensor data for {name!r}")
+        shape = shapes[name]
+        # a float or bool size would compare equal to an int one
+        if dims != shape or any(type(d) is not int for d in shape):
+            raise InputFileError(f"{path}: tensor {name!r} has shape {dims}, "
+                                 f"expected {shape}")
+        raw = r.take(4 * math.prod(dims), f"tensor data for {name!r}")
         arr = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
         try:
-            weights[name] = Tensor(arr)
+            model.weights[name] = Tensor(arr)
         except NumericError:
             raise InputFileError(
                 f"{path}: tensor {name!r} holds a non-finite value") from None
     if r.pos != len(buf):
         raise InputFileError(
             f"{path}: {len(buf) - r.pos} trailing bytes after last tensor")
-
-    try:
-        vocab = Vocab.from_jsonable(header["vocab"])
-    except (AttributeError, KeyError, TypeError, ValueError,
-            ContractViolation) as err:
-        raise InputFileError(f"{path}: bad vocab payload: {err}") from err
-    try:
-        model = model_from_parts(kind, header["hyperparams"], vocab, weights)
-        shapes = model.weight_shapes()
-    except (AttributeError, TypeError, ValueError, ContractViolation) as err:
-        raise InputFileError(f"{path}: cannot rebuild model: {err}") from err
-    if model.kind != kind:  # a victim's kind is also in its hyperparams
-        raise InputFileError(
-            f"{path}: header kind {kind!r} but hyperparams kind "
-            f"{model.kind!r}")
-    if weights.keys() != shapes.keys():
-        missing = sorted(shapes.keys() - weights.keys())
-        extra = sorted(weights.keys() - shapes.keys())
-        raise InputFileError(
-            f"{path}: tensors do not match a {kind} model's: missing "
-            f"{missing}, unexpected {extra}")
-    for name, shape in shapes.items():
-        # a float or bool size would compare equal to an int one
-        if (weights[name].data.shape != shape
-                or any(type(d) is not int for d in shape)):
-            raise InputFileError(
-                f"{path}: tensor {name!r} has shape "
-                f"{weights[name].data.shape}, expected {shape}")
     return model, header

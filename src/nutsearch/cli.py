@@ -24,7 +24,8 @@ from .baselines import (TokenGradientConfig, random_arae_attack,
                         random_sequence_attack, token_gradient_attack)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_hash, parse_config_file, resolve_config
-from .errors import ConfigError, ContractViolation, NutsearchError
+from .errors import (ConfigError, ContractViolation, InputFileError,
+                     NutsearchError)
 from .evaluation import (accuracy_under_trigger, candidate_stats,
                          evaluate_trigger, transfer_eval)
 from .models import VictimClassifier
@@ -336,8 +337,9 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_stats(args) -> int:
     rows = read_candidates(args.candidates)
-    if not rows:
-        raise ConfigError(f"{args.candidates} holds no candidate records")
+    if len(rows) < 2:
+        raise InputFileError(f"{args.candidates}: statistics need at least "
+                             f"2 candidate records, it holds {len(rows)}")
     cands = [SimpleNamespace(m1=r["m1_dev"], m2=r["m2"]) for r in rows]
     out = candidate_stats(cands)
     out["count"] = len(cands)
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data-dir", required=True)
         if arch is None:
             p.add_argument("--arch", required=True,
-                           choices=("lstm2", "bag", "pair"))
+                           choices=VictimClassifier.KINDS)
         else:
             p.set_defaults(arch=arch)
         p.add_argument("--out", required=True)

@@ -22,6 +22,8 @@ latent rows as a plain array, the greedy decoders take one (1, Z) row, and
 
 from __future__ import annotations
 
+from dataclasses import KW_ONLY, InitVar, dataclass, fields
+
 import numpy as np
 
 from . import gradcore as gc
@@ -156,10 +158,23 @@ class _Sorted:
         return gc.embed(h, np.argsort(self.order))
 
 
+@dataclass(eq=False)
 class _ModelBase:
-    kind: str = ""
+    """A model's one declaration: its fields after `vocab` are its sizes,
+    what a checkpoint header stores. `seed` draws the weights, unless
+    `weights` are given."""
+
     vocab: Vocab
-    weights: dict[str, Tensor]
+    _: KW_ONLY
+    seed: InitVar[int] = 0
+    weights: InitVar[dict[str, Tensor] | None] = None
+
+    def __post_init__(self, seed, weights):
+        self.weights = (weights if weights is not None
+                        else self._declare(np.random.default_rng(seed)))
+
+    def hyperparams(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
 
     def weight_shapes(self) -> dict[str, tuple]:
         """Each weight's shape by name, from the declarations that draw the
@@ -191,22 +206,20 @@ class _Lifted(dict):
 # autoencoder + generator + critic
 
 
+@dataclass(eq=False)
 class ARAEModel(_ModelBase):
     kind = "arae"
+    emb_dim: int = 32
+    hidden_dim: int = 64
+    latent_dim: int = 32
+    noise_dim: int = 16
+    gen_hidden: int = 64
+    critic_hidden: int = 64
+    latent_scale: float = 1.0
 
-    def __init__(self, vocab: Vocab, emb_dim=32, hidden_dim=64, latent_dim=32,
-                 noise_dim=16, gen_hidden=64, critic_hidden=64,
-                 latent_scale=1.0, seed=0, weights=None):
-        self.vocab = vocab
-        self.emb_dim = emb_dim
-        self.hidden_dim = hidden_dim
-        self.latent_dim = latent_dim
-        self.noise_dim = noise_dim
-        self.gen_hidden = gen_hidden
-        self.critic_hidden = critic_hidden
-        self.latent_scale = float(latent_scale)
-        self.weights = (weights if weights is not None
-                        else self._declare(np.random.default_rng(seed)))
+    def __post_init__(self, seed, weights):
+        self.latent_scale = float(self.latent_scale)
+        super().__post_init__(seed, weights)
 
     def _declare(self, rng) -> dict:
         V, E, H, Z = (len(self.vocab), self.emb_dim, self.hidden_dim,
@@ -225,12 +238,6 @@ class ARAEModel(_ModelBase):
         _linear(w, rng, "critic.w1", "critic.b1", Z, self.critic_hidden)
         _linear(w, rng, "critic.w2", "critic.b2", self.critic_hidden, 1)
         return w
-
-    def hyperparams(self) -> dict:
-        return {"emb_dim": self.emb_dim, "hidden_dim": self.hidden_dim,
-                "latent_dim": self.latent_dim, "noise_dim": self.noise_dim,
-                "gen_hidden": self.gen_hidden, "critic_hidden": self.critic_hidden,
-                "latent_scale": self.latent_scale}
 
     # -- encoder
 
@@ -383,20 +390,18 @@ class ARAEModel(_ModelBase):
 # victims
 
 
+@dataclass(eq=False)
 class VictimClassifier(_ModelBase):
     KINDS = ("lstm2", "bag", "pair")
+    kind: str
+    n_classes: int
+    emb_dim: int = 32
+    hidden_dim: int = 64
 
-    def __init__(self, vocab: Vocab, kind: str, n_classes: int,
-                 emb_dim=32, hidden_dim=64, seed=0, weights=None):
-        if kind not in self.KINDS:
-            raise ContractViolation(f"unknown victim kind {kind!r}")
-        self.vocab = vocab
-        self.kind = kind
-        self.n_classes = n_classes
-        self.emb_dim = emb_dim
-        self.hidden_dim = hidden_dim
-        self.weights = (weights if weights is not None
-                        else self._declare(np.random.default_rng(seed)))
+    def __post_init__(self, seed, weights):
+        if self.kind not in self.KINDS:
+            raise ContractViolation(f"unknown victim kind {self.kind!r}")
+        super().__post_init__(seed, weights)
 
     def _declare(self, rng) -> dict:
         V, E, H, C = (len(self.vocab), self.emb_dim, self.hidden_dim,
@@ -412,10 +417,6 @@ class VictimClassifier(_ModelBase):
             _linear(w, rng, "fc1.w", "fc1.b", 4 * H, H)
         _linear(w, rng, "head.w", "head.b", H, C)
         return w
-
-    def hyperparams(self) -> dict:
-        return {"kind": self.kind, "n_classes": self.n_classes,
-                "emb_dim": self.emb_dim, "hidden_dim": self.hidden_dim}
 
     def forward_embs(self, g: Graph, P, prefix: list[Node], ids: np.ndarray,
                      lengths: np.ndarray, emb_noise: np.ndarray | None = None,
@@ -505,16 +506,11 @@ class VictimClassifier(_ModelBase):
 # scoring language model
 
 
+@dataclass(eq=False)
 class ScoringLM(_ModelBase):
     kind = "lm"
-
-    def __init__(self, vocab: Vocab, emb_dim=32, hidden_dim=64, seed=0,
-                 weights=None):
-        self.vocab = vocab
-        self.emb_dim = emb_dim
-        self.hidden_dim = hidden_dim
-        self.weights = (weights if weights is not None
-                        else self._declare(np.random.default_rng(seed)))
+    emb_dim: int = 32
+    hidden_dim: int = 64
 
     def _declare(self, rng) -> dict:
         V, E, H = len(self.vocab), self.emb_dim, self.hidden_dim
@@ -524,9 +520,6 @@ class ScoringLM(_ModelBase):
         for name, shape in (("out.w", (H, V)), ("out.b", (V,))):
             w[name] = shape if rng is None else Tensor(np.zeros(shape))
         return w
-
-    def hyperparams(self) -> dict:
-        return {"emb_dim": self.emb_dim, "hidden_dim": self.hidden_dim}
 
     def step_logits(self, g: Graph, P, in_ids: np.ndarray) -> list[Node]:
         """Next-token logits for each position of a (B, T) input batch."""
@@ -561,13 +554,8 @@ class ScoringLM(_ModelBase):
         return float(ce.value)
 
 
-MODEL_KINDS = {
-    "arae": ARAEModel,
-    "lstm2": VictimClassifier,
-    "bag": VictimClassifier,
-    "pair": VictimClassifier,
-    "lm": ScoringLM,
-}
+MODEL_KINDS = {"arae": ARAEModel, "lm": ScoringLM,
+               **dict.fromkeys(VictimClassifier.KINDS, VictimClassifier)}
 
 
 def model_from_parts(kind: str, hyperparams: dict, vocab: Vocab,

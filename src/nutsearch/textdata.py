@@ -38,7 +38,7 @@ class Vocab:
     """Token/id mapping with training-corpus frequencies.
 
     Ids 0..3 are pinned to <pad>, <unk>, <bos>, <eos>; every count is an
-    int >= 0.
+    int >= 0, and for one of the vocabulary's own tokens.
     """
 
     def __init__(self, tokens: list[str], freq: dict[str, int]):
@@ -46,12 +46,15 @@ class Vocab:
             raise ContractViolation("vocab must start with the four specials")
         if len(set(tokens)) != len(tokens):
             raise ContractViolation("vocab has duplicate tokens")
+        self.itos = list(tokens)
+        self.stoi = {t: i for i, t in enumerate(self.itos)}
         for token, count in freq.items():
+            if token not in self.stoi:
+                raise ContractViolation(f"count for {token!r}, which is not "
+                                        "a vocabulary token")
             if type(count) is not int or count < 0:  # bool is not int
                 raise ContractViolation(f"count of {token!r} must be an int "
                                         f">= 0, got {count!r}")
-        self.itos = list(tokens)
-        self.stoi = {t: i for i, t in enumerate(self.itos)}
         self.freq = dict(freq)
 
     pad_id, unk_id, bos_id, eos_id = 0, 1, 2, 3

@@ -38,6 +38,28 @@ def _rewrite_header(buf: bytes, mutate) -> bytes:
     return _replace_header(buf, make)
 
 
+def _tensor_blocks(buf: bytes) -> list[tuple[int, int]]:
+    """The (start, end) byte span of each tensor block, in file order."""
+    pos = 16 + struct.unpack("<I", buf[12:16])[0]
+    spans = []
+    while pos < len(buf):
+        start = pos
+        pos += 2 + struct.unpack("<H", buf[pos:pos + 2])[0]
+        rank = buf[pos]
+        dims = struct.unpack(f"<{rank}I", buf[pos + 1:pos + 1 + 4 * rank])
+        pos += 1 + 4 * rank + 4 * int(np.prod(dims))
+        spans.append((start, pos))
+    return spans
+
+
+def _rejects(path, match: str = ""):
+    """load_checkpoint raises InputFileError whose message is the path, then
+    text matching the regex `match`."""
+    with pytest.raises(InputFileError) as exc:
+        load_checkpoint(path)
+    assert re.match(re.escape(f"{path}: ") + match, str(exc.value)), exc.value
+
+
 # headers that parse as JSON but not as a checkpoint header
 MALFORMED_HEADERS = {
     "number": lambda h: 7,
@@ -108,6 +130,9 @@ class TestRoundTrip:
 
 
 class TestCorruption:
+    """Each corruption raises InputFileError, and every message starts with
+    the path (`_rejects`)."""
+
     @pytest.fixture()
     def saved(self, lstm2_model, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -117,59 +142,45 @@ class TestCorruption:
     def test_bad_magic(self, saved):
         path, buf = saved
         path.write_bytes(b"X" + buf[1:])
-        with pytest.raises(InputFileError, match=re.escape(
-                f"{path}: not a checkpoint file")):
-            load_checkpoint(path)
+        _rejects(path, "not a checkpoint file")
 
     def test_unsupported_version(self, saved):
         path, buf = saved
         path.write_bytes(buf[:8] + struct.pack("<I", VERSION + 9) + buf[12:])
-        with pytest.raises(InputFileError, match=re.escape(
-                f"{path}: format version {VERSION + 9}, supported: ")):
-            load_checkpoint(path)
+        _rejects(path, f"format version {VERSION + 9}, supported: ")
 
     def test_truncated_tensor_block(self, saved):
         path, buf = saved
         path.write_bytes(buf[:-10])
-        with pytest.raises(InputFileError,
-                           match="file ended inside tensor data for "):
-            load_checkpoint(path)
+        _rejects(path, "file ended inside tensor data for ")
 
     def test_truncated_header(self, saved):
         path, buf = saved
         path.write_bytes(buf[:20])
-        with pytest.raises(InputFileError, match="file ended inside header "):
-            load_checkpoint(path)
+        _rejects(path, "file ended inside header ")
 
     def test_trailing_bytes(self, saved):
         path, buf = saved
         path.write_bytes(buf + b"xx")
-        with pytest.raises(InputFileError, match=re.escape(
-                f"{path}: 2 trailing bytes after last tensor")):
-            load_checkpoint(path)
+        _rejects(path, "2 trailing bytes after last tensor")
 
     def test_missing_header_key(self, saved):
         path, buf = saved
         path.write_bytes(_rewrite_header(buf, lambda h: h.pop("seed")))
-        with pytest.raises(InputFileError,
-                           match=re.escape(f"{path}: header lacks 'seed'")):
-            load_checkpoint(path)
+        _rejects(path, "header lacks 'seed'")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
     def test_malformed_header_names_path(self, saved, case):
         path, buf = saved
         path.write_bytes(_replace_header(buf, MALFORMED_HEADERS[case]))
-        with pytest.raises(InputFileError, match=re.escape(f"{path}: ")):
-            load_checkpoint(path)
+        _rejects(path)
 
     def test_unknown_kind(self, saved):
         path, buf = saved
         def mutate(h):
             h["kind"] = "transformer"
         path.write_bytes(_rewrite_header(buf, mutate))
-        with pytest.raises(InputFileError, match=re.escape(
-                f"{path}: unknown model kind 'transformer'")):
-            load_checkpoint(path)
+        _rejects(path, "unknown model kind 'transformer'")
 
     def test_header_kind_must_be_the_hyperparams_kind(self, sentiment_data,
                                                        tmp_path):
@@ -180,24 +191,20 @@ class TestCorruption:
         def mutate(h):
             h["kind"] = "lstm2"
         path.write_bytes(_rewrite_header(path.read_bytes(), mutate))
-        with pytest.raises(InputFileError, match=re.escape(
-                f"{path}: header kind 'lstm2' but hyperparams kind 'bag'")):
-            load_checkpoint(path)
+        _rejects(path, "header kind 'lstm2' but hyperparams kind 'bag'")
 
     def test_vocab_size_mismatch(self, saved, lstm2_model):
         """The embedding's rows are sized from the vocabulary, so the shape
         check rejects a vocabulary of another size."""
         path, buf = saved
         rows, dim = lstm2_model.weights["emb"].data.shape
-        def mutate(h):
+        def mutate(h):  # drop the last three tokens and their counts
+            for t in h["vocab"]["tokens"][-3:]:
+                h["vocab"]["freq"].pop(t)
             h["vocab"]["tokens"] = h["vocab"]["tokens"][:-3]
-            for t in list(h["vocab"]["freq"])[:3]:
-                h["vocab"]["freq"].pop(t, None)
         path.write_bytes(_rewrite_header(buf, mutate))
-        with pytest.raises(InputFileError, match=re.escape(
-                f"{path}: tensor 'emb' has shape ({rows}, {dim}), expected "
-                f"({rows - 3}, {dim})")):
-            load_checkpoint(path)
+        _rejects(path, re.escape(f"tensor 'emb' has shape ({rows}, {dim}), "
+                                 f"expected ({rows - 3}, {dim})"))
 
     @pytest.mark.parametrize("freq", [
         lambda f: dict(f, the="often"),  # a count that is not an integer
@@ -206,16 +213,15 @@ class TestCorruption:
         lambda f: dict(f, the=1.7),
         lambda f: dict(f, the="3"),      # JSON text, however numeric
         lambda f: dict(f, the=True),     # a bool is not a count
+        lambda f: dict(f, zzzz=1000000),  # a token the vocabulary lacks
     ], ids=["count-not-int", "freq-a-list", "count-negative", "count-float",
-            "count-numeric-string", "count-bool"])
+            "count-numeric-string", "count-bool", "count-for-a-non-token"])
     def test_bad_vocab_counts_name_path(self, saved, freq):
         path, buf = saved
         def mutate(h):
             h["vocab"]["freq"] = freq(h["vocab"]["freq"])
         path.write_bytes(_rewrite_header(buf, mutate))
-        with pytest.raises(InputFileError,
-                           match=re.escape(f"{path}: bad vocab payload")):
-            load_checkpoint(path)
+        _rejects(path, "bad vocab payload")
 
     @pytest.mark.parametrize("change,name", [
         (lambda w: w.pop("l1.b"), "l1.b"),
@@ -226,18 +232,15 @@ class TestCorruption:
         path, _ = saved
         change(lstm2_model.weights)
         save_checkpoint(lstm2_model, path)
-        with pytest.raises(InputFileError,
-                           match=re.escape(f"{path}: ") + f".*'{name}'"):
-            load_checkpoint(path)
+        _rejects(path, f"header tensors are not a lstm2 model's sorted "
+                       f"list: .*'{name}'")
 
     def test_embedding_of_rank_zero_names_path(self, saved, lstm2_model):
         path, _ = saved
         want = lstm2_model.weights["emb"].data.shape
         lstm2_model.weights["emb"] = Tensor(np.asarray(1.0))
         save_checkpoint(lstm2_model, path)
-        with pytest.raises(InputFileError, match=re.escape(
-                f"{path}: tensor 'emb' has shape (), expected {want}")):
-            load_checkpoint(path)
+        _rejects(path, re.escape(f"tensor 'emb' has shape (), expected {want}"))
 
     def test_tensor_of_wrong_shape_names_path_and_shapes(self, saved,
                                                          lstm2_model):
@@ -245,9 +248,8 @@ class TestCorruption:
         want = lstm2_model.weights["l1.ih"].data.shape
         lstm2_model.weights["l1.ih"] = Tensor(np.zeros((5, 12)))
         save_checkpoint(lstm2_model, path)
-        with pytest.raises(InputFileError, match=re.escape(
-                f"{path}: tensor 'l1.ih' has shape (5, 12), expected {want}")):
-            load_checkpoint(path)
+        _rejects(path, re.escape(f"tensor 'l1.ih' has shape (5, 12), "
+                                 f"expected {want}"))
 
     @pytest.mark.parametrize("size", [lambda d: 10 ** 12, float],
                              ids=["huge", "float-of-the-right-size"])
@@ -256,27 +258,32 @@ class TestCorruption:
         def mutate(h):
             h["hyperparams"]["hidden_dim"] = size(h["hyperparams"]["hidden_dim"])
         path.write_bytes(_rewrite_header(buf, mutate))
-        with pytest.raises(InputFileError,
-                           match=re.escape(f"{path}: tensor ")):
-            load_checkpoint(path)
+        _rejects(path, "tensor ")
 
     def test_tensor_order_mismatch(self, saved):
+        """A header whose tensor list is not the declared, sorted one."""
         path, buf = saved
         def mutate(h):
             h["tensors"][0], h["tensors"][1] = h["tensors"][1], h["tensors"][0]
         path.write_bytes(_rewrite_header(buf, mutate))
-        with pytest.raises(InputFileError, match=re.escape(
-                f"{path}: tensor order mismatch: ")):
-            load_checkpoint(path)
+        _rejects(path, re.escape("header tensors are not a lstm2 model's "
+                                 "sorted list: missing [], unexpected []"))
+
+    def test_tensor_blocks_out_of_declared_order(self, saved):
+        """The header is intact, but the file's first two tensor blocks are
+        swapped."""
+        path, buf = saved
+        (a, b), (_, c) = _tensor_blocks(buf)[:2]
+        path.write_bytes(buf[:a] + buf[b:c] + buf[a:b] + buf[c:])
+        _rejects(path, "tensor order mismatch: header says 'emb', file has "
+                       "'head.b'")
 
     def test_tensor_name_not_utf8_names_path(self, saved):
         path, buf = saved
         hlen = struct.unpack("<I", buf[12:16])[0]
         first = 16 + hlen + 2  # the first tensor name's first byte
         path.write_bytes(buf[:first] + b"\xff" + buf[first + 1:])
-        with pytest.raises(InputFileError, match=re.escape(
-                f"{path}: tensor order mismatch: ")):
-            load_checkpoint(path)
+        _rejects(path, "tensor order mismatch: ")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_weight_names_path_and_tensor(self, saved, lstm2_model,
@@ -285,6 +292,4 @@ class TestCorruption:
         # the last value of the last tensor in the file
         path.write_bytes(buf[:-4] + np.asarray(value, dtype="<f4").tobytes())
         last = sorted(lstm2_model.weights)[-1]
-        with pytest.raises(InputFileError,
-                           match=re.escape(f"{path}: tensor {last!r}")):
-            load_checkpoint(path)
+        _rejects(path, re.escape(f"tensor {last!r} holds a non-finite value"))

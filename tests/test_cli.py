@@ -629,15 +629,26 @@ def test_stats_output(tmp_path, attack_dir):
                           "pearson", "pearson_defined"}
 
 
-def test_stats_empty_dump_exits_two(tmp_path):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    assert run_cli("stats", "--candidates", str(empty), "--out",
-                   str(tmp_path / "s.json")) == 2
-
-
 _GOOD_RECORD = {"tokens": ["the", "plot"], "m1_dev": 0.5, "m2": 3.0,
                 "kind": "nuts", "config_hash": ""}
+
+
+@pytest.mark.parametrize("n_records", [0, 1])
+def test_stats_with_fewer_than_two_records_exits_one(tmp_path, caplog,
+                                                     n_records):
+    """Statistics need two records: fewer is an unusable input file, one
+    ERROR line naming the path and the count, nothing written."""
+    path = tmp_path / "candidates.jsonl"
+    path.write_text(n_records * (json.dumps(_GOOD_RECORD) + "\n"))
+    out = tmp_path / "s.json"
+    assert run_cli("stats", "--candidates", str(path), "--out",
+                   str(out)) == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert f"{path}: " in errors[0] and f"holds {n_records}" in errors[0]
+    assert not out.exists()
+
+
 # (content of the bad record, what the error names besides path and line)
 _BAD_RECORDS = {
     "not-json": (b'{"tokens": ["the"', "not UTF-8 JSON"),
@@ -707,6 +718,8 @@ _BAD_INPUTS = {
     ("run.cfg", "not-utf8"): b"seed = 1\n# \xff\n",
     ("run.cfg", "not-key-value"): b"seed 1\n",
     ("run.cfg", "no-key"): b"= 1\n",
+    # a function of the intact file's bytes
+    ("lm.ckpt", "truncated"): lambda intact: intact[:-10],
 }
 # the commands that read each file
 _READERS = {
@@ -716,7 +729,16 @@ _READERS = {
                   "evaluate"),
     "lexicon.txt": ("attack", "attack-baseline"),
     "run.cfg": ("attack", "train-lm"),
+    "lm.ckpt": ("attack", "attack-baseline", "evaluate"),
 }
+
+
+def _write_bad_input(data, file, case):
+    """Write the bad `file` into the corpus copy `data`; return its path."""
+    path = data / file
+    bad = _BAD_INPUTS[file, case]
+    path.write_bytes(bad(path.read_bytes()) if callable(bad) else bad)
+    return path
 
 
 @pytest.mark.parametrize("file,case,command", [
@@ -730,13 +752,13 @@ def test_bad_input_file_exits_with_one_error(tmp_path, workbench, attack_dir,
     no output."""
     data = tmp_path / "data"
     shutil.copytree(workbench["data"], data)
+    shutil.copy(workbench["lm"], data / "lm.ckpt")
     out = tmp_path / "out"
-    argv = _command_args(workbench, command, out, data,
-                         attack_dir / "selected.json")
-    path = data / file
+    argv = _command_args(dict(workbench, lm=data / "lm.ckpt"), command, out,
+                         data, attack_dir / "selected.json")
+    path = _write_bad_input(data, file, case)
     if file == "run.cfg":
         argv += ["--config", str(path)]
-    path.write_bytes(_BAD_INPUTS[file, case])
     assert run_cli(*argv) == (2 if file == "run.cfg" else 1)
     errors = _error_lines(caplog)
     assert len(errors) == 1 and str(path) in errors[0]
@@ -749,14 +771,17 @@ def test_bad_input_file_exits_with_one_error(tmp_path, workbench, attack_dir,
 def test_bad_input_file_raises_input_file_error(tmp_path, workbench, file,
                                                 case):
     """The readers themselves raise InputFileError naming the path, not
-    ContractViolation, for each bad corpus, meta.json or lexicon."""
+    ContractViolation, for each bad corpus, meta.json, lexicon or
+    checkpoint."""
     data = tmp_path / "data"
     shutil.copytree(workbench["data"], data)
-    path = data / file
-    path.write_bytes(_BAD_INPUTS[file, case])
+    shutil.copy(workbench["lm"], data / "lm.ckpt")
+    path = _write_bad_input(data, file, case)
     with pytest.raises(InputFileError) as exc:
         if file == "lexicon.txt":
             td.load_lexicon(path)
+        elif file == "lm.ckpt":
+            load_checkpoint(path)
         else:
             td.load_corpus(data)
     assert str(path) in str(exc.value)

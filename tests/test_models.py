@@ -309,28 +309,44 @@ class TestFullSoftPipelineGradient:
         assert rel_err(got, want) <= 1e-3
 
 
+# every kind, every size off its default
+_BUILDS = {
+    "arae": lambda v: ARAEModel(v, emb_dim=8, hidden_dim=12, latent_dim=10,
+                                noise_dim=6, gen_hidden=10, critic_hidden=9,
+                                latent_scale=3.0),
+    "lstm2": lambda v: VictimClassifier(v, "lstm2", n_classes=2, emb_dim=8,
+                                        hidden_dim=10),
+    "bag": lambda v: VictimClassifier(v, "bag", n_classes=3, emb_dim=8,
+                                      hidden_dim=10, seed=8),
+    "pair": lambda v: VictimClassifier(v, "pair", n_classes=3, emb_dim=8,
+                                       hidden_dim=10),
+    "lm": lambda v: ScoringLM(v, emb_dim=8, hidden_dim=10),
+}
+
+
 class TestModelRebuild:
     def test_roundtrip_parts(self, tiny_vocab):
-        m = VictimClassifier(tiny_vocab, "bag", n_classes=2, emb_dim=8,
-                             hidden_dim=10, seed=8)
-        m2 = model_from_parts("bag", m.hyperparams(), tiny_vocab, m.weights)
-        assert isinstance(m2, VictimClassifier) and m2.kind == "bag"
-        texts = [tiny_vocab.encode(["the", "movie", "was", "wonderful"])]
-        assert np.array_equal(m.logits_batch(texts), m2.logits_batch(texts))
+        """A model rebuilt from its kind, hyperparams and weights declares
+        the same sizes and shapes, for every kind."""
+        for kind, build in _BUILDS.items():
+            m = build(tiny_vocab)
+            m2 = model_from_parts(kind, m.hyperparams(), tiny_vocab,
+                                  m.weights)
+            assert type(m2) is type(m) and m2.kind == kind
+            assert m2.hyperparams() == m.hyperparams()
+            assert m2.weight_shapes() == m.weight_shapes()
+            # hyperparams() leaves out no attribute but the weights
+            assert ({k: v for k, v in vars(m2).items() if k != "weights"}
+                    == {k: v for k, v in vars(m).items() if k != "weights"})
+            if kind == "bag":
+                texts = [tiny_vocab.encode(["the", "movie", "was",
+                                            "wonderful"])]
+                assert np.array_equal(m.logits_batch(texts),
+                                      m2.logits_batch(texts))
 
-    @pytest.mark.parametrize("build", [
-        lambda v: ARAEModel(v, emb_dim=8, hidden_dim=12, latent_dim=10,
-                            noise_dim=6, gen_hidden=10, critic_hidden=9),
-        lambda v: VictimClassifier(v, "lstm2", n_classes=2, emb_dim=8,
-                                   hidden_dim=10),
-        lambda v: VictimClassifier(v, "bag", n_classes=3, emb_dim=8,
-                                   hidden_dim=10),
-        lambda v: VictimClassifier(v, "pair", n_classes=3, emb_dim=8,
-                                   hidden_dim=10),
-        lambda v: ScoringLM(v, emb_dim=8, hidden_dim=10),
-    ], ids=["arae", "lstm2", "bag", "pair", "lm"])
-    def test_weight_shapes_are_the_drawn_weights(self, tiny_vocab, build):
-        m = build(tiny_vocab)
+    @pytest.mark.parametrize("kind", sorted(_BUILDS))
+    def test_weight_shapes_are_the_drawn_weights(self, tiny_vocab, kind):
+        m = _BUILDS[kind](tiny_vocab)
         shapes = m.weight_shapes()
         assert list(shapes) == list(m.weights)
         assert shapes == {k: t.data.shape for k, t in m.weights.items()}
