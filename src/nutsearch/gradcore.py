@@ -23,6 +23,9 @@ Design constraints, fixed on purpose:
   a hand-written backward; it steps only the first `live` rows, and it
   also checks its internal gates, because a saturated sigmoid would hide
   an overflow from the output check;
+* lstm_step and cross_entropy_value are those two ops' forward values on
+  plain arrays, one definition that a forward-only caller (the scoring
+  LM) runs without a graph;
 * float64 everywhere, no implicit broadcasting beyond the few ops that
   document it (add_bias, tile_rows) -- shape mismatches raise instead
   of broadcasting wrong;
@@ -41,8 +44,9 @@ __all__ = [
     "rows_scale", "reciprocal",
     "matmul", "transpose", "tanh", "sigmoid", "absolute", "sqrt",
     "softmax", "embed", "concat", "narrow",
-    "mean_all", "sum_axis", "cross_entropy",
-    "tile_rows", "straight_through", "lstm_cell", "gumbel_softmax",
+    "mean_all", "sum_axis", "cross_entropy", "cross_entropy_value",
+    "tile_rows", "straight_through", "lstm_step", "lstm_cell",
+    "gumbel_softmax",
     "l2_project",
 ]
 
@@ -372,12 +376,8 @@ def cross_entropy(logits: Node, targets, weights=None) -> Node:
     wsum = w.sum()
     if wsum <= 0.0:
         raise ContractViolation("cross_entropy: weights sum to zero")
-
-    shifted = lv - lv.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
+    out, logp = cross_entropy_value(lv, targets, w)
     rows = np.arange(lv.shape[0])
-    out = np.asarray(-(w * logp[rows, targets]).sum() / wsum)
 
     def back(go):
         gl = np.exp(logp)
@@ -386,6 +386,17 @@ def cross_entropy(logits: Node, targets, weights=None) -> Node:
         return (gl * float(go),)
 
     return logits.graph._push("cross_entropy", (logits,), out, back)
+
+
+def cross_entropy_value(lv: np.ndarray, targets: np.ndarray,
+                        w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cross_entropy's output on plain, already validated arrays: returns
+    the weighted mean NLL (a 0-d array) and the log-softmax it read."""
+    shifted = lv - lv.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = shifted - lse
+    rows = np.arange(lv.shape[0])
+    return np.asarray(-(w * logp[rows, targets]).sum() / w.sum()), logp
 
 
 def tile_rows(a: Node, n: int) -> Node:
@@ -405,6 +416,23 @@ def straight_through(soft: Node, hard) -> Node:
     return soft.graph._push("straight_through", (soft,), hard, lambda go: (go,))
 
 
+def lstm_step(x, h, c, w_ih, w_hh, b):
+    """lstm_cell's forward on plain arrays: x (n x E), h and c (n x H).
+    Returns the packed next state [h' | c'] (n x 2H) and the gate
+    activations (i, f, u, o) that the backward reads. The gates are
+    checked for non-finite values; past that check every value is bounded
+    (sigmoid and tanh lie in [-1, 1], so |c'| <= |c| + 1 and |h'| <= 1)."""
+    H = w_hh.shape[0]
+    gates = (x @ w_ih + h @ w_hh) + b
+    if not np.isfinite(gates).all():
+        raise NumericError("op 'lstm_cell' produced non-finite gates")
+    i, f, o = (0.5 * (1.0 + np.tanh(0.5 * gates[:, k * H:(k + 1) * H]))
+               for k in (0, 1, 3))
+    u = np.tanh(gates[:, 2 * H:3 * H])
+    c2 = f * c + i * u
+    return np.concatenate([o * np.tanh(c2), c2], axis=1), (i, f, u, o)
+
+
 def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
               live: int | None = None) -> Node:
     """One LSTM step as a single node.
@@ -416,12 +444,12 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
     unchanged, in the forward and the backward: a batch sorted
     longest-first steps only the texts that have not ended.
 
-    The forward evaluates the numpy expressions of the matmul, add_bias,
-    narrow, sigmoid, tanh and mul composition it replaces, in the same
-    order, and the backward forms each gradient with the same
-    expressions, so values and gradients are bit-identical to that
-    composition. The gates are checked for non-finite values as well as
-    the output: a saturated sigmoid would otherwise hide an overflow.
+    The forward (lstm_step) evaluates the numpy expressions of the
+    matmul, add_bias, narrow, sigmoid, tanh and mul composition it
+    replaces, in the same order, and the backward forms each gradient with
+    the same expressions, so values and gradients are bit-identical to
+    that composition. The gates are checked for non-finite values as well
+    as the output: a saturated sigmoid would otherwise hide an overflow.
     """
     xv, sv, ih, hh, bv = x.value, state.value, w_ih.value, w_hh.value, b.value
     H = hh.shape[0]
@@ -437,14 +465,7 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
     xn = xv[:n]
     h = sv[:n, :H]
     c = sv[:n, H:]
-    gates = (xn @ ih + h @ hh) + bv
-    if not np.isfinite(gates).all():
-        raise NumericError("op 'lstm_cell' produced non-finite gates")
-    i, f, o = (0.5 * (1.0 + np.tanh(0.5 * gates[:, k * H:(k + 1) * H]))
-               for k in (0, 1, 3))
-    u = np.tanh(gates[:, 2 * H:3 * H])
-    c2 = f * c + i * u
-    out = np.concatenate([o * np.tanh(c2), c2], axis=1)
+    out, (i, f, u, o) = lstm_step(xn, h, c, ih, hh, bv)
     if n < B:
         out = np.concatenate([out, sv[n:]])
 

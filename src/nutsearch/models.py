@@ -9,7 +9,9 @@ one engine carries every gradient in the pipeline:
 * victim classifiers: a 2-layer LSTM, a mean-of-embeddings bag model
   (the transfer target), and a shared-encoder premise/hypothesis model;
 * a single-layer LSTM language model whose output layer starts at zero,
-  so its untrained average cross-entropy is exactly ln |V|.
+  so its untrained average cross-entropy is exactly ln |V|; it scores on
+  plain arrays, through the same gradcore step functions its training
+  graph runs.
 
 Victim texts are token ids, optionally preceded by embedding rows such
 as a trigger's; the attack passes decoded probability rows times the
@@ -27,7 +29,7 @@ from dataclasses import KW_ONLY, InitVar, dataclass, fields
 import numpy as np
 
 from . import gradcore as gc
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericError
 from .gradcore import Graph, Node, Tensor
 from .textdata import Vocab
 
@@ -527,31 +529,79 @@ class ScoringLM(_ModelBase):
         return [gc.add_bias(gc.matmul(_hidden(s), P["out.w"]), P["out.b"])
                 for s in run_lstm(g, P, "lstm", inputs)]
 
-    def batch_ce(self, g: Graph, P, texts: list[list[int]]) -> Node:
-        """Token-weighted mean next-token cross-entropy of a batch of id
-        sequences, teacher-forced from BOS; padding carries no weight."""
+    def _teacher_forced(self, texts: list[list[int]]):
+        """(in_ids, targets, weights) of a batch of id sequences: (B, T)
+        inputs from BOS, then step-major targets and token weights (row
+        t*B + i is text i at step t), padding with weight 0 and target 0."""
         ids, lengths = pad_batch(texts, self.vocab.pad_id)
         B, T = ids.shape
         in_ids = np.concatenate([np.full((B, 1), self.vocab.bos_id), ids[:, :-1]],
                                 axis=1)
+        weights = np.concatenate(step_masks(lengths, T))
+        targets = np.where(weights > 0, ids.T.reshape(-1), 0)
+        return in_ids, targets, weights
+
+    def batch_ce(self, g: Graph, P, texts: list[list[int]]) -> Node:
+        """Token-weighted mean next-token cross-entropy of a batch of id
+        sequences, teacher-forced from BOS; padding carries no weight. The
+        training loss; `forward_ce` scores with its value."""
+        in_ids, targets, weights = self._teacher_forced(texts)
         logits = self.step_logits(g, P, in_ids)
         flat = gc.concat(logits, axis=0) if len(logits) > 1 else logits[0]
-        # concat is step-major: row t*B + i holds batch row i at step t
-        targets = ids.T.reshape(-1)
-        weights = np.concatenate(step_masks(lengths, T))
-        targets = np.where(weights > 0, targets, 0)
         return gc.cross_entropy(flat, targets, weights)
+
+    def forward_ce(self, texts: list[list[int]]) -> float:
+        """batch_ce's value, bit for bit, on plain arrays with no graph:
+        the same padding, per-step expressions (gradcore.lstm_step, the
+        narrow copy, matmul, add_bias), step-major logits and token weights.
+
+        A graph checks every op's output; this path checks the gates
+        (inside lstm_step), the logits and the CE. No unscanned value can
+        be the first non-finite one: an embedded input feeds its step's
+        gates, a state past finite gates is bounded (|c'| <= |c| + 1,
+        |h'| <= 1), and h @ out.w feeds the logits. So when a check fails
+        (or an id is out of range), batch_ce replayed on a graph meets the
+        same values and raises the error that names the op."""
+        in_ids, targets, weights = self._teacher_forced(texts)
+        try:
+            ce = self._array_ce(in_ids, targets, weights)
+        except NumericError:
+            ce = np.nan
+        if np.isfinite(ce):
+            return ce
+        g = Graph()
+        self.batch_ce(g, self.lift(g), texts)
+        raise NumericError("forward_ce: a non-finite value that the graph "
+                           "did not reproduce")
+
+    def _array_ce(self, in_ids, targets, weights) -> float:
+        """forward_ce's arithmetic. An id out of range or a non-finite
+        logit gives NaN, and lstm_step raises on non-finite gates."""
+        emb, ih, hh, b, out_w, out_b = (
+            self.weights[k].data for k in ("emb", "lstm.ih", "lstm.hh",
+                                           "lstm.b", "out.w", "out.b"))
+        if targets.min() < 0 or targets.max() >= emb.shape[0]:
+            return np.nan
+        H = hh.shape[0]
+        state = np.zeros((in_ids.shape[0], 2 * H))
+        logits = []
+        for step_ids in in_ids.T:
+            state, _ = gc.lstm_step(emb[step_ids], state[:, :H], state[:, H:],
+                                    ih, hh, b)
+            logits.append(np.ascontiguousarray(state[:, :H]) @ out_w + out_b)
+        flat = np.concatenate(logits) if len(logits) > 1 else logits[0]
+        if not np.isfinite(flat).all():
+            return np.nan
+        return float(gc.cross_entropy_value(flat, targets, weights)[0])
 
     def avg_ce(self, tokens: list[str]) -> float:
         """Mean per-token cross-entropy of a token sequence under the LM:
-        the one-row case of batch_ce; unknown words map to <unk>."""
+        `forward_ce` of one row; unknown words map to <unk>."""
         if not tokens:
             raise ContractViolation("avg_ce of an empty sequence")
         if not all(isinstance(t, str) for t in tokens):
             raise ContractViolation("avg_ce expects token strings")
-        g = Graph()
-        ce = self.batch_ce(g, self.lift(g), [self.vocab.encode(list(tokens))])
-        return float(ce.value)
+        return self.forward_ce([self.vocab.encode(list(tokens))])
 
 
 MODEL_KINDS = {"arae": ARAEModel, "lm": ScoringLM,

@@ -177,18 +177,19 @@ def classifier_accuracy(model: VictimClassifier, examples) -> float:
 # scoring language model
 
 
-LM_EVAL_BATCH = 256  # examples per graph in lm_corpus_ce
+LM_EVAL_BATCH = 256  # examples per forward_ce call in lm_corpus_ce
 
 
 def lm_corpus_ce(model: ScoringLM, examples) -> float:
-    """Token-weighted mean CE over a list of Examples."""
+    """Token-weighted mean CE over a list of Examples, each chunk of
+    LM_EVAL_BATCH scored by `forward_ce`."""
+    if not examples:
+        raise ContractViolation("LM cross-entropy of an empty example list")
     tot_ce, tot_tok = 0.0, 0
     for lo in range(0, len(examples), LM_EVAL_BATCH):
         texts = [ex.text for ex in examples[lo : lo + LM_EVAL_BATCH]]
-        g = Graph()
-        ce = model.batch_ce(g, model.lift(g), texts)
         n = sum(len(t) for t in texts)
-        tot_ce += float(ce.value) * n
+        tot_ce += model.forward_ce(texts) * n
         tot_tok += n
     return tot_ce / tot_tok
 

@@ -9,7 +9,8 @@ differ only in the order of a few float sums, so values and gradients
 agree within 1e-12 relative and predictions are identical; a batch of
 equal lengths without a prefix runs the same ops and stays bit-identical.
 The bag victim, the ARAE encoder, the LM and `avg_ce` are checked bit for
-bit.
+bit; so is `lm_corpus_ce`, which like `avg_ce` runs without a graph, and
+both must raise the NumericError that `batch_ce` raises on a graph.
 
 The attack climbs K candidates as the K rows of one graph. Each row's
 gradient is checked against a graph of that candidate alone, built by the
@@ -25,10 +26,12 @@ from nutsearch import textdata as td
 from nutsearch.attack import (AttackConfig, AttackModels, run_candidate,
                               run_candidates)
 from nutsearch.baselines import _trigger_loss
+from nutsearch.errors import ContractViolation, NumericError
 from nutsearch.gradcore import Graph, Tensor
 from nutsearch.models import (ARAEModel, ScoringLM, VictimClassifier,
                               pad_batch, step_masks)
 from nutsearch.textdata import Example
+from nutsearch.trainers import LM_EVAL_BATCH, lm_corpus_ce
 
 from helpers import rel_err
 
@@ -477,6 +480,92 @@ def test_avg_ce_is_one_row_batch_ce(vocab):
         want = float(_ref_lm_batch(lm, [vocab.encode(tokens)], g,
                                    lm.lift(g)).value)
         assert lm.avg_ce(tokens) == want
+
+
+def _corpus_ce_reference(lm, examples):
+    """lm_corpus_ce as a token-weighted sum of graph batch_ce values, one
+    graph per chunk of LM_EVAL_BATCH."""
+    tot_ce, tot_tok = 0.0, 0
+    for lo in range(0, len(examples), LM_EVAL_BATCH):
+        texts = [ex.text for ex in examples[lo : lo + LM_EVAL_BATCH]]
+        g = Graph()
+        n = sum(len(t) for t in texts)
+        tot_ce += float(lm.batch_ce(g, lm.lift(g), texts).value) * n
+        tot_tok += n
+    return tot_ce / tot_tok
+
+
+def test_lm_corpus_ce_is_graph_batch_ce(vocab):
+    """Mixed lengths, 1-token texts, OOV words and more than one chunk."""
+    lm = _trained_like_lm(vocab)
+    r = RNG(21)
+    words = sorted({w for s in SENTENCES for w in s}) + ["qqqq", "zzzz"]
+    texts = [["said"], ["qqqq"]] + [
+        list(r.choice(words, size=int(r.integers(1, 9))))
+        for _ in range(LM_EVAL_BATCH + 40)]
+    examples = [Example(label=0, text=vocab.encode(t)) for t in texts]
+    assert any(vocab.unk_id in ex.text for ex in examples)
+    for chunk in (examples[:7], examples):
+        assert lm_corpus_ce(lm, chunk) == _corpus_ce_reference(lm, chunk)
+
+
+def _overflowing_lm(vocab, case):
+    """An LM whose scoring of `the movie was wonderful` first turns
+    non-finite at the gates, the logits, the CE or the embedding table. A
+    bias of 50 saturates every gate, so each h unit lies in [tanh(1), 1)
+    from the first step on, and a weight column of +-x sets that column's
+    logits near +-x * H."""
+    lm = _trained_like_lm(vocab)
+    w = {name: t.data for name, t in lm.weights.items()}
+    col = vocab.stoi
+    if case == "emb":
+        w["emb"][col["movie"]] = np.inf
+        return lm
+    w["lstm.b"][:] = 50.0
+    if case == "gates":
+        w["lstm.hh"][:] = 1e308  # h @ w_hh overflows at the second step
+    elif case == "logits":
+        # -inf at a token no step targets: the CE alone would stay finite
+        w["out.w"][:, col["dog"]] = -1e308
+    else:
+        # finite logits whose spread overflows the log-softmax of `the`
+        w["out.w"][:, col["the"]] = -1.5e307
+        w["out.w"][:, col["dog"]] = 1.5e307
+    return lm
+
+
+@pytest.mark.parametrize("case,message", [
+    ("gates", "op 'lstm_cell' produced non-finite gates"),
+    ("logits", "op 'matmul' produced a non-finite value"),
+    ("ce", "op 'cross_entropy' produced a non-finite value"),
+    ("emb", "op 'embed' produced a non-finite value")])
+def test_forward_ce_raises_the_graph_error(vocab, case, message):
+    lm = _overflowing_lm(vocab, case)
+    tokens = ["the", "movie", "was", "wonderful"]
+    texts = [vocab.encode(tokens), vocab.encode(["said"])]
+    g = Graph()
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError) as want:
+            lm.batch_ce(g, lm.lift(g), texts)
+        with pytest.raises(NumericError) as got_one:
+            lm.avg_ce(tokens)
+        with pytest.raises(NumericError) as got_corpus:
+            lm_corpus_ce(lm, [Example(label=0, text=t) for t in texts])
+    assert str(want.value) == message
+    assert str(got_one.value) == str(got_corpus.value) == message
+
+
+@pytest.mark.parametrize("bad", [-1, "V"])
+def test_forward_ce_rejects_ids_as_the_graph_does(vocab, bad):
+    lm = _trained_like_lm(vocab)
+    bad = len(vocab) if bad == "V" else bad
+    texts = [[vocab.stoi["the"], bad, vocab.stoi["movie"]]]
+    g = Graph()
+    with pytest.raises(ContractViolation) as want:
+        lm.batch_ce(g, lm.lift(g), texts)
+    with pytest.raises(ContractViolation) as got:
+        lm.forward_ce(texts)
+    assert str(got.value) == str(want.value)
 
 
 def test_batch_ce_matches_inline_reference(vocab):

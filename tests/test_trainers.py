@@ -207,6 +207,12 @@ class TestLMTraining:
         assert abs(lm_corpus_ce(model, split.dev[:20])
                    - np.log(len(vocab))) < 1e-9
 
+    def test_corpus_ce_of_no_examples_rejected(self, sentiment_data):
+        split, vocab = sentiment_data
+        model, _ = train_lm(split, vocab, TrainConfig(epochs=0, seed=5))
+        with pytest.raises(ContractViolation, match="empty example list"):
+            lm_corpus_ce(model, [])
+
     def test_divergence_names_phase(self, sentiment_data):
         split, vocab = sentiment_data
         model, _ = train_lm(split, vocab, TrainConfig(epochs=0, seed=0))
