@@ -13,7 +13,7 @@ import numpy as np
 from . import gradcore as gc
 from .attack import (AttackConfig, AttackModels, _check_subset,
                      derive_init_seeds, rerank, run_candidate, score_trigger)
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericError
 from .gradcore import Graph
 from .textdata import Example, Vocab
 
@@ -43,22 +43,31 @@ def _usable_ids(vocab: Vocab, mask, name: str) -> np.ndarray:
     return allowed
 
 
-def _trigger_loss(victim, trig_ids: list[int], batch: list[Example],
-                  want_grads: bool):
-    """True mean victim loss of a trigger over `batch`; optionally also the
-    loss gradient w.r.t. each trigger position's embedding row. Without
-    gradients the graph keeps no backward closures."""
+def _trigger_loss(victim, trig_ids: list[int], batch: list[Example]) -> float:
+    """True mean victim loss of a trigger over `batch`, with no graph: the
+    cross-entropy value of `logits_batch`, bit for bit the loss that
+    `_trigger_grads` returns."""
+    logits = victim.logits_batch([ex.text for ex in batch],
+                                 [ex.premise for ex in batch], prefix=trig_ids)
+    labels = np.array([ex.label for ex in batch])
+    loss, _ = gc.cross_entropy_value(logits, labels, np.ones(len(batch)))
+    if not np.isfinite(loss):
+        raise NumericError("op 'cross_entropy' produced a non-finite value")
+    return float(loss)
+
+
+def _trigger_grads(victim, trig_ids: list[int], batch: list[Example]):
+    """The trigger's loss on a graph, and its gradient w.r.t. each trigger
+    position's embedding row."""
     g = Graph()
     PV = victim.lift(g)
     emb = victim.weights["emb"].data
-    leaves = [g.leaf(emb[t][None, :].copy(), requires_grad=want_grads)
+    leaves = [g.leaf(emb[t][None, :].copy(), requires_grad=True)
               for t in trig_ids]
     logits = victim.logits_ids(g, PV, [ex.text for ex in batch],
                                [ex.premise for ex in batch], prefix=leaves)
     labels = np.array([ex.label for ex in batch])
     loss = gc.cross_entropy(logits, labels)
-    if not want_grads:
-        return float(loss.value), None
     grads = gc.backward(g, loss)
     return float(loss.value), [grads[leaf.idx][0] for leaf in leaves]
 
@@ -82,8 +91,8 @@ def token_gradient_attack(victim, dev_subset: list[Example], length: int,
     trigger = [vocab.stoi[cfg.filler]] * length
     for _ in range(cfg.max_sweeps):
         # the gradient pass also gives the trigger's true dev loss, bit for
-        # bit the loss of a pass without gradients
-        best_loss, grads = _trigger_loss(victim, trigger, dev_subset, True)
+        # bit the graph-free _trigger_loss that the beam compares it with
+        best_loss, grads = _trigger_grads(victim, trigger, dev_subset)
         # beam search across positions; replacements are proposed by the
         # first-order loss increase and verified by the true dev loss
         beam = [(best_loss, list(trigger))]
@@ -98,8 +107,7 @@ def token_gradient_attack(victim, dev_subset: list[Example], length: int,
                     key = tuple(cand)
                     if key in pool:
                         continue
-                    pool[key], _ = _trigger_loss(victim, cand, dev_subset,
-                                                 False)
+                    pool[key] = _trigger_loss(victim, cand, dev_subset)
             ranked = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))
             beam = [(loss, list(key))
                     for key, loss in ranked[:cfg.beam_width]]

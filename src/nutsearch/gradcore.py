@@ -24,8 +24,9 @@ Design constraints, fixed on purpose:
   also checks its internal gates, because a saturated sigmoid would hide
   an overflow from the output check;
 * lstm_step and cross_entropy_value are those two ops' forward values on
-  plain arrays, one definition that a forward-only caller (the scoring
-  LM) runs without a graph;
+  plain arrays, one definition that the forward-only callers (the scoring
+  LM, victim prediction and the token-gradient beam's loss) run without a
+  graph;
 * float64 everywhere, no implicit broadcasting beyond the few ops that
   document it (add_bias, tile_rows) -- shape mismatches raise instead
   of broadcasting wrong;

@@ -1,13 +1,14 @@
 """Stand-in models for the attack workbench.
 
-Three families, all desk-scale and all built on the gradcore graph so
-one engine carries every gradient in the pipeline:
+Three families, all desk-scale and all trained on the gradcore graph,
+so one engine carries every gradient in the pipeline:
 
 * an adversarially regularized autoencoder: LSTM encoder onto a scaled
   unit sphere, LSTM decoder conditioned on the latent, a feed-forward
   noise-to-latent generator, and a one-hidden-layer critic;
 * victim classifiers: a 2-layer LSTM, a mean-of-embeddings bag model
   (the transfer target), and a shared-encoder premise/hypothesis model;
+  they predict on plain arrays, stepping each distinct text prefix once;
 * a single-layer LSTM language model whose output layer starts at zero,
   so its untrained average cross-entropy is exactly ln |V|; it scores on
   plain arrays, through the same gradcore step functions its training
@@ -34,7 +35,6 @@ from .gradcore import Graph, Node, Tensor
 from .textdata import Vocab
 
 LOGIT_BAN = -1e9  # additive penalty for disallowed tokens; keeps softmax finite
-LOGITS_BATCH = 512  # texts per graph in VictimClassifier.logits_batch
 
 
 def _uniform(rng, shape, k):
@@ -158,6 +158,41 @@ class _Sorted:
         if np.array_equal(self.order, np.arange(B)):
             return h
         return gc.embed(h, np.argsort(self.order))
+
+
+def _trie_steps(ids: np.ndarray, lengths: np.ndarray) -> list[tuple]:
+    """A padded id batch as the trie of its texts' prefixes, for the
+    graph-free victim forward: depth t steps one row per distinct prefix
+    of length t+1, from its parent prefix's row at depth t-1.
+
+    Step t is (the last id of each row, each row's parent row, the texts
+    whose last step is t, and their rows). The live-row graph path steps
+    every text that has not ended; a row of a multi-row product is
+    bit-equal whatever the row count, but a one-row product takes BLAS's
+    gemv and sums differently. So a depth with one distinct prefix and
+    two or more live texts is stepped as two copies of that row."""
+    T = ids.shape[1]
+    depth = np.arange(T)
+    live = lengths[:, None] > depth
+    keyed = np.where(live, ids, -1)  # an ended text sorts before a live one
+    order = np.lexsort(keyed.T[::-1])
+    keyed, live, last = keyed[order], live[order], lengths[order] - 1
+    # sorted, the texts sharing a prefix are adjacent: a live text opens a
+    # row at depth t unless the text before it has the same t+1 ids
+    differ = keyed[1:] != keyed[:-1]
+    first = np.where(differ.any(axis=1), differ.argmax(axis=1), T)
+    opens = live.copy()
+    opens[1:] &= first[:, None] <= depth
+    row = np.cumsum(opens, axis=0) - 1
+    steps = []
+    for t in depth:
+        new = np.flatnonzero(opens[:, t])
+        if new.size == 1 and live[:, t].sum() > 1:
+            new = np.repeat(new, 2)
+        parents = row[new, t - 1] if t else np.zeros(new.size, np.int64)
+        ends = np.flatnonzero(last == t)
+        steps.append((keyed[new, t], parents, order[ends], row[ends, t]))
+    return steps
 
 
 @dataclass(eq=False)
@@ -487,18 +522,112 @@ class VictimClassifier(_ModelBase):
 
     def logits_batch(self, texts, premises=None,
                      prefix: list[int] = ()) -> np.ndarray:
-        """Logits in chunks of LOGITS_BATCH texts, each text preceded by
-        the token ids of `prefix`."""
-        out = []
-        for lo in range(0, len(texts), LOGITS_BATCH):
-            g = Graph()
-            P = self.lift(g)
-            rows = [gc.embed(P["emb"], [t]) for t in prefix]
-            chunk_prem = premises[lo : lo + LOGITS_BATCH] if premises else None
-            node = self.logits_ids(g, P, texts[lo : lo + LOGITS_BATCH],
-                                   chunk_prem, prefix=rows)
-            out.append(node.value)
-        return np.concatenate(out, axis=0)
+        """logits_ids' value, bit for bit, with the token ids of `prefix`
+        in front of every text, on plain arrays with no graph.
+
+        It runs the per-step expressions of the graph path
+        (gradcore.lstm_step, the narrow copy, matmul, add_bias), but the
+        LSTM kinds walk a trie of the texts (`_trie_steps`): the prefix
+        steps once, as one row, and each depth steps one row per distinct
+        text prefix.
+
+        A graph checks every op's output; this path checks the gates
+        (inside lstm_step), the fc1 pre-activation that tanh would
+        saturate (bag, pair) and the logits. No unscanned value can be the
+        first non-finite one: an embedded input feeds its step's gates or
+        the bag's sum, a state past finite gates is bounded (|c'| <= |c| +
+        1, |h'| <= 1), and what feeds fc1 and the head reaches the checked
+        values. So when a check fails (or an id is out of range, or the
+        premises do not pair up with the texts), logits_ids replayed on a
+        graph meets the same values and raises the error that names the
+        op."""
+        ids, lengths = pad_batch(texts, self.vocab.pad_id)
+        prem = None
+        if self.kind == "pair":
+            if premises is None:
+                raise ContractViolation("pair model needs a premise")
+            prem = pad_batch(premises, self.vocab.pad_id)
+        prefix = np.asarray(prefix, dtype=np.int64)
+        try:
+            logits = self._array_logits(ids, lengths, prem, prefix)
+        except NumericError:
+            logits = None
+        if logits is not None:
+            return logits
+        g = Graph()
+        P = self.lift(g)
+        self.logits_ids(g, P, texts, premises,
+                        prefix=[gc.embed(P["emb"], [t]) for t in prefix])
+        raise NumericError("logits_batch: a non-finite value that the graph "
+                           "did not reproduce")
+
+    def _array_logits(self, ids, lengths, prem, prefix):
+        """logits_batch's arithmetic, or None where the graph would raise:
+        an id out of range, premises that do not pair up with the texts,
+        or a non-finite fc1 pre-activation or logit. lstm_step raises on
+        non-finite gates."""
+        w = {name: t.data for name, t in self.weights.items()}
+        V = w["emb"].shape[0]
+        for a in [ids, prefix] + ([prem[0]] if prem else []):
+            if a.size and (a.min() < 0 or a.max() >= V):
+                return None
+        if self.kind == "bag":
+            feats = self._bag_mean(w["emb"], ids, lengths, prefix)
+        elif self.kind == "lstm2":
+            feats = self._trie_hidden(w, ("l1", "l2"), ids, lengths, prefix)
+        else:
+            if prem[0].shape[0] != ids.shape[0]:
+                return None
+            u = self._trie_hidden(w, ("enc",), *prem, prefix[:0])
+            v = self._trie_hidden(w, ("enc",), ids, lengths, prefix)
+            feats = np.concatenate([u, v, np.abs(u - v), u * v], axis=1)
+        if self.kind != "lstm2":
+            pre = feats @ w["fc1.w"] + w["fc1.b"]
+            if not np.isfinite(pre).all():
+                return None
+            feats = np.tanh(pre)
+        logits = feats @ w["head.w"] + w["head.b"]
+        return logits if np.isfinite(logits).all() else None
+
+    @staticmethod
+    def _bag_mean(emb, ids, lengths, prefix):
+        """The bag's masked mean of embedded rows, prefix rows first, with
+        forward_embs' sums in its order."""
+        B, T = ids.shape
+        steps = [np.repeat(emb[[t]], B, axis=0) for t in prefix]
+        steps += [emb[ids[:, t]] for t in range(T)]
+        masks = [np.ones(B)] * len(prefix) + step_masks(lengths, T)
+        total, count = None, np.zeros(B)
+        for e, keep in zip(steps, masks):
+            kept = e * keep[:, None]
+            total = kept if total is None else total + kept
+            count = count + keep
+        return total * (1.0 / np.maximum(count, 1.0))[:, None]
+
+    def _trie_hidden(self, w, layers, ids, lengths, prefix):
+        """The last layer's h after each text, each text preceded by the
+        `prefix` ids: the prefix steps through every layer once, as one
+        row from the zero state, then each depth of the texts' trie
+        (`_trie_steps`) steps every layer, one row per distinct prefix."""
+        cells = [(w[f"{name}.ih"], w[f"{name}.hh"], w[f"{name}.b"])
+                 for name in layers]
+        H = self.hidden_dim
+        states = [np.zeros((1, 2 * H)) for _ in layers]
+
+        def step(step_ids, parents):
+            x = w["emb"][step_ids]
+            for k, (ih, hh, b) in enumerate(cells):
+                s = states[k][parents]
+                states[k], _ = gc.lstm_step(x, s[:, :H], s[:, H:], ih, hh, b)
+                x = np.ascontiguousarray(states[k][:, :H])
+            return x
+
+        for k in range(prefix.size):
+            step(prefix[k : k + 1], np.zeros(1, np.int64))
+        out = np.empty((ids.shape[0], H))
+        for step_ids, parents, texts, rows in _trie_steps(ids, lengths):
+            out[texts] = step(step_ids, parents)[rows]
+        return out
 
     def predict(self, texts, premises=None, prefix: list[int] = ()) -> np.ndarray:
         return self.logits_batch(texts, premises, prefix=prefix).argmax(axis=1)

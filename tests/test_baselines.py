@@ -11,7 +11,7 @@ from nutsearch.baselines import (TokenGradientConfig, _trigger_loss,
                                  random_arae_attack, random_sequence_attack,
                                  token_gradient_attack)
 from nutsearch.errors import ContractViolation
-from nutsearch.gradcore import Tensor
+from nutsearch.gradcore import Graph, Tensor
 from nutsearch.models import ARAEModel, ScoringLM, VictimClassifier
 from nutsearch.textdata import Example
 
@@ -64,6 +64,11 @@ class _LinearVictim:
         zeros = g.constant(np.zeros((z1.value.shape[0], 1)))
         return gc.concat([zeros, z1], axis=1)
 
+    def logits_batch(self, texts, premises=None, prefix=()):
+        g = Graph()
+        rows = [g.constant(self.weights["emb"].data[[t]]) for t in prefix]
+        return self.logits_ids(g, self.lift(g), texts, premises, rows).value
+
 
 class TestTokenGradient:
     def test_linear_stub_selects_analytic_argmax(self, tiny_vocab):
@@ -83,8 +88,7 @@ class TestTokenGradient:
         mask = np.ones(len(tiny_vocab), dtype=bool)
         tokens, loss = token_gradient_attack(tiny_victim, tiny_dev, 2, mask)
         filler_ids = [tiny_vocab.stoi["the"]] * 2
-        filler_loss, _ = _trigger_loss(tiny_victim, filler_ids, tiny_dev,
-                                       False)
+        filler_loss = _trigger_loss(tiny_victim, filler_ids, tiny_dev)
         assert loss >= filler_loss - 1e-12
         assert len(tokens) == 2
 
@@ -215,8 +219,8 @@ class TestBeamAndBudget:
                                              cfg)
         assert len(tokens) == 2
         assert all(t in tiny_vocab.stoi for t in tokens)
-        filler_loss, _ = _trigger_loss(
-            tiny_victim, [tiny_vocab.stoi["the"]] * 2, tiny_dev, False)
+        filler_loss = _trigger_loss(
+            tiny_victim, [tiny_vocab.stoi["the"]] * 2, tiny_dev)
         assert loss >= filler_loss
 
     def test_true_loss_evaluation_budget(self, tiny_vocab, tiny_dev,
@@ -225,10 +229,9 @@ class TestBeamAndBudget:
         counts = {"evals": 0}
         real = mod._trigger_loss
 
-        def spy(victim, trig_ids, batch, want_grads):
-            if not want_grads:
-                counts["evals"] += 1
-            return real(victim, trig_ids, batch, want_grads)
+        def spy(victim, trig_ids, batch):
+            counts["evals"] += 1
+            return real(victim, trig_ids, batch)
 
         monkeypatch.setattr(mod, "_trigger_loss", spy)
         mask = np.ones(len(tiny_vocab), dtype=bool)
@@ -244,13 +247,18 @@ class TestBeamAndBudget:
         no trigger is evaluated twice."""
         import nutsearch.baselines as mod
         calls = []
-        real = mod._trigger_loss
 
-        def spy(victim, trig_ids, batch, want_grads):
-            calls.append((tuple(trig_ids), want_grads))
-            return real(victim, trig_ids, batch, want_grads)
+        def spy(name, want_grads):
+            real = getattr(mod, name)
 
-        monkeypatch.setattr(mod, "_trigger_loss", spy)
+            def record(victim, trig_ids, batch):
+                calls.append((tuple(trig_ids), want_grads))
+                return real(victim, trig_ids, batch)
+
+            monkeypatch.setattr(mod, name, record)
+
+        spy("_trigger_grads", True)
+        spy("_trigger_loss", False)
         mask = np.ones(len(tiny_vocab), dtype=bool)
         cfg = TokenGradientConfig(top_k=4, beam_width=1, max_sweeps=1)
         token_gradient_attack(tiny_victim, tiny_dev, 3, mask, cfg)

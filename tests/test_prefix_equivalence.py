@@ -10,7 +10,10 @@ agree within 1e-12 relative and predictions are identical; a batch of
 equal lengths without a prefix runs the same ops and stays bit-identical.
 The bag victim, the ARAE encoder, the LM and `avg_ce` are checked bit for
 bit; so is `lm_corpus_ce`, which like `avg_ce` runs without a graph, and
-both must raise the NumericError that `batch_ce` raises on a graph.
+both must raise the NumericError that `batch_ce` raises on a graph. The
+victims' graph-free `logits_batch`, which steps each distinct text prefix
+once, must equal `logits_ids` on a graph bit for bit, and `predict` must
+raise the error that `logits_ids` raises.
 
 The attack climbs K candidates as the K rows of one graph. Each row's
 gradient is checked against a graph of that candidate alone, built by the
@@ -25,11 +28,11 @@ from nutsearch import gradcore as gc
 from nutsearch import textdata as td
 from nutsearch.attack import (AttackConfig, AttackModels, run_candidate,
                               run_candidates)
-from nutsearch.baselines import _trigger_loss
+from nutsearch.baselines import _trigger_grads, _trigger_loss
 from nutsearch.errors import ContractViolation, NumericError
 from nutsearch.gradcore import Graph, Tensor
 from nutsearch.models import (ARAEModel, ScoringLM, VictimClassifier,
-                              pad_batch, step_masks)
+                              _trie_steps, pad_batch, step_masks)
 from nutsearch.textdata import Example
 from nutsearch.trainers import LM_EVAL_BATCH, lm_corpus_ce
 
@@ -222,7 +225,7 @@ def test_trigger_loss_matches_inline_reference(vocab, kind):
     batch = _batch(vocab, kind)
     trig = vocab.encode(["nobody", "dull", "the"])
     want_loss, want_grads = _ref_trigger_loss(victim, trig, batch)
-    got_loss, got_grads = _trigger_loss(victim, trig, batch, True)
+    got_loss, got_grads = _trigger_grads(victim, trig, batch)
     exact = kind == "bag"
     assert _close(got_loss, want_loss, exact)
     assert len(got_grads) == len(want_grads) == 3
@@ -233,14 +236,17 @@ def test_trigger_loss_matches_inline_reference(vocab, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_trigger_loss_without_grads_is_bit_identical(vocab, kind):
-    """The loss-only evaluation, whose graph holds no backward closures,
-    gives the loss of the gradient evaluation bit for bit."""
+    """The beam's graph-free loss equals the gradient pass's loss bit for
+    bit, for seeded random triggers of 1-4 tokens, so the token-gradient
+    attack's `top_loss <= best_loss` compares like with like."""
     victim = _victim(vocab, kind)
     batch = _batch(vocab, kind)
-    trig = vocab.encode(["nobody", "dull", "the"])
-    loss, grads = _trigger_loss(victim, trig, batch, False)
-    assert grads is None
-    assert loss == _trigger_loss(victim, trig, batch, True)[0]
+    r = RNG(17)
+    for _ in range(10):
+        trig = [int(t) for t in r.integers(0, len(vocab),
+                                           int(r.integers(1, 5)))]
+        assert _trigger_loss(victim, trig, batch) == \
+            _trigger_grads(victim, trig, batch)[0]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -286,6 +292,141 @@ def test_prefix_rows_equal_concatenated_ids(vocab, kind):
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
     assert np.array_equal(victim.logits_batch(texts, premises, prefix=trig),
                           got)
+
+
+# ---------------------------------------------------------------------------
+# the graph-free victim forward against logits_ids on a graph
+
+
+# each batch shares prefixes in its own way; the pair premises share
+# prefixes too
+TRIE_BATCHES = {
+    # one distinct prefix at depth 0 with four live texts: two copies
+    "same_first": [["the", "movie", "was", "wonderful"],
+                   ["the", "plot", "was", "awful"],
+                   ["the", "movie", "felt", "dull"], ["the", "dog"]],
+    "duplicates": [["a", "dog", "sleeps"], ["a", "dog", "sleeps"],
+                   ["this", "film", "felt", "dull"], ["a", "dog", "sleeps"]],
+    "one_text": [["nobody", "said", "it", "was", "fresh"]],
+    # `the movie` and `the movie was` end inside longer texts; the last
+    # depth has one live text, a one-row step on both paths
+    "prefix_of_another": [["the", "movie"],
+                          ["the", "movie", "was", "wonderful"],
+                          ["the", "movie", "was"], ["a", "man"]],
+}
+TRIE_PREMISES = [["a", "man", "is", "running"], ["a", "man", "is"],
+                 ["a", "dog", "sleeps"], ["a", "man", "is", "running"]]
+
+
+def _graph_logits(victim, texts, premises, trig):
+    g = Graph()
+    P = victim.lift(g)
+    return victim.logits_ids(g, P, texts, premises,
+                             prefix=[gc.embed(P["emb"], [t]) for t in trig])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", sorted(TRIE_BATCHES))
+@pytest.mark.parametrize("n_prefix", [0, 3])
+def test_logits_batch_is_graph_logits_ids(vocab, kind, case, n_prefix):
+    victim = _victim(vocab, kind)
+    texts = [vocab.encode(t) for t in TRIE_BATCHES[case]]
+    premises = ([vocab.encode(p) for p in TRIE_PREMISES[:len(texts)]]
+                if kind == "pair" else None)
+    trig = vocab.encode(["nobody", "dull", "the"])[:n_prefix]
+    want = _graph_logits(victim, texts, premises, trig).value
+    assert np.array_equal(victim.logits_batch(texts, premises, prefix=trig),
+                          want)
+
+
+def test_trie_steps_one_row_per_distinct_prefix(vocab):
+    """`the` and `a`, then `the movie` and `a man`, then `the movie was`
+    twice (one prefix, two live texts), then one live text."""
+    texts = [vocab.encode(t) for t in TRIE_BATCHES["prefix_of_another"]]
+    steps = _trie_steps(*pad_batch(texts, vocab.pad_id))
+    assert [len(ids) for ids, *_ in steps] == [2, 2, 2, 1]
+    assert sorted(i for *_, ends, _ in steps for i in ends) == [0, 1, 2, 3]
+
+
+def _overflowing_victim(vocab, kind, case):
+    """A victim whose forward first turns non-finite at the gates, the fc1
+    matmul (which tanh would hide) or the head matmul. A gate bias of 50
+    saturates every gate of an LSTM with zero input weights, so c counts
+    the steps and h = tanh(c) >= tanh(1) in every unit; a weight of 1e308
+    against such inputs overflows."""
+    victim = _victim(vocab, kind)
+    w = {name: t.data for name, t in victim.weights.items()}
+    H = victim.hidden_dim
+    for name in {"lstm2": ("l1", "l2"), "pair": ("enc",)}.get(kind, ()):
+        w[f"{name}.b"][:] = 50.0
+        w[f"{name}.ih"][:] = 0.0
+        w[f"{name}.hh"][:] = 1e308 if case == "gates" else 0.0
+    if case == "logits":
+        w["head.w"][:] = 1e308
+    elif case == "ce":
+        # finite logits (|h| < 1, H = 10) whose spread overflows the
+        # log-softmax of class 1
+        w["head.w"][:, 0] = 1.5e307
+        w["head.w"][:, 1] = -1.5e307
+    elif case == "fc1":
+        w["emb"][:] = 0.5  # the bag's mean is 0.5 in every dimension
+        # the pair's u * v block is positive
+        w["fc1.w"][3 * H if kind == "pair" else 0:] = 1e308
+    return victim
+
+
+@pytest.mark.parametrize("kind,case,message", [
+    ("lstm2", "gates", "op 'lstm_cell' produced non-finite gates"),
+    ("pair", "gates", "op 'lstm_cell' produced non-finite gates"),
+    ("lstm2", "logits", "op 'matmul' produced a non-finite value"),
+    ("bag", "fc1", "op 'matmul' produced a non-finite value"),
+    ("pair", "fc1", "op 'matmul' produced a non-finite value")])
+def test_predict_raises_the_graph_error(vocab, kind, case, message):
+    victim = _overflowing_victim(vocab, kind, case)
+    texts = [vocab.encode(t) for t in TRIE_BATCHES["prefix_of_another"]]
+    premises = ([vocab.encode(p) for p in TRIE_PREMISES]
+                if kind == "pair" else None)
+    trig = vocab.encode(["nobody", "dull"])
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError) as want:
+            _graph_logits(victim, texts, premises, trig)
+        with pytest.raises(NumericError) as got:
+            victim.predict(texts, premises, prefix=trig)
+    assert str(want.value) == str(got.value) == message
+
+
+def test_trigger_loss_raises_the_graph_error(vocab):
+    victim = _overflowing_victim(vocab, "lstm2", "ce")
+    batch = _batch(vocab, "lstm2")
+    trig = vocab.encode(["nobody", "dull"])
+    assert np.isfinite(victim.logits_batch([ex.text for ex in batch],
+                                           prefix=trig)).all()
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError) as want:
+            _trigger_grads(victim, trig, batch)
+        with pytest.raises(NumericError) as got:
+            _trigger_loss(victim, trig, batch)
+    assert str(want.value) == str(got.value) == \
+        "op 'cross_entropy' produced a non-finite value"
+
+
+@pytest.mark.parametrize("kind,where", [
+    (kind, where) for kind in KINDS for where in ("text", "prefix")
+] + [("pair", "premise")])
+@pytest.mark.parametrize("bad", [-1, "V"])
+def test_predict_rejects_ids_as_the_graph_does(vocab, kind, where, bad):
+    victim = _victim(vocab, kind)
+    texts = [vocab.encode(t) for t in TRIE_BATCHES["same_first"]]
+    premises = [vocab.encode(p) for p in TRIE_PREMISES]
+    trig = vocab.encode(["nobody", "dull"])
+    bad_row = {"text": texts[0], "premise": premises[0], "prefix": trig}
+    bad_row[where][1] = len(vocab) if bad == "V" else bad
+    premises = premises if kind == "pair" else None
+    with pytest.raises(ContractViolation) as want:
+        _graph_logits(victim, texts, premises, trig)
+    with pytest.raises(ContractViolation) as got:
+        victim.predict(texts, premises, prefix=trig)
+    assert str(got.value) == str(want.value) == "embed: id out of range"
 
 
 # ---------------------------------------------------------------------------
