@@ -2,7 +2,10 @@
 best-of-N random generator decodes, and best-of-N random token strings.
 
 All three produce the same candidate-record shape as the main attack and
-select purely by attacked-class accuracy (no naturalness reranking)."""
+select purely by attacked-class accuracy (no naturalness reranking). The
+token flips build no graph: each sweep's gradient comes from the victim's
+`prefix_grads` and each flip's loss from its `logits_batch`, both on plain
+arrays."""
 
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from . import gradcore as gc
 from .attack import (AttackConfig, AttackModels, _check_subset,
                      derive_init_seeds, rerank, run_candidate, score_trigger)
 from .errors import ContractViolation, NumericError
-from .gradcore import Graph
 from .textdata import Example, Vocab
 
 
@@ -46,7 +48,7 @@ def _usable_ids(vocab: Vocab, mask, name: str) -> np.ndarray:
 def _trigger_loss(victim, trig_ids: list[int], batch: list[Example]) -> float:
     """True mean victim loss of a trigger over `batch`, with no graph: the
     cross-entropy value of `logits_batch`, bit for bit the loss that
-    `_trigger_grads` returns."""
+    `prefix_grads` returns."""
     logits = victim.logits_batch([ex.text for ex in batch],
                                  [ex.premise for ex in batch], prefix=trig_ids)
     labels = np.array([ex.label for ex in batch])
@@ -56,29 +58,16 @@ def _trigger_loss(victim, trig_ids: list[int], batch: list[Example]) -> float:
     return float(loss)
 
 
-def _trigger_grads(victim, trig_ids: list[int], batch: list[Example]):
-    """The trigger's loss on a graph, and its gradient w.r.t. each trigger
-    position's embedding row."""
-    g = Graph()
-    PV = victim.lift(g)
-    emb = victim.weights["emb"].data
-    leaves = [g.leaf(emb[t][None, :].copy(), requires_grad=True)
-              for t in trig_ids]
-    logits = victim.logits_ids(g, PV, [ex.text for ex in batch],
-                               [ex.premise for ex in batch], prefix=leaves)
-    labels = np.array([ex.label for ex in batch])
-    loss = gc.cross_entropy(logits, labels)
-    grads = gc.backward(g, loss)
-    return float(loss.value), [grads[leaf.idx][0] for leaf in leaves]
-
-
 def token_gradient_attack(victim, dev_subset: list[Example], length: int,
                           vocab_mask, cfg: TokenGradientConfig | None = None):
     """Beam search over first-order best token replacements, accepting a
     sweep only when the true dev loss improves.
 
     Returns (trigger tokens, final dev loss). The trigger lives in the
-    victim's vocabulary; `vocab_mask` is boolean over that vocabulary."""
+    victim's vocabulary; `vocab_mask` is boolean over that vocabulary.
+    Each sweep starts with one gradient pass, the victim's `prefix_grads`
+    of the current trigger, whose loss is bit for bit the `_trigger_loss`
+    that the beam's checks compute."""
     cfg = cfg or TokenGradientConfig()
     _check_subset(dev_subset)
     vocab: Vocab = victim.vocab
@@ -87,12 +76,14 @@ def token_gradient_attack(victim, dev_subset: list[Example], length: int,
         raise ContractViolation(f"filler {cfg.filler!r} is not a token "
                                 f"vocab_mask admits")
     emb = victim.weights["emb"].data
+    texts = [ex.text for ex in dev_subset]
+    premises = [ex.premise for ex in dev_subset]
+    labels = np.array([ex.label for ex in dev_subset])
 
     trigger = [vocab.stoi[cfg.filler]] * length
     for _ in range(cfg.max_sweeps):
-        # the gradient pass also gives the trigger's true dev loss, bit for
-        # bit the graph-free _trigger_loss that the beam compares it with
-        best_loss, grads = _trigger_grads(victim, trigger, dev_subset)
+        best_loss, grads = victim.prefix_grads(texts, premises, labels,
+                                               trigger)
         # beam search across positions; replacements are proposed by the
         # first-order loss increase and verified by the true dev loss
         beam = [(best_loss, list(trigger))]

@@ -24,8 +24,9 @@ Design constraints, fixed on purpose:
   also checks its internal gates, because a saturated sigmoid would hide
   an overflow from the output check;
 * lstm_step and cross_entropy_value are those two ops' forward values on
-  plain arrays, one definition that the forward-only callers (the scoring
-  LM, victim prediction and the token-gradient beam's loss) run without a
+  plain arrays, and lstm_step_back is lstm_cell's backward: one definition
+  each, which the graph-free callers (the scoring LM, victim prediction,
+  the token-gradient beam's loss and its prefix gradient) run without a
   graph;
 * float64 everywhere, no implicit broadcasting beyond the few ops that
   document it (add_bias, tile_rows) -- shape mismatches raise instead
@@ -46,7 +47,8 @@ __all__ = [
     "matmul", "transpose", "tanh", "sigmoid", "absolute", "sqrt",
     "softmax", "embed", "concat", "narrow",
     "mean_all", "sum_axis", "cross_entropy", "cross_entropy_value",
-    "tile_rows", "straight_through", "lstm_step", "lstm_cell",
+    "tile_rows", "straight_through", "lstm_step", "lstm_step_back",
+    "lstm_cell",
     "gumbel_softmax",
     "l2_project",
 ]
@@ -434,6 +436,22 @@ def lstm_step(x, h, c, w_ih, w_hh, b):
     return np.concatenate([o * np.tanh(c2), c2], axis=1), (i, f, u, o)
 
 
+def lstm_step_back(dh, dc, c, c2, gates):
+    """lstm_cell's backward on plain arrays, for n rows stepped from c to
+    c2 with `gates` (i, f, u, o) as lstm_step returns them: from the
+    gradients dh, dc of the packed output state, returns the gradient of
+    the gate pre-activations (n x 4H) and that of the previous c. The
+    caller forms the matmul gradients it needs from the first."""
+    i, f, u, o = gates
+    tc = np.tanh(c2)
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dgates = np.concatenate([dc * u * i * (1.0 - i),
+                             dc * c * f * (1.0 - f),
+                             dc * i * (1.0 - u * u),
+                             dh * tc * o * (1.0 - o)], axis=1)
+    return dgates, dc * f
+
+
 def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
               live: int | None = None) -> Node:
     """One LSTM step as a single node.
@@ -447,10 +465,11 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
 
     The forward (lstm_step) evaluates the numpy expressions of the
     matmul, add_bias, narrow, sigmoid, tanh and mul composition it
-    replaces, in the same order, and the backward forms each gradient with
-    the same expressions, so values and gradients are bit-identical to
-    that composition. The gates are checked for non-finite values as well
-    as the output: a saturated sigmoid would otherwise hide an overflow.
+    replaces, in the same order, and the backward (lstm_step_back) forms
+    each gradient with the same expressions, so values and gradients are
+    bit-identical to that composition. The gates are checked for
+    non-finite values as well as the output: a saturated sigmoid would
+    otherwise hide an overflow.
     """
     xv, sv, ih, hh, bv = x.value, state.value, w_ih.value, w_hh.value, b.value
     H = hh.shape[0]
@@ -474,20 +493,15 @@ def lstm_cell(x: Node, state: Node, w_ih: Node, w_hh: Node, b: Node,
     x_req, s_req, ih_req, hh_req, b_req = (p.requires_grad for p in parents)
 
     def back(go):
-        dh, dc = go[:n, :H], go[:n, H:]
-        tc = np.tanh(out[:n, H:])
-        dc = dc + dh * o * (1.0 - tc * tc)
-        dgates = np.concatenate([dc * u * i * (1.0 - i),
-                                 dc * c * f * (1.0 - f),
-                                 dc * i * (1.0 - u * u),
-                                 dh * tc * o * (1.0 - o)], axis=1)
+        dgates, dc_prev = lstm_step_back(go[:n, :H], go[:n, H:], c,
+                                         out[:n, H:], (i, f, u, o))
         dx = dstate = None
         if x_req:
             dx = dgates @ ih.T
             if n < R:
                 dx = np.concatenate([dx, np.zeros((R - n, xv.shape[1]))])
         if s_req:
-            dstate = np.concatenate([dgates @ hh.T, dc * f], axis=1)
+            dstate = np.concatenate([dgates @ hh.T, dc_prev], axis=1)
             if n < B:
                 dstate = np.concatenate([dstate, go[n:]])
         return (dx, dstate,

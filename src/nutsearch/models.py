@@ -8,7 +8,8 @@ so one engine carries every gradient in the pipeline:
   noise-to-latent generator, and a one-hidden-layer critic;
 * victim classifiers: a 2-layer LSTM, a mean-of-embeddings bag model
   (the transfer target), and a shared-encoder premise/hypothesis model;
-  they predict on plain arrays, stepping each distinct text prefix once;
+  they predict, and give a trigger prefix's loss gradient, on plain
+  arrays, stepping each distinct text prefix once;
 * a single-layer LSTM language model whose output layer starts at zero,
   so its untrained average cross-entropy is exactly ln |V|; it scores on
   plain arrays, through the same gradcore step functions its training
@@ -25,6 +26,7 @@ latent rows as a plain array, the greedy decoders take one (1, Z) row, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import KW_ONLY, InitVar, dataclass, fields
 
 import numpy as np
@@ -193,6 +195,27 @@ def _trie_steps(ids: np.ndarray, lengths: np.ndarray) -> list[tuple]:
         ends = np.flatnonzero(last == t)
         steps.append((keyed[new, t], parents, order[ends], row[ends, t]))
     return steps
+
+
+@functools.lru_cache(maxsize=8)
+def _prepared(texts: tuple, pad_id: int) -> tuple:
+    """A text list as the graph-free victim paths read it: padded ids,
+    lengths and `_trie_steps`, all read-only. Scoring passes the same list
+    for every trigger (a dev subset, a test split), so the last few lists
+    are kept, keyed by their content: equal ids give the same arrays, and
+    a caller that edits its lists after a call makes a new key."""
+    ids, lengths = pad_batch(texts, pad_id)
+    steps = tuple(_trie_steps(ids, lengths))
+    for a in (ids, lengths, *(a for step in steps for a in step)):
+        a.flags.writeable = False
+    return ids, lengths, steps
+
+
+def _segment_sums(x: np.ndarray, idx: np.ndarray):
+    """The rows of x summed by their target index `idx`, which is sorted:
+    the distinct targets and the sum of each one's rows."""
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))
+    return idx[starts], np.add.reduceat(x, starts, axis=0)
 
 
 @dataclass(eq=False)
@@ -541,19 +564,14 @@ class VictimClassifier(_ModelBase):
         premises do not pair up with the texts), logits_ids replayed on a
         graph meets the same values and raises the error that names the
         op."""
-        ids, lengths = pad_batch(texts, self.vocab.pad_id)
-        prem = None
-        if self.kind == "pair":
-            if premises is None:
-                raise ContractViolation("pair model needs a premise")
-            prem = pad_batch(premises, self.vocab.pad_id)
+        prep, prem = self._prepare(texts, premises)
         prefix = np.asarray(prefix, dtype=np.int64)
         try:
-            logits = self._array_logits(ids, lengths, prem, prefix)
+            out = self._array_logits(prep, prem, prefix)
         except NumericError:
-            logits = None
-        if logits is not None:
-            return logits
+            out = None
+        if out is not None:
+            return out[0]
         g = Graph()
         P = self.lift(g)
         self.logits_ids(g, P, texts, premises,
@@ -561,33 +579,145 @@ class VictimClassifier(_ModelBase):
         raise NumericError("logits_batch: a non-finite value that the graph "
                            "did not reproduce")
 
-    def _array_logits(self, ids, lengths, prem, prefix):
-        """logits_batch's arithmetic, or None where the graph would raise:
-        an id out of range, premises that do not pair up with the texts,
-        or a non-finite fc1 pre-activation or logit. lstm_step raises on
-        non-finite gates."""
-        w = {name: t.data for name, t in self.weights.items()}
+    def prefix_grads(self, texts, premises, labels,
+                     prefix: list[int]) -> tuple[float, list[np.ndarray]]:
+        """The mean cross-entropy of logits_batch(texts, premises, prefix)
+        against `labels`, bit for bit the `cross_entropy_value` of those
+        logits, and its gradient w.r.t. the embedding row of each prefix
+        position, one (E,) array each: what `_graph_prefix_grads` gives on
+        a graph, up to the order of float sums.
+
+        The forward is logits_batch's, keeping each trie step's gates and
+        output state. The backward walks the trie deepest depth first and
+        the last layer first, through gradcore.lstm_step_back, and sums
+        each depth's state gradients into the parent rows; the first
+        layer's text rows form no input gradient, since their inputs are
+        constant embeddings.
+
+        Past logits_batch's checks, the CE and the returned gradients are
+        checked: a gradient that turns non-finite reaches a prefix row,
+        since every trie row descends from the prefix. When a check fails
+        (or an id or label is out of range, or the premises do not pair up
+        with the texts), the graph pass is replayed, which raises the
+        error that names the op."""
+        prep, prem = self._prepare(texts, premises)
+        prefix = np.asarray(prefix, dtype=np.int64)
+        try:
+            out = self._array_prefix_grads(
+                prep, prem, np.asarray(labels, dtype=np.int64), prefix)
+        except NumericError:
+            out = None
+        if out is not None:
+            return out
+        self._graph_prefix_grads(texts, premises, labels, prefix)
+        raise NumericError("prefix_grads: a non-finite value that the graph "
+                           "did not reproduce")
+
+    def _graph_prefix_grads(self, texts, premises, labels, prefix):
+        """prefix_grads on a graph: each prefix id's embedding row is a
+        trainable leaf in front of every text. prefix_grads replays it to
+        name the op behind a non-finite value, and the tests hold the
+        array path to it."""
+        g = Graph()
+        P = self.lift(g)
+        leaves = [g.leaf(gc.embed(P["emb"], [t]).value, requires_grad=True)
+                  for t in prefix]
+        loss = gc.cross_entropy(self.logits_ids(g, P, texts, premises,
+                                                prefix=leaves), labels)
+        grads = gc.backward(g, loss)
+        return float(loss.value), [grads[leaf.idx][0] for leaf in leaves]
+
+    def _prepare(self, texts, premises):
+        """The texts, and for the pair model the premises, as `_prepared`
+        arrays."""
+        prep = _prepared(tuple(map(tuple, texts)), self.vocab.pad_id)
+        if self.kind != "pair":
+            return prep, None
+        if premises is None:
+            raise ContractViolation("pair model needs a premise")
+        return prep, _prepared(tuple(map(tuple, premises)), self.vocab.pad_id)
+
+    def _array_logits(self, prep, prem, prefix, tape=None):
+        """logits_batch's arithmetic: the logits, the features that feed
+        fc1 (bag, pair) or the head (lstm2), and fc1's tanh output (None
+        for lstm2). None where the graph would raise: an id out of range,
+        premises that do not pair up with the texts, or a non-finite fc1
+        pre-activation or logit; lstm_step raises on non-finite gates.
+        With a `tape` list, the texts' trie walk records its steps there
+        (see `_trie_hidden`)."""
+        w = self._arrays()
+        ids, lengths, steps = prep
         V = w["emb"].shape[0]
         for a in [ids, prefix] + ([prem[0]] if prem else []):
             if a.size and (a.min() < 0 or a.max() >= V):
                 return None
+        B = ids.shape[0]
         if self.kind == "bag":
             feats = self._bag_mean(w["emb"], ids, lengths, prefix)
         elif self.kind == "lstm2":
-            feats = self._trie_hidden(w, ("l1", "l2"), ids, lengths, prefix)
+            feats = self._trie_hidden(w, ("l1", "l2"), steps, B, prefix, tape)
         else:
-            if prem[0].shape[0] != ids.shape[0]:
+            if prem[0].shape[0] != B:
                 return None
-            u = self._trie_hidden(w, ("enc",), *prem, prefix[:0])
-            v = self._trie_hidden(w, ("enc",), ids, lengths, prefix)
+            u = self._trie_hidden(w, ("enc",), prem[2], B, prefix[:0])
+            v = self._trie_hidden(w, ("enc",), steps, B, prefix, tape)
             feats = np.concatenate([u, v, np.abs(u - v), u * v], axis=1)
+        hidden = None
         if self.kind != "lstm2":
             pre = feats @ w["fc1.w"] + w["fc1.b"]
             if not np.isfinite(pre).all():
                 return None
-            feats = np.tanh(pre)
-        logits = feats @ w["head.w"] + w["head.b"]
-        return logits if np.isfinite(logits).all() else None
+            hidden = np.tanh(pre)
+        top = feats if hidden is None else hidden
+        logits = top @ w["head.w"] + w["head.b"]
+        return (logits, feats, hidden) if np.isfinite(logits).all() else None
+
+    def _array_prefix_grads(self, prep, prem, labels, prefix):
+        """prefix_grads' arithmetic, or None where the graph would raise."""
+        tape = []
+        fwd = self._array_logits(prep, prem, prefix, tape)
+        B = prep[0].shape[0]
+        if (fwd is None or labels.shape != (B,)
+                or labels.min() < 0 or labels.max() >= self.n_classes):
+            return None
+        logits, feats, hidden = fwd
+        loss, logp = gc.cross_entropy_value(logits, labels, np.ones(B))
+        if not np.isfinite(loss):
+            return None
+        if not prefix.size:
+            return float(loss), []
+        # cross_entropy's backward at a loss gradient of one
+        dlogits = np.exp(logp)
+        dlogits[np.arange(B), labels] -= 1.0
+        dlogits *= 1.0 / B
+        grads = self._prefix_back(prep, prefix.size, tape, feats, hidden,
+                                  dlogits)
+        if not all(np.isfinite(gr).all() for gr in grads):
+            return None
+        return float(loss), grads
+
+    def _prefix_back(self, prep, n_prefix, tape, feats, hidden, dlogits):
+        """The gradient w.r.t. each prefix position's embedding row, back
+        from the logits through the head, fc1's tanh and the features."""
+        w = self._arrays()
+        dz = dlogits @ w["head.w"].T
+        if self.kind == "lstm2":
+            return self._trie_back(w, ("l1", "l2"), prep[2], tape, dz)
+        dfeats = (dz * (1.0 - hidden * hidden)) @ w["fc1.w"].T
+        if self.kind == "bag":
+            # every prefix row is in every text's mean with weight 1/count
+            inv_count = 1.0 / np.maximum(n_prefix + prep[1], 1.0)
+            row = (dfeats * inv_count[:, None]).sum(axis=0)
+            return [row.copy() for _ in range(n_prefix)]
+        # pair: to v through [u, v, |u - v|, u * v]
+        H = self.hidden_dim
+        u, v = feats[:, :H], feats[:, H:2 * H]
+        _, dv, dabs, dmul = np.split(dfeats, 4, axis=1)
+        return self._trie_back(w, ("enc",), prep[2], tape,
+                               dv + dmul * u - dabs * np.sign(u - v))
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {name: t.data for name, t in self.weights.items()}
 
     @staticmethod
     def _bag_mean(emb, ids, lengths, prefix):
@@ -604,11 +734,15 @@ class VictimClassifier(_ModelBase):
             count = count + keep
         return total * (1.0 / np.maximum(count, 1.0))[:, None]
 
-    def _trie_hidden(self, w, layers, ids, lengths, prefix):
+    def _trie_hidden(self, w, layers, steps, n_texts, prefix, tape=None):
         """The last layer's h after each text, each text preceded by the
         `prefix` ids: the prefix steps through every layer once, as one
         row from the zero state, then each depth of the texts' trie
-        (`_trie_steps`) steps every layer, one row per distinct prefix."""
+        (`_trie_steps`) steps every layer, one row per distinct prefix.
+
+        With a `tape` list, each step appends its parent rows and, per
+        layer, its packed output state and gates: what `_trie_back`
+        reads."""
         cells = [(w[f"{name}.ih"], w[f"{name}.hh"], w[f"{name}.b"])
                  for name in layers]
         H = self.hidden_dim
@@ -616,18 +750,63 @@ class VictimClassifier(_ModelBase):
 
         def step(step_ids, parents):
             x = w["emb"][step_ids]
+            kept = []
             for k, (ih, hh, b) in enumerate(cells):
                 s = states[k][parents]
-                states[k], _ = gc.lstm_step(x, s[:, :H], s[:, H:], ih, hh, b)
+                states[k], gates = gc.lstm_step(x, s[:, :H], s[:, H:],
+                                                 ih, hh, b)
+                kept.append((states[k], gates))
                 x = np.ascontiguousarray(states[k][:, :H])
+            if tape is not None:
+                tape.append((parents, kept))
             return x
 
         for k in range(prefix.size):
             step(prefix[k : k + 1], np.zeros(1, np.int64))
-        out = np.empty((ids.shape[0], H))
-        for step_ids, parents, texts, rows in _trie_steps(ids, lengths):
+        out = np.empty((n_texts, H))
+        for step_ids, parents, texts, rows in steps:
             out[texts] = step(step_ids, parents)[rows]
         return out
+
+    def _trie_back(self, w, layers, steps, tape, d_out):
+        """The gradient w.r.t. each prefix position's input row, from
+        `d_out`, the gradient w.r.t. each text's last-layer h, back through
+        `_trie_hidden`'s tape: the deepest step first, the last layer
+        first. A row's previous c is read through its parent index, and
+        each step's state gradients are summed into their parent rows."""
+        H = self.hidden_dim
+        n_prefix = len(tape) - len(steps)
+        d = [np.zeros_like(state) for state, _ in tape[-1][1]]
+        grads = []
+        for j in range(len(tape) - 1, -1, -1):
+            parents, kept = tape[j]
+            if j >= n_prefix:
+                _, _, texts, rows = steps[j - n_prefix]
+                if texts.size:
+                    at, sums = _segment_sums(d_out[texts], rows)
+                    d[-1][at, :H] += sums
+            prev = tape[j - 1][1] if j else None
+            d_prev = [None] * len(layers)
+            for k in range(len(layers) - 1, -1, -1):
+                state, gates = kept[k]
+                c = (prev[k][0][parents, H:] if j
+                     else np.zeros((parents.size, H)))
+                dgates, dc = gc.lstm_step_back(d[k][:, :H], d[k][:, H:], c,
+                                               state[:, H:], gates)
+                if k:
+                    d[k - 1][:, :H] += dgates @ w[f"{layers[k]}.ih"].T
+                elif j < n_prefix:
+                    grads.append((dgates @ w[f"{layers[0]}.ih"].T)[0])
+                if j:
+                    d_prev[k] = np.concatenate(
+                        [dgates @ w[f"{layers[k]}.hh"].T, dc], axis=1)
+            if j:
+                d = []
+                for dp, (state, _) in zip(d_prev, prev):
+                    at, sums = _segment_sums(dp, parents)
+                    d.append(np.zeros_like(state))
+                    d[-1][at] = sums
+        return grads[::-1]
 
     def predict(self, texts, premises=None, prefix: list[int] = ()) -> np.ndarray:
         return self.logits_batch(texts, premises, prefix=prefix).argmax(axis=1)

@@ -69,6 +69,15 @@ class _LinearVictim:
         rows = [g.constant(self.weights["emb"].data[[t]]) for t in prefix]
         return self.logits_ids(g, self.lift(g), texts, premises, rows).value
 
+    def prefix_grads(self, texts, premises, labels, prefix):
+        g = Graph()
+        rows = [g.leaf(self.weights["emb"].data[[t]], requires_grad=True)
+                for t in prefix]
+        loss = gc.cross_entropy(
+            self.logits_ids(g, self.lift(g), texts, premises, rows), labels)
+        grads = gc.backward(g, loss)
+        return float(loss.value), [grads[row.idx][0] for row in rows]
+
 
 class TestTokenGradient:
     def test_linear_stub_selects_analytic_argmax(self, tiny_vocab):
@@ -227,13 +236,18 @@ class TestBeamAndBudget:
                                          tiny_victim, monkeypatch):
         import nutsearch.baselines as mod
         counts = {"evals": 0}
-        real = mod._trigger_loss
 
-        def spy(victim, trig_ids, batch):
-            counts["evals"] += 1
-            return real(victim, trig_ids, batch)
+        def spy(owner, name):
+            real = getattr(owner, name)
 
-        monkeypatch.setattr(mod, "_trigger_loss", spy)
+            def count(*args):
+                counts["evals"] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, count)
+
+        spy(VictimClassifier, "prefix_grads")
+        spy(mod, "_trigger_loss")
         mask = np.ones(len(tiny_vocab), dtype=bool)
         cfg = TokenGradientConfig(top_k=4, beam_width=1, max_sweeps=1)
         token_gradient_attack(tiny_victim, tiny_dev, 3, mask, cfg)
@@ -247,18 +261,18 @@ class TestBeamAndBudget:
         no trigger is evaluated twice."""
         import nutsearch.baselines as mod
         calls = []
+        real_grads, real_loss = VictimClassifier.prefix_grads, mod._trigger_loss
 
-        def spy(name, want_grads):
-            real = getattr(mod, name)
+        def grads(victim, texts, premises, labels, trig_ids):
+            calls.append((tuple(trig_ids), True))
+            return real_grads(victim, texts, premises, labels, trig_ids)
 
-            def record(victim, trig_ids, batch):
-                calls.append((tuple(trig_ids), want_grads))
-                return real(victim, trig_ids, batch)
+        def loss(victim, trig_ids, batch):
+            calls.append((tuple(trig_ids), False))
+            return real_loss(victim, trig_ids, batch)
 
-            monkeypatch.setattr(mod, name, record)
-
-        spy("_trigger_grads", True)
-        spy("_trigger_loss", False)
+        monkeypatch.setattr(VictimClassifier, "prefix_grads", grads)
+        monkeypatch.setattr(mod, "_trigger_loss", loss)
         mask = np.ones(len(tiny_vocab), dtype=bool)
         cfg = TokenGradientConfig(top_k=4, beam_width=1, max_sweeps=1)
         token_gradient_attack(tiny_victim, tiny_dev, 3, mask, cfg)

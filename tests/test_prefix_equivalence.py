@@ -13,7 +13,10 @@ bit; so is `lm_corpus_ce`, which like `avg_ce` runs without a graph, and
 both must raise the NumericError that `batch_ce` raises on a graph. The
 victims' graph-free `logits_batch`, which steps each distinct text prefix
 once, must equal `logits_ids` on a graph bit for bit, and `predict` must
-raise the error that `logits_ids` raises.
+raise the error that `logits_ids` raises. Their graph-free `prefix_grads`
+must give the loss of `_trigger_loss` bit for bit and the graph pass's
+prefix gradients within 1e-12 relative (the trie sums the gradients of a
+shared prefix in another order), and raise the graph pass's error.
 
 The attack climbs K candidates as the K rows of one graph. Each row's
 gradient is checked against a graph of that candidate alone, built by the
@@ -28,11 +31,12 @@ from nutsearch import gradcore as gc
 from nutsearch import textdata as td
 from nutsearch.attack import (AttackConfig, AttackModels, run_candidate,
                               run_candidates)
-from nutsearch.baselines import _trigger_grads, _trigger_loss
+from nutsearch.baselines import _trigger_loss
 from nutsearch.errors import ContractViolation, NumericError
 from nutsearch.gradcore import Graph, Tensor
 from nutsearch.models import (ARAEModel, ScoringLM, VictimClassifier,
-                              _trie_steps, pad_batch, step_masks)
+                              _prepared, _trie_steps, pad_batch,
+                              step_masks)
 from nutsearch.textdata import Example
 from nutsearch.trainers import LM_EVAL_BATCH, lm_corpus_ce
 
@@ -167,6 +171,17 @@ def _ref_lm_batch(model, texts, g, P):
     return gc.cross_entropy(flat, targets, weights)
 
 
+def _args(batch):
+    """A batch of examples as prefix_grads takes it."""
+    return ([ex.text for ex in batch], [ex.premise for ex in batch],
+            np.array([ex.label for ex in batch]))
+
+
+def _trigger_grads(victim, trig, batch):
+    """The graph pass that prefix_grads replays."""
+    return victim._graph_prefix_grads(*_args(batch), trig)
+
+
 def _close(got, want, exact):
     """Bit for bit when `exact`, else within TOL relative."""
     if exact:
@@ -246,7 +261,8 @@ def test_trigger_loss_without_grads_is_bit_identical(vocab, kind):
         trig = [int(t) for t in r.integers(0, len(vocab),
                                            int(r.integers(1, 5)))]
         assert _trigger_loss(victim, trig, batch) == \
-            _trigger_grads(victim, trig, batch)[0]
+            _trigger_grads(victim, trig, batch)[0] == \
+            victim.prefix_grads(*_args(batch), trig)[0]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -348,15 +364,28 @@ def test_trie_steps_one_row_per_distinct_prefix(vocab):
     assert sorted(i for *_, ends, _ in steps for i in ends) == [0, 1, 2, 3]
 
 
+GRAD_ERROR = "backward through '{}' produced a non-finite gradient"
+
+
 def _overflowing_victim(vocab, kind, case):
     """A victim whose forward first turns non-finite at the gates, the fc1
-    matmul (which tanh would hide) or the head matmul. A gate bias of 50
-    saturates every gate of an LSTM with zero input weights, so c counts
-    the steps and h = tanh(c) >= tanh(1) in every unit; a weight of 1e308
-    against such inputs overflows."""
+    matmul (which tanh would hide) or the head matmul, or whose backward
+    alone does. A gate bias of 50 saturates every gate of an LSTM with
+    zero input weights, so c counts the steps and h = tanh(c) >= tanh(1)
+    in every unit; a weight of 1e308 against such inputs overflows."""
     victim = _victim(vocab, kind)
     w = {name: t.data for name, t in victim.weights.items()}
     H = victim.hidden_dim
+    if case == "grad":
+        # embeddings 1e20 times smaller into a first layer 1e20 times
+        # larger leave the forward about as it was but scale the gradient
+        # w.r.t. an embedded input by 1e20: behind a head of 1e300 the
+        # logits stay finite and the prefix gradient overflows
+        w["emb"] *= 1e-20
+        w[{"lstm2": "l1.ih", "bag": "fc1.w", "pair": "enc.ih"}[kind]] *= 1e20
+        w["head.w"][:] = 0.0
+        w["head.w"][:, 0] = 1e300
+        return victim
     for name in {"lstm2": ("l1", "l2"), "pair": ("enc",)}.get(kind, ()):
         w[f"{name}.b"][:] = 50.0
         w[f"{name}.ih"][:] = 0.0
@@ -426,7 +455,119 @@ def test_predict_rejects_ids_as_the_graph_does(vocab, kind, where, bad):
         _graph_logits(victim, texts, premises, trig)
     with pytest.raises(ContractViolation) as got:
         victim.predict(texts, premises, prefix=trig)
-    assert str(got.value) == str(want.value) == "embed: id out of range"
+    with pytest.raises(ContractViolation) as got_grads:
+        victim.prefix_grads(texts, premises, [0, 1, 0, 1], trig)
+    assert str(got.value) == str(got_grads.value) == str(want.value) == \
+        "embed: id out of range"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", sorted(TRIE_BATCHES))
+@pytest.mark.parametrize("n_prefix", [1, 2, 3, 4])
+def test_prefix_grads_match_the_graph_pass(vocab, kind, case, n_prefix):
+    """The loss is `_trigger_loss`'s bit for bit, so the token-gradient
+    beam compares values of one forward, and each position's gradient is
+    the graph pass's within TOL; the trigger repeats an id."""
+    victim = _victim(vocab, kind)
+    texts = TRIE_BATCHES[case]
+    labels = RNG(n_prefix).integers(0, victim.n_classes, len(texts))
+    batch = [Example(label=int(y), text=vocab.encode(t),
+                     premise=(vocab.encode(TRIE_PREMISES[i])
+                              if kind == "pair" else None))
+             for i, (t, y) in enumerate(zip(texts, labels))]
+    trig = vocab.encode(["nobody", "dull", "the", "nobody"])[:n_prefix]
+    loss, grads = victim.prefix_grads(*_args(batch), trig)
+    want_loss, want_grads = _trigger_grads(victim, trig, batch)
+    assert loss == _trigger_loss(victim, trig, batch) == want_loss
+    assert len(grads) == len(want_grads) == n_prefix
+    for got, want in zip(grads, want_grads):
+        assert got.shape == (victim.emb_dim,)
+        assert rel_err(got, want) <= TOL
+        assert np.any(want != 0.0)
+
+
+@pytest.mark.parametrize("kind,case,message", [
+    ("lstm2", "gates", "op 'lstm_cell' produced non-finite gates"),
+    ("pair", "gates", "op 'lstm_cell' produced non-finite gates"),
+    ("lstm2", "logits", "op 'matmul' produced a non-finite value"),
+    ("bag", "fc1", "op 'matmul' produced a non-finite value"),
+    ("pair", "fc1", "op 'matmul' produced a non-finite value"),
+    ("lstm2", "ce", "op 'cross_entropy' produced a non-finite value"),
+    ("lstm2", "grad", GRAD_ERROR.format("lstm_cell")),
+    ("bag", "grad", GRAD_ERROR.format("matmul")),
+    ("pair", "grad", GRAD_ERROR.format("lstm_cell"))])
+def test_prefix_grads_raise_the_graph_error(vocab, kind, case, message):
+    victim = _overflowing_victim(vocab, kind, case)
+    texts = [vocab.encode(t) for t in TRIE_BATCHES["prefix_of_another"]]
+    premises = ([vocab.encode(p) for p in TRIE_PREMISES]
+                if kind == "pair" else None)
+    trig = vocab.encode(["nobody", "dull"])
+    labels = np.zeros(len(texts), np.int64)
+    if case in ("ce", "grad"):
+        # the least likely class, whose CE and gradient are not zero
+        labels = victim.logits_batch(texts, premises,
+                                     prefix=trig).argmin(axis=1)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError) as want:
+            victim._graph_prefix_grads(texts, premises, labels, trig)
+        with pytest.raises(NumericError) as got:
+            victim.prefix_grads(texts, premises, labels, trig)
+    assert str(want.value) == str(got.value) == message
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_prefix_grads_reject_labels_as_the_graph_does(vocab, bad):
+    victim = _victim(vocab, "lstm2")
+    texts = [vocab.encode(t) for t in TRIE_BATCHES["same_first"]]
+    labels = [0, bad, 1, 0]
+    trig = vocab.encode(["nobody", "dull"])
+    with pytest.raises(ContractViolation) as want:
+        victim._graph_prefix_grads(texts, None, labels, trig)
+    with pytest.raises(ContractViolation) as got:
+        victim.prefix_grads(texts, None, labels, trig)
+    assert str(got.value) == str(want.value) == \
+        "cross_entropy: target id out of range"
+
+
+def test_prepared_memo_hit_equals_miss(vocab):
+    victim = _victim(vocab, "pair")
+    texts = [vocab.encode(t) for t in TRIE_BATCHES["prefix_of_another"]]
+    premises = [vocab.encode(p) for p in TRIE_PREMISES]
+    trig = vocab.encode(["nobody", "dull"])
+
+    def run():
+        return (victim.logits_batch(texts, premises, prefix=trig),
+                victim.prefix_grads(texts, premises, [0, 1, 2, 0], trig))
+
+    _prepared.cache_clear()
+    miss = run()
+    hits = _prepared.cache_info().hits
+    hit = run()
+    assert _prepared.cache_info().hits == hits + 4
+    assert np.array_equal(hit[0], miss[0])
+    assert hit[1][0] == miss[1][0]
+    for got, want in zip(hit[1][1], miss[1][1]):
+        assert np.array_equal(got, want)
+
+
+def test_editing_the_callers_lists_changes_no_later_result(vocab):
+    """The memo holds copies keyed by content, as read-only arrays."""
+    victim = _victim(vocab, "pair")
+    texts = [vocab.encode(t) for t in TRIE_BATCHES["same_first"]]
+    premises = [vocab.encode(p) for p in TRIE_PREMISES]
+    trig = vocab.encode(["nobody"])
+    victim.logits_batch(texts, premises, prefix=trig)
+    texts[0][1] = vocab.stoi["dull"]
+    premises[2].append(vocab.stoi["a"])
+    texts.append(vocab.encode(["a", "dog"]))
+    premises.append(vocab.encode(["the", "dog"]))
+    want = _graph_logits(victim, texts, premises, trig).value
+    assert np.array_equal(victim.logits_batch(texts, premises, prefix=trig),
+                          want)
+    ids, lengths, steps = _prepared(tuple(map(tuple, texts)), vocab.pad_id)
+    for a in (ids, lengths, *steps[0]):
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 # ---------------------------------------------------------------------------
