@@ -108,22 +108,23 @@ class AttackModels:
         `batch` is K equal slices, in row order, and each slice gets its
         own row's decoded trigger prepended. The loss is the sum of the
         slices' mean cross-entropies, so each noise row's gradient is its
-        own candidate's. Row k draws its Gumbel noise from rngs[k]."""
+        own candidate's. Row k draws its Gumbel noise from rngs[k].
+
+        The generator, the decoder and the trigger's embedding rows are
+        on the graph; the victim's loss is one `fused` node, whose value
+        and trigger-row gradients `VictimClassifier.prefix_rows_grads`
+        computes on plain arrays."""
         gen, victim = self.generator, self.victim
         PG = gen.lift(g)
         z = gen.generate_node(g, PG, noise_leaf)
         steps = gen.decode_soft(g, PG, z, cfg.trigger_length, tau, rngs,
                                 self.allowed_mask, hard=hard)
-        PV = victim.lift(g)
         emb_node = g.constant(self._emb_map)
         rows = [gc.matmul(fed, emb_node) for _, fed in steps]
-        logits = victim.logits_ids(g, PV, [ex.text for ex in batch],
-                                   [ex.premise for ex in batch], prefix=rows)
-        labels = np.array([ex.label for ex in batch])
-        loss = gc.cross_entropy(logits, labels)
-        K = len(rngs)
-        # K times the mean over K equal slices is the sum of their means
-        return gc.scale(loss, K) if K > 1 else loss
+        loss, grads = victim.prefix_rows_grads(
+            [ex.text for ex in batch], [ex.premise for ex in batch],
+            [ex.label for ex in batch], [row.value for row in rows])
+        return gc.fused("victim_loss", rows, loss, grads)
 
     def decode_trigger(self, n: Tensor, length: int) -> list[str]:
         """The greedy trigger of one (1, N) noise row."""
@@ -228,10 +229,11 @@ def rerank(candidates: list[TriggerCandidate], lam: float) -> TriggerCandidate:
                key=lambda c: (c.m1 + lam * c.m2, c.m1, tuple(c.tokens)))
 
 
-# Restarts per graph. On the benchmark's models (2-core x86, 6 steps, fresh
-# process) an ascent step cost 6-9 ms per restart alone, 5.0 ms in a chunk
-# of 4 and 4.7 ms in one of 8, while peak RSS went 46 -> 52 -> 62 MB, and
-# 126 MB at 32.
+# Restarts per graph. On the benchmark's models (2-core x86, 40 steps, a
+# fresh process, two runs each) an ascent step cost 8.3-11.6 ms per
+# restart alone, 3.6-6.1 ms in a chunk of 4, 3.4-5.1 ms in one of 8 and
+# 2.9-3.3 ms in one of 32, while peak RSS went 45 -> 48 -> 54 MB, and
+# 86 MB at 32.
 CHUNK_SIZE = 8
 
 

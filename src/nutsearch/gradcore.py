@@ -26,8 +26,9 @@ Design constraints, fixed on purpose:
 * lstm_step and cross_entropy_value are those two ops' forward values on
   plain arrays, and lstm_step_back is lstm_cell's backward: one definition
   each, which the graph-free callers (the scoring LM, victim prediction,
-  the token-gradient beam's loss and its prefix gradient) run without a
-  graph;
+  the token-gradient beam's loss and its prefix gradient, the ascent's
+  victim loss) run without a graph; `fused` puts such an off-graph
+  scalar, with the gradients its caller formed, on a graph as one node;
 * float64 everywhere, no implicit broadcasting beyond the few ops that
   document it (add_bias, tile_rows) -- shape mismatches raise instead
   of broadcasting wrong;
@@ -48,7 +49,7 @@ __all__ = [
     "softmax", "embed", "concat", "narrow",
     "mean_all", "sum_axis", "cross_entropy", "cross_entropy_value",
     "tile_rows", "straight_through", "lstm_step", "lstm_step_back",
-    "lstm_cell",
+    "lstm_cell", "fused",
     "gumbel_softmax",
     "l2_project",
 ]
@@ -417,6 +418,23 @@ def straight_through(soft: Node, hard) -> Node:
     if hard.shape != soft.value.shape:
         raise ContractViolation("straight_through: shape mismatch")
     return soft.graph._push("straight_through", (soft,), hard, lambda go: (go,))
+
+
+def fused(kind: str, parents, value, grads) -> Node:
+    """A scalar op computed off the graph: its `value`, and `grads`, its
+    gradient w.r.t. each parent at an output gradient of one, both formed
+    on plain arrays by the caller, which also checks them. The backward
+    scales `grads` by the incoming gradient; the output is checked as
+    every op's is."""
+    parents = tuple(parents)
+    value = np.asarray(value, dtype=np.float64)
+    if (value.shape != () or len(grads) != len(parents)
+            or any(gr.shape != p.value.shape for gr, p in zip(grads, parents))):
+        raise ContractViolation(f"fused '{kind}': value {value.shape}, "
+                                f"{len(grads)} gradients for "
+                                f"{len(parents)} parents")
+    return parents[0].graph._push(
+        kind, parents, value, lambda go: tuple(gr * float(go) for gr in grads))
 
 
 def lstm_step(x, h, c, w_ih, w_hh, b):

@@ -8,8 +8,10 @@ so one engine carries every gradient in the pipeline:
   noise-to-latent generator, and a one-hidden-layer critic;
 * victim classifiers: a 2-layer LSTM, a mean-of-embeddings bag model
   (the transfer target), and a shared-encoder premise/hypothesis model;
-  they predict, and give a trigger prefix's loss gradient, on plain
-  arrays, stepping each distinct text prefix once;
+  they predict, and give a trigger prefix's loss gradient (the token
+  swaps' and the ascent's), on plain arrays, stepping each distinct text
+  prefix once; the graph forward trains them and names the op behind a
+  non-finite value;
 * a single-layer LSTM language model whose output layer starts at zero,
   so its untrained average cross-entropy is exactly ln |V|; it scores on
   plain arrays, through the same gradcore step functions its training
@@ -111,11 +113,10 @@ def run_lstm(g: Graph, P, prefix: str, inputs: list[Node], live=None,
     return states
 
 
-def _owners(prefix: list[Node], n_texts: int) -> np.ndarray:
+def _owners(K: int, n_texts: int) -> np.ndarray:
     """The prefix row each text is read after: K prefix rows split the
     texts into K equal slices, in order, and row k goes in front of the
     k-th slice (with one row, in front of every text)."""
-    K = prefix[0].value.shape[0]
     if n_texts % K:
         raise ContractViolation(f"{n_texts} texts do not split into {K} "
                                 "equal slices, one per prefix row")
@@ -146,7 +147,7 @@ class _Sorted:
         B = len(self.order)
         xs, pre = self.steps, list(prefix)
         if pre:
-            owners = _owners(pre, B)[self.order]
+            owners = _owners(pre[0].value.shape[0], B)[self.order]
         for k, name in enumerate(layers):
             if k:
                 xs = [_hidden(s) for s in states]
@@ -162,10 +163,13 @@ class _Sorted:
         return gc.embed(h, np.argsort(self.order))
 
 
-def _trie_steps(ids: np.ndarray, lengths: np.ndarray) -> list[tuple]:
+def _trie_steps(ids: np.ndarray, lengths: np.ndarray,
+                owners: np.ndarray | None = None) -> list[tuple]:
     """A padded id batch as the trie of its texts' prefixes, for the
-    graph-free victim forward: depth t steps one row per distinct prefix
-    of length t+1, from its parent prefix's row at depth t-1.
+    graph-free victim paths: depth t steps one row per distinct prefix of
+    length t+1 that one prefix row (`owners`, see `_owners`) goes in front
+    of, from its parent prefix's row at depth t-1; a depth-0 row's parent
+    is its owner's prefix row (row 0 for every text without `owners`).
 
     Step t is (the last id of each row, each row's parent row, the texts
     whose last step is t, and their rows). The live-row graph path steps
@@ -176,13 +180,17 @@ def _trie_steps(ids: np.ndarray, lengths: np.ndarray) -> list[tuple]:
     T = ids.shape[1]
     depth = np.arange(T)
     live = lengths[:, None] > depth
-    keyed = np.where(live, ids, -1)  # an ended text sorts before a live one
+    if owners is None:
+        owners = np.zeros(len(ids), np.int64)
+    # column 0 is the owner; an ended text sorts before a live one
+    keyed = np.concatenate([owners[:, None], np.where(live, ids, -1)], axis=1)
     order = np.lexsort(keyed.T[::-1])
     keyed, live, last = keyed[order], live[order], lengths[order] - 1
     # sorted, the texts sharing a prefix are adjacent: a live text opens a
-    # row at depth t unless the text before it has the same t+1 ids
+    # row at depth t unless the text before it has the same owner and t+1
+    # ids (its first differing depth is -1 when the owners differ)
     differ = keyed[1:] != keyed[:-1]
-    first = np.where(differ.any(axis=1), differ.argmax(axis=1), T)
+    first = np.where(differ.any(axis=1), differ.argmax(axis=1), T + 1) - 1
     opens = live.copy()
     opens[1:] &= first[:, None] <= depth
     row = np.cumsum(opens, axis=0) - 1
@@ -191,24 +199,40 @@ def _trie_steps(ids: np.ndarray, lengths: np.ndarray) -> list[tuple]:
         new = np.flatnonzero(opens[:, t])
         if new.size == 1 and live[:, t].sum() > 1:
             new = np.repeat(new, 2)
-        parents = row[new, t - 1] if t else np.zeros(new.size, np.int64)
+        parents = row[new, t - 1] if t else keyed[new, 0]
         ends = np.flatnonzero(last == t)
-        steps.append((keyed[new, t], parents, order[ends], row[ends, t]))
+        steps.append((keyed[new, t + 1], parents, order[ends], row[ends, t]))
     return steps
+
+
+def _trie_batch(texts, pad_id: int, K: int = 1) -> tuple:
+    """A text list as the graph-free victim paths read it: padded ids,
+    lengths and `_trie_steps`, the texts split into K slices, one per
+    prefix row."""
+    ids, lengths = pad_batch(texts, pad_id)
+    return ids, lengths, tuple(_trie_steps(ids, lengths,
+                                           _owners(K, len(ids))))
 
 
 @functools.lru_cache(maxsize=8)
 def _prepared(texts: tuple, pad_id: int) -> tuple:
-    """A text list as the graph-free victim paths read it: padded ids,
-    lengths and `_trie_steps`, all read-only. Scoring passes the same list
-    for every trigger (a dev subset, a test split), so the last few lists
-    are kept, keyed by their content: equal ids give the same arrays, and
-    a caller that edits its lists after a call makes a new key."""
-    ids, lengths = pad_batch(texts, pad_id)
-    steps = tuple(_trie_steps(ids, lengths))
+    """`_trie_batch` of a text list with one prefix row, all read-only.
+    Scoring passes the same list for every trigger (a dev subset, a test
+    split), so the last few lists are kept, keyed by their content: equal
+    ids give the same arrays, and a caller that edits its lists after a
+    call makes a new key."""
+    ids, lengths, steps = out = _trie_batch(texts, pad_id)
     for a in (ids, lengths, *(a for step in steps for a in step)):
         a.flags.writeable = False
-    return ids, lengths, steps
+    return out
+
+
+def _unless_nonfinite(fn, *args):
+    """fn(*args), or None when it raises a NumericError."""
+    try:
+        return fn(*args)
+    except NumericError:
+        return None
 
 
 def _segment_sums(x: np.ndarray, idx: np.ndarray):
@@ -496,7 +520,7 @@ class VictimClassifier(_ModelBase):
             raise ContractViolation("pair model needs a premise")
         if self.kind == "bag":
             B, T = ids.shape
-            owners = _owners(prefix, B) if prefix else None
+            owners = _owners(prefix[0].value.shape[0], B) if prefix else None
             steps = [gc.embed(row, owners) for row in prefix]
             text = [gc.embed(P["emb"], ids[:, t]) for t in range(T)]
             if emb_noise is not None:
@@ -565,11 +589,9 @@ class VictimClassifier(_ModelBase):
         graph meets the same values and raises the error that names the
         op."""
         prep, prem = self._prepare(texts, premises)
-        prefix = np.asarray(prefix, dtype=np.int64)
-        try:
-            out = self._array_logits(prep, prem, prefix)
-        except NumericError:
-            out = None
+        rows = self._id_rows(prefix)
+        out = (None if rows is None
+               else _unless_nonfinite(self._array_logits, prep, prem, rows))
         if out is not None:
             return out[0]
         g = Graph()
@@ -584,34 +606,53 @@ class VictimClassifier(_ModelBase):
         """The mean cross-entropy of logits_batch(texts, premises, prefix)
         against `labels`, bit for bit the `cross_entropy_value` of those
         logits, and its gradient w.r.t. the embedding row of each prefix
-        position, one (E,) array each: what `_graph_prefix_grads` gives on
-        a graph, up to the order of float sums.
+        position, one (E,) array each: `prefix_rows_grads` with one row
+        per position, the id's embedding row, and what
+        `_graph_prefix_grads` gives on a graph, up to the order of float
+        sums. The texts go through the `_prepared` memo."""
+        prep, prem = self._prepare(texts, premises)
+        rows = self._id_rows(prefix)
+        out = (None if rows is None else _unless_nonfinite(
+            self._array_grads, prep, prem, labels, rows))
+        if out is not None:
+            return out[0], [gr[0] for gr in out[1]]
+        self._graph_prefix_grads(texts, premises, labels, prefix)
+        raise NumericError("prefix_grads: a non-finite value that the graph "
+                           "did not reproduce")
 
-        The forward is logits_batch's, keeping each trie step's gates and
-        output state. The backward walks the trie deepest depth first and
-        the last layer first, through gradcore.lstm_step_back, and sums
-        each depth's state gradients into the parent rows; the first
-        layer's text rows form no input gradient, since their inputs are
-        constant embeddings.
+    def prefix_rows_grads(self, texts, premises, labels,
+                          rows: list[np.ndarray]
+                          ) -> tuple[float, list[np.ndarray]]:
+        """The sum of the mean cross-entropies of K equal slices of the
+        texts, slice k read after row k of each (K, E) array of `rows`
+        (one array per prefix position), and its gradient w.r.t. each of
+        those arrays, on plain arrays with no graph. The value is that of
+        `_graph_rows_grads` (logits_ids with the rows as prefix,
+        cross_entropy, times K) bit for bit, the gradients are its
+        gradients up to the order of float sums.
+
+        The forward is logits_batch's walk with K prefix rows stepped from
+        the zero state and a trie keyed by (owner, ids). The backward
+        walks the trie deepest depth first and the last layer first,
+        through gradcore.lstm_step_back, and sums each depth's state
+        gradients into the parent rows; the first layer's text rows form
+        no input gradient, since their inputs are constant embeddings.
 
         Past logits_batch's checks, the CE and the returned gradients are
         checked: a gradient that turns non-finite reaches a prefix row,
         since every trie row descends from the prefix. When a check fails
         (or an id or label is out of range, or the premises do not pair up
-        with the texts), the graph pass is replayed, which raises the
-        error that names the op."""
-        prep, prem = self._prepare(texts, premises)
-        prefix = np.asarray(prefix, dtype=np.int64)
-        try:
-            out = self._array_prefix_grads(
-                prep, prem, np.asarray(labels, dtype=np.int64), prefix)
-        except NumericError:
-            out = None
+        with the texts), the graph composition is replayed, which raises
+        the error that names the op. The texts change with every call, so
+        they are prepared afresh, not through the `_prepared` memo."""
+        prep, prem = self._prepare(texts, premises, len(rows[0]))
+        out = _unless_nonfinite(self._array_grads, prep, prem, labels, rows)
         if out is not None:
             return out
-        self._graph_prefix_grads(texts, premises, labels, prefix)
-        raise NumericError("prefix_grads: a non-finite value that the graph "
-                           "did not reproduce")
+        g = Graph()
+        self._graph_rows_grads(g, self.lift(g), texts, premises, labels, rows)
+        raise NumericError("prefix_rows_grads: a non-finite value that the "
+                           "graph did not reproduce")
 
     def _graph_prefix_grads(self, texts, premises, labels, prefix):
         """prefix_grads on a graph: each prefix id's embedding row is a
@@ -620,47 +661,75 @@ class VictimClassifier(_ModelBase):
         array path to it."""
         g = Graph()
         P = self.lift(g)
-        leaves = [g.leaf(gc.embed(P["emb"], [t]).value, requires_grad=True)
-                  for t in prefix]
+        loss, grads = self._graph_rows_grads(
+            g, P, texts, premises, labels,
+            [gc.embed(P["emb"], [t]).value for t in prefix])
+        return loss, [gr[0] for gr in grads]
+
+    def _graph_rows_grads(self, g, P, texts, premises, labels, rows):
+        """prefix_rows_grads on a graph: each (K, E) array of `rows` is a
+        trainable leaf, and the loss is logits_ids' cross-entropy, times
+        K, the sum of the K slices' means."""
+        leaves = [g.leaf(row, requires_grad=True) for row in rows]
         loss = gc.cross_entropy(self.logits_ids(g, P, texts, premises,
                                                 prefix=leaves), labels)
+        K = len(rows[0]) if rows else 1
+        if K > 1:
+            loss = gc.scale(loss, K)
         grads = gc.backward(g, loss)
-        return float(loss.value), [grads[leaf.idx][0] for leaf in leaves]
+        return float(loss.value), [grads[leaf.idx] for leaf in leaves]
 
-    def _prepare(self, texts, premises):
-        """The texts, and for the pair model the premises, as `_prepared`
-        arrays."""
-        prep = _prepared(tuple(map(tuple, texts)), self.vocab.pad_id)
+    def _prepare(self, texts, premises, K=None):
+        """The texts, and for the pair model the premises, as `_trie_batch`
+        arrays: through the `_prepared` memo, or with K, built afresh with
+        the texts split into K slices."""
+        pad = self.vocab.pad_id
+
+        def prepare(seqs, k=1):
+            return (_prepared(tuple(map(tuple, seqs)), pad) if K is None
+                    else _trie_batch(seqs, pad, k))
+
+        prep = prepare(texts, K)
         if self.kind != "pair":
             return prep, None
         if premises is None:
             raise ContractViolation("pair model needs a premise")
-        return prep, _prepared(tuple(map(tuple, premises)), self.vocab.pad_id)
+        return prep, prepare(premises)
 
-    def _array_logits(self, prep, prem, prefix, tape=None):
-        """logits_batch's arithmetic: the logits, the features that feed
-        fc1 (bag, pair) or the head (lstm2), and fc1's tanh output (None
-        for lstm2). None where the graph would raise: an id out of range,
-        premises that do not pair up with the texts, or a non-finite fc1
+    def _id_rows(self, prefix) -> list[np.ndarray] | None:
+        """Each prefix id's embedding row, a (1, E) array; None if an id
+        is out of range."""
+        emb = self.weights["emb"].data
+        prefix = np.asarray(prefix, dtype=np.int64)
+        if prefix.size and (prefix.min() < 0 or prefix.max() >= len(emb)):
+            return None
+        return [emb[[t]] for t in prefix]
+
+    def _array_logits(self, prep, prem, rows, tape=None):
+        """logits_batch's arithmetic with the prefix `rows`, one (K, E)
+        array per position: the logits, the features that feed fc1 (bag,
+        pair) or the head (lstm2), and fc1's tanh output (None for lstm2).
+        None where the graph would raise: an id out of range, premises
+        that do not pair up with the texts, or a non-finite fc1
         pre-activation or logit; lstm_step raises on non-finite gates.
         With a `tape` list, the texts' trie walk records its steps there
         (see `_trie_hidden`)."""
         w = self._arrays()
         ids, lengths, steps = prep
         V = w["emb"].shape[0]
-        for a in [ids, prefix] + ([prem[0]] if prem else []):
-            if a.size and (a.min() < 0 or a.max() >= V):
+        for a in [ids] + ([prem[0]] if prem else []):
+            if a.min() < 0 or a.max() >= V:
                 return None
         B = ids.shape[0]
         if self.kind == "bag":
-            feats = self._bag_mean(w["emb"], ids, lengths, prefix)
+            feats = self._bag_mean(w["emb"], ids, lengths, rows)
         elif self.kind == "lstm2":
-            feats = self._trie_hidden(w, ("l1", "l2"), steps, B, prefix, tape)
+            feats = self._trie_hidden(w, ("l1", "l2"), steps, B, rows, tape)
         else:
             if prem[0].shape[0] != B:
                 return None
-            u = self._trie_hidden(w, ("enc",), prem[2], B, prefix[:0])
-            v = self._trie_hidden(w, ("enc",), steps, B, prefix, tape)
+            u = self._trie_hidden(w, ("enc",), prem[2], B, [])
+            v = self._trie_hidden(w, ("enc",), steps, B, rows, tape)
             feats = np.concatenate([u, v, np.abs(u - v), u * v], axis=1)
         hidden = None
         if self.kind != "lstm2":
@@ -672,32 +741,36 @@ class VictimClassifier(_ModelBase):
         logits = top @ w["head.w"] + w["head.b"]
         return (logits, feats, hidden) if np.isfinite(logits).all() else None
 
-    def _array_prefix_grads(self, prep, prem, labels, prefix):
-        """prefix_grads' arithmetic, or None where the graph would raise."""
+    def _array_grads(self, prep, prem, labels, rows):
+        """prefix_rows_grads' arithmetic, or None where the graph would
+        raise."""
         tape = []
-        fwd = self._array_logits(prep, prem, prefix, tape)
+        fwd = self._array_logits(prep, prem, rows, tape)
         B = prep[0].shape[0]
+        labels = np.asarray(labels, dtype=np.int64)
         if (fwd is None or labels.shape != (B,)
                 or labels.min() < 0 or labels.max() >= self.n_classes):
             return None
         logits, feats, hidden = fwd
-        loss, logp = gc.cross_entropy_value(logits, labels, np.ones(B))
+        K = len(rows[0]) if rows else 1
+        ce, logp = gc.cross_entropy_value(logits, labels, np.ones(B))
+        loss = ce * float(K)  # the graph's `scale`; exact for K = 1
         if not np.isfinite(loss):
             return None
-        if not prefix.size:
+        if not rows:
             return float(loss), []
-        # cross_entropy's backward at a loss gradient of one
+        # cross_entropy's backward at a loss gradient of K
         dlogits = np.exp(logp)
         dlogits[np.arange(B), labels] -= 1.0
         dlogits *= 1.0 / B
-        grads = self._prefix_back(prep, prefix.size, tape, feats, hidden,
-                                  dlogits)
+        dlogits *= float(K)
+        grads = self._prefix_back(prep, rows, tape, feats, hidden, dlogits)
         if not all(np.isfinite(gr).all() for gr in grads):
             return None
         return float(loss), grads
 
-    def _prefix_back(self, prep, n_prefix, tape, feats, hidden, dlogits):
-        """The gradient w.r.t. each prefix position's embedding row, back
+    def _prefix_back(self, prep, rows, tape, feats, hidden, dlogits):
+        """The gradient w.r.t. each prefix position's (K, E) rows, back
         from the logits through the head, fc1's tanh and the features."""
         w = self._arrays()
         dz = dlogits @ w["head.w"].T
@@ -705,10 +778,14 @@ class VictimClassifier(_ModelBase):
             return self._trie_back(w, ("l1", "l2"), prep[2], tape, dz)
         dfeats = (dz * (1.0 - hidden * hidden)) @ w["fc1.w"].T
         if self.kind == "bag":
-            # every prefix row is in every text's mean with weight 1/count
-            inv_count = 1.0 / np.maximum(n_prefix + prep[1], 1.0)
-            row = (dfeats * inv_count[:, None]).sum(axis=0)
-            return [row.copy() for _ in range(n_prefix)]
+            # every prefix row is in its slice's means with weight
+            # 1/count; each owner row sums its slice's rows in the order
+            # of the graph's gather backward
+            inv_count = 1.0 / np.maximum(len(rows) + prep[1], 1.0)
+            row = np.zeros_like(rows[0])
+            np.add.at(row, _owners(len(row), len(dfeats)),
+                      dfeats * inv_count[:, None])
+            return [row.copy() for _ in rows]
         # pair: to v through [u, v, |u - v|, u * v]
         H = self.hidden_dim
         u, v = feats[:, :H], feats[:, H:2 * H]
@@ -720,13 +797,14 @@ class VictimClassifier(_ModelBase):
         return {name: t.data for name, t in self.weights.items()}
 
     @staticmethod
-    def _bag_mean(emb, ids, lengths, prefix):
-        """The bag's masked mean of embedded rows, prefix rows first, with
-        forward_embs' sums in its order."""
+    def _bag_mean(emb, ids, lengths, rows):
+        """The bag's masked mean of embedded rows, prefix rows first, each
+        in front of its slice, with forward_embs' sums in its order."""
         B, T = ids.shape
-        steps = [np.repeat(emb[[t]], B, axis=0) for t in prefix]
+        owners = _owners(len(rows[0]), B) if rows else None
+        steps = [row[owners] for row in rows]
         steps += [emb[ids[:, t]] for t in range(T)]
-        masks = [np.ones(B)] * len(prefix) + step_masks(lengths, T)
+        masks = [np.ones(B)] * len(rows) + step_masks(lengths, T)
         total, count = None, np.zeros(B)
         for e, keep in zip(steps, masks):
             kept = e * keep[:, None]
@@ -734,11 +812,12 @@ class VictimClassifier(_ModelBase):
             count = count + keep
         return total * (1.0 / np.maximum(count, 1.0))[:, None]
 
-    def _trie_hidden(self, w, layers, steps, n_texts, prefix, tape=None):
-        """The last layer's h after each text, each text preceded by the
-        `prefix` ids: the prefix steps through every layer once, as one
-        row from the zero state, then each depth of the texts' trie
-        (`_trie_steps`) steps every layer, one row per distinct prefix.
+    def _trie_hidden(self, w, layers, steps, n_texts, rows, tape=None):
+        """The last layer's h after each text, each text preceded by its
+        slice's row of the prefix `rows` (one (K, E) array per position):
+        the prefix steps through every layer once, as K rows from the
+        zero state, then each depth of the texts' trie (`_trie_steps`)
+        steps every layer, one row per distinct prefix.
 
         With a `tape` list, each step appends its parent rows and, per
         layer, its packed output state and gates: what `_trie_back`
@@ -746,10 +825,10 @@ class VictimClassifier(_ModelBase):
         cells = [(w[f"{name}.ih"], w[f"{name}.hh"], w[f"{name}.b"])
                  for name in layers]
         H = self.hidden_dim
-        states = [np.zeros((1, 2 * H)) for _ in layers]
+        K = len(rows[0]) if rows else 1
+        states = [np.zeros((K, 2 * H)) for _ in layers]
 
-        def step(step_ids, parents):
-            x = w["emb"][step_ids]
+        def step(x, parents):
             kept = []
             for k, (ih, hh, b) in enumerate(cells):
                 s = states[k][parents]
@@ -761,19 +840,20 @@ class VictimClassifier(_ModelBase):
                 tape.append((parents, kept))
             return x
 
-        for k in range(prefix.size):
-            step(prefix[k : k + 1], np.zeros(1, np.int64))
+        for row in rows:
+            step(row, np.arange(K))
         out = np.empty((n_texts, H))
-        for step_ids, parents, texts, rows in steps:
-            out[texts] = step(step_ids, parents)[rows]
+        for step_ids, parents, texts, ends in steps:
+            out[texts] = step(w["emb"][step_ids], parents)[ends]
         return out
 
     def _trie_back(self, w, layers, steps, tape, d_out):
-        """The gradient w.r.t. each prefix position's input row, from
-        `d_out`, the gradient w.r.t. each text's last-layer h, back through
-        `_trie_hidden`'s tape: the deepest step first, the last layer
-        first. A row's previous c is read through its parent index, and
-        each step's state gradients are summed into their parent rows."""
+        """The gradient w.r.t. each prefix position's (K, E) input rows,
+        from `d_out`, the gradient w.r.t. each text's last-layer h, back
+        through `_trie_hidden`'s tape: the deepest step first, the last
+        layer first. A row's previous c is read through its parent index,
+        and each step's state gradients are summed into their parent rows
+        (a depth-0 row's parent is its owner's prefix row)."""
         H = self.hidden_dim
         n_prefix = len(tape) - len(steps)
         d = [np.zeros_like(state) for state, _ in tape[-1][1]]
@@ -796,7 +876,7 @@ class VictimClassifier(_ModelBase):
                 if k:
                     d[k - 1][:, :H] += dgates @ w[f"{layers[k]}.ih"].T
                 elif j < n_prefix:
-                    grads.append((dgates @ w[f"{layers[0]}.ih"].T)[0])
+                    grads.append(dgates @ w[f"{layers[0]}.ih"].T)
                 if j:
                     d_prev[k] = np.concatenate(
                         [dgates @ w[f"{layers[k]}.hh"].T, dc], axis=1)

@@ -676,3 +676,33 @@ def test_concat_bad_shapes_rejected(shapes, axis):
     with pytest.raises(ContractViolation, match=re.escape(str(list(shapes)))):
         gc.concat(nodes, axis=axis)
     assert len(g) == len(shapes)
+
+
+def test_fused_hands_each_parent_its_gradient_times_the_incoming_one():
+    """A fused op of f(a, b) = sum(a * w) + sum(b), inside a graph that
+    scales it by 3: the parents get 3 w and 3, and the output is checked
+    as every op's is."""
+    g = gc.Graph()
+    w = RNG(1).standard_normal((2, 3))
+    a = g.leaf(RNG(2).standard_normal((2, 3)), requires_grad=True)
+    b = g.leaf(RNG(3).standard_normal((1, 3)), requires_grad=True)
+    value = (a.value * w).sum() + b.value.sum()
+    out = gc.fused("f", (a, b), value, (w, np.ones((1, 3))))
+    assert out.value == value
+    grads = gc.backward(g, gc.scale(out, 3.0))
+    assert np.array_equal(grads[a.idx], w * 3.0)
+    assert np.array_equal(grads[b.idx], np.full((1, 3), 3.0))
+    with pytest.raises(NumericError, match="op 'f'"):
+        gc.fused("f", (a,), np.inf, (w,))
+
+
+@pytest.mark.parametrize("value,grads", [
+    (np.zeros(1), [np.zeros((2, 3))]),   # not a scalar
+    (0.0, []),                           # a gradient short
+    (0.0, [np.zeros((3, 2))]),           # a gradient of the wrong shape
+], ids=["value", "count", "shape"])
+def test_fused_bad_shapes_rejected(value, grads):
+    g = gc.Graph()
+    a = g.leaf(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ContractViolation, match="fused 'f'"):
+        gc.fused("f", (a,), value, grads)

@@ -22,7 +22,12 @@ The attack climbs K candidates as the K rows of one graph. Each row's
 gradient is checked against a graph of that candidate alone, built by the
 reference (one-row decode, tiled prefix, full rows), within 1e-12
 relative, and each row must draw the same Gumbel noise; `run_candidates`
-must give each seed the trigger, m1 and m2 of `run_candidate`."""
+must give each seed the trigger, m1 and m2 of `run_candidate`. The
+victim's part of that graph is one fused node computed on plain arrays
+(`prefix_rows_grads`): its loss must equal the graph composition it
+replaced (`logits_ids`, `cross_entropy`, `scale`) bit for bit, the noise
+gradient within 1e-12 relative (bit for bit for the bag), and it must
+raise that composition's error."""
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from nutsearch import gradcore as gc
 from nutsearch import textdata as td
 from nutsearch.attack import (AttackConfig, AttackModels, run_candidate,
                               run_candidates)
+from nutsearch.evaluation import accuracy_under_trigger
 from nutsearch.baselines import _trigger_loss
 from nutsearch.errors import ContractViolation, NumericError
 from nutsearch.gradcore import Graph, Tensor
@@ -280,14 +286,15 @@ def test_build_loss_matches_inline_reference(vocab, kind, hard):
         leaf = g.leaf(n0, requires_grad=True)
         loss = build(g, leaf, batch, 0.7, rng, cfg, hard=hard)
         out.append((float(loss.value), gc.backward(g, loss)[leaf.idx],
-                    len(g)))
-    (got_loss, got_grad, got_nodes), (want_loss, want_grad, want_nodes) = out
+                    [e.kind for e in g._entries]))
+    (got_loss, got_grad, got_ops), (want_loss, want_grad, want_ops) = out
     exact = kind == "bag"
     assert _close(got_loss, want_loss, exact)
     assert _close(got_grad, want_grad, exact)
     assert np.any(got_grad != 0.0)
-    if exact:
-        assert got_nodes == want_nodes
+    # the victim is one node on the reference's generator, decoder and
+    # trigger rows
+    assert got_ops == want_ops[:len(got_ops) - 1] + ["victim_loss"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -568,6 +575,169 @@ def test_editing_the_callers_lists_changes_no_later_result(vocab):
     for a in (ids, lengths, *steps[0]):
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+# ---------------------------------------------------------------------------
+# the ascent's fused victim loss against the graph composition it replaced
+
+
+def _graph_build_loss(models, g, noise_leaf, batch, tau, rngs, cfg,
+                      hard=True):
+    """build_loss with the victim on the graph: the trigger rows go into
+    logits_ids, then cross_entropy, times K for K slices."""
+    gen, victim = models.generator, models.victim
+    PG = gen.lift(g)
+    z = gen.generate_node(g, PG, noise_leaf)
+    steps = gen.decode_soft(g, PG, z, cfg.trigger_length, tau, rngs,
+                            models.allowed_mask, hard=hard)
+    emb_node = g.constant(models._emb_map)
+    rows = [gc.matmul(fed, emb_node) for _, fed in steps]
+    logits = victim.logits_ids(g, victim.lift(g), [ex.text for ex in batch],
+                               [ex.premise for ex in batch], prefix=rows)
+    loss = gc.cross_entropy(logits, np.array([ex.label for ex in batch]))
+    K = len(rngs)
+    return gc.scale(loss, K) if K > 1 else loss
+
+
+def _sliced(vocab, kind, case, K, seed):
+    """K slices of a TRIE_BATCHES case, slice k the case's texts rotated
+    by k (so equal texts lie in different slices), with random labels."""
+    texts = TRIE_BATCHES[case]
+    labels = RNG(seed).integers(0, 3 if kind == "pair" else 2,
+                                K * len(texts))
+    order = [(i + k) % len(texts) for k in range(K)
+             for i in range(len(texts))]
+    return [Example(label=int(y), text=vocab.encode(texts[i]),
+                    premise=(vocab.encode(TRIE_PREMISES[i])
+                             if kind == "pair" else None))
+            for i, y in zip(order, labels)]
+
+
+def _ascent_loss(build, models, batch, n0, hard, cfg):
+    g = Graph()
+    leaf = g.leaf(n0, requires_grad=True)
+    rngs = [RNG(21 + k) for k in range(len(n0))]
+    loss = build(g, leaf, batch, 0.7, rngs, cfg, hard=hard)
+    return float(loss.value), gc.backward(g, loss)[leaf.idx]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", sorted(TRIE_BATCHES))
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_fused_loss_matches_the_graph_composition(vocab, kind, case, K):
+    """Every text sharing its first token, duplicates, one-text slices and
+    a text that is a prefix of another, each in K slices: the loss bit
+    for bit, the noise gradient within TOL, both bit for bit for the
+    bag."""
+    models = _models(vocab, kind)
+    batch = _sliced(vocab, kind, case, K, seed=K)
+    cfg = AttackConfig(attacked_class=1, trigger_length=3)
+    n0 = RNG(8).standard_normal((K, models.generator.noise_dim))
+    for hard in (True, False):
+        got_loss, got_grad = _ascent_loss(models.build_loss, models, batch,
+                                          n0, hard, cfg)
+        want_loss, want_grad = _ascent_loss(
+            lambda *a, **kw: _graph_build_loss(models, *a, **kw), models,
+            batch, n0, hard, cfg)
+        assert got_loss == want_loss
+        assert _close(got_grad, want_grad, kind == "bag")
+        assert np.all(np.any(want_grad != 0.0, axis=1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_prefix_rows_grads_match_the_graph_pass(vocab, kind, K):
+    """Each position's (K, E) gradient is the graph pass's within TOL, bit
+    for bit for the bag; the first two positions hold the same rows."""
+    victim = _victim(vocab, kind)
+    batch = _sliced(vocab, kind, "prefix_of_another", K, seed=K + 4)
+    rows = list(RNG(K).standard_normal((3, K, victim.emb_dim)))
+    rows[1] = rows[0].copy()
+    loss, grads = victim.prefix_rows_grads(*_args(batch), rows)
+    g = Graph()
+    want_loss, want_grads = victim._graph_rows_grads(g, victim.lift(g),
+                                                     *_args(batch), rows)
+    assert loss == want_loss
+    assert len(grads) == len(want_grads) == 3
+    for got, want in zip(grads, want_grads):
+        assert got.shape == (K, victim.emb_dim)
+        assert _close(got, want, kind == "bag")
+        assert np.all(np.any(want != 0.0, axis=1))
+
+
+@pytest.mark.parametrize("kind,case,message", [
+    ("lstm2", "gates", "op 'lstm_cell' produced non-finite gates"),
+    ("pair", "gates", "op 'lstm_cell' produced non-finite gates"),
+    ("lstm2", "logits", "op 'matmul' produced a non-finite value"),
+    ("bag", "fc1", "op 'matmul' produced a non-finite value"),
+    ("pair", "fc1", "op 'matmul' produced a non-finite value"),
+    ("lstm2", "ce", "op 'cross_entropy' produced a non-finite value"),
+    ("lstm2", "grad", GRAD_ERROR.format("lstm_cell")),
+    ("bag", "grad", GRAD_ERROR.format("matmul")),
+    ("pair", "grad", GRAD_ERROR.format("lstm_cell"))])
+def test_prefix_rows_grads_raise_the_graph_error(vocab, kind, case,
+                                                 message):
+    """K = 2 slices with embedding rows as the prefix; for the CE and the
+    gradient-only overflow, each text's least likely class."""
+    victim = _overflowing_victim(vocab, kind, case)
+    texts = [vocab.encode(t) for t in TRIE_BATCHES["prefix_of_another"]]
+    premises = ([vocab.encode(p) for p in TRIE_PREMISES]
+                if kind == "pair" else None)
+    emb = victim.weights["emb"].data
+    trig = [vocab.encode(["nobody", "dull"]), vocab.encode(["the", "dog"])]
+    rows = [emb[[a, b]] for a, b in zip(*trig)]
+    labels = np.zeros(len(texts), np.int64)
+    with np.errstate(all="ignore"):
+        if case in ("ce", "grad"):
+            labels = np.concatenate([
+                victim.logits_batch(texts[:2], premises and premises[:2],
+                                    prefix=trig[0]),
+                victim.logits_batch(texts[2:], premises and premises[2:],
+                                    prefix=trig[1])]).argmin(axis=1)
+        with pytest.raises(NumericError) as want:
+            g = Graph()
+            victim._graph_rows_grads(g, victim.lift(g), texts, premises,
+                                     labels, rows)
+        with pytest.raises(NumericError) as got:
+            victim.prefix_rows_grads(texts, premises, labels, rows)
+    assert str(want.value) == str(got.value) == message
+
+
+@pytest.mark.parametrize("kind", ["lstm2", "pair"])
+def test_build_loss_raises_the_graph_error(vocab, kind):
+    """An overflowing gate raises from build_loss what the graph
+    composition raised."""
+    victim = _overflowing_victim(vocab, kind, "gates")
+    models = _models(vocab, kind)
+    models = AttackModels(models.generator, victim, models.lm,
+                          models.allowed_mask)
+    batch = _sliced(vocab, kind, "same_first", 2, seed=3)
+    cfg = AttackConfig(attacked_class=1, trigger_length=2)
+    n0 = RNG(8).standard_normal((2, models.generator.noise_dim))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError) as want:
+            _ascent_loss(lambda *a, **kw: _graph_build_loss(models, *a, **kw),
+                         models, batch, n0, True, cfg)
+        with pytest.raises(NumericError) as got:
+            _ascent_loss(models.build_loss, models, batch, n0, True, cfg)
+    assert str(want.value) == str(got.value) == \
+        "op 'lstm_cell' produced non-finite gates"
+
+
+def test_ascent_batches_leave_the_memo_to_scoring(vocab):
+    """The ascent's one-off batches do not go through `_prepared`: after
+    12 steps of fresh batches, every candidate's m1 after the first reads
+    the dev subset's memo entry."""
+    models = _models(vocab, "lstm2")
+    dev = _live_examples(vocab, "lstm2", range(len(LIVE_TEXTS)))
+    cfg = AttackConfig(attacked_class=1, trigger_length=2, steps=12,
+                       batch_size=2)
+    _prepared.cache_clear()
+    run_candidates([3, 14, 15], dev, models, cfg)
+    info = _prepared.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    accuracy_under_trigger(models.victim, dev, ["the"], 1)
+    assert _prepared.cache_info().hits == 3
 
 
 # ---------------------------------------------------------------------------
