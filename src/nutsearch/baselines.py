@@ -33,6 +33,11 @@ class TokenGradientConfig:
                                     ">= 1")
 
 
+def _check_length(length: int) -> None:
+    if length < 1:
+        raise ContractViolation("trigger_length must be >= 1")
+
+
 def _usable_ids(vocab: Vocab, mask, name: str) -> np.ndarray:
     """The ids a boolean mask over `vocab` admits, minus the specials."""
     mask = np.asarray(mask, dtype=bool)
@@ -69,6 +74,7 @@ def token_gradient_attack(victim, dev_subset: list[Example], length: int,
     of the current trigger, whose loss is bit for bit the `_trigger_loss`
     that the beam's checks compute."""
     cfg = cfg or TokenGradientConfig()
+    _check_length(length)
     _check_subset(dev_subset)
     vocab: Vocab = victim.vocab
     allowed = _usable_ids(vocab, vocab_mask, "vocab_mask")
@@ -132,6 +138,7 @@ def random_sequence_attack(vocab: Vocab, allowed_mask, victim, lm,
     selected by dev attacked-class accuracy."""
     if n_candidates < 1:
         raise ContractViolation("n_candidates must be >= 1")
+    _check_length(length)
     y = _check_subset(dev_subset)
     allowed = _usable_ids(vocab, allowed_mask, "allowed_mask")
     candidates = []

@@ -166,10 +166,8 @@ def _cmd_make_synth(args) -> int:
 def _cmd_train(args) -> int:
     resolved = _resolve(args, RECIPES[args.arch])
     split, vocab, task = td.load_corpus(args.data_dir)
-    if args.arch == "pair" and task != "nli":
-        raise ConfigError("pair classifier needs an nli corpus")
-    if args.arch in ("lstm2", "bag") and task == "nli":
-        raise ConfigError(f"{args.arch} classifier needs a single-text corpus")
+    if args.arch in VictimClassifier.KINDS:
+        _check_fits(args.arch, task)
     cfg = _checked(args, TrainConfig, **{k: v for k, v in resolved.items()
                                          if k in _TRAIN_FIELDS})
     sizes = {k: v for k, v in resolved.items() if k not in _TRAIN_FIELDS}
@@ -195,6 +193,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_fits(kind: str, task: str) -> None:
+    """A pair victim reads a premise and a hypothesis, so it needs an nli
+    corpus; the other kinds read one text, so they need a single-text one."""
+    if kind == "pair" and task != "nli":
+        raise ConfigError("pair classifier needs an nli corpus")
+    if kind != "pair" and task == "nli":
+        raise ConfigError(f"{kind} classifier needs a single-text corpus")
+
+
 def _load_model(args, role: str):
     """The model in the --<role> checkpoint, of a kind that role takes."""
     path = getattr(args, role)
@@ -210,7 +217,8 @@ def _load_attack_models(args):
     victim = _load_model(args, "victim")
     lm = _load_model(args, "lm")
     generator = _load_model(args, "arae") if args.arae else None
-    split, _, _ = td.load_corpus(args.data_dir, vocab=victim.vocab)
+    split, _, task = td.load_corpus(args.data_dir, vocab=victim.vocab)
+    _check_fits(victim.kind, task)
     if args.exclude_lexicon:  # an explicit path must be read
         exclude = td.load_lexicon(args.exclude_lexicon)
     else:  # the corpus's own lexicon is optional
@@ -304,6 +312,7 @@ def _cmd_evaluate(args) -> int:
     victim = _load_model(args, "victim")
     lm = _load_model(args, "lm")
     split, _, task = td.load_corpus(args.data_dir, vocab=victim.vocab)
+    _check_fits(victim.kind, task)
     selected = read_selected(args.selected)
     y = _require_class(args, resolved, split)
     report = evaluate_trigger(
@@ -321,7 +330,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_transfer(args) -> int:
     resolved = _resolve(args, _REPORT_DEFAULTS)
     victim = _load_model(args, "victim")
-    split, _, _ = td.load_corpus(args.data_dir, vocab=victim.vocab)
+    split, _, task = td.load_corpus(args.data_dir, vocab=victim.vocab)
+    _check_fits(victim.kind, task)
     selected = read_selected(args.selected)
     trigger = selected["tokens"]
     y = _require_class(args, resolved, split)

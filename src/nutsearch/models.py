@@ -442,30 +442,17 @@ class ARAEModel(_ModelBase):
     def decode_greedy(self, z, length: int, allowed_mask) -> list[int]:
         """Deterministic argmax decode of exactly `length` tokens from a
         (1, Z) latent row."""
-        return self._argmax_decode(z, length, self._ban_vector(allowed_mask),
-                                   stop_at_eos=False)
-
-    def decode_until_eos(self, z, max_len: int = 12) -> list[int]:
-        """Greedy decode from a (1, Z) latent row with EOS enabled; used
-        for sample-quality checks."""
-        penalty = np.zeros(len(self.vocab))
-        penalty[[self.vocab.pad_id, self.vocab.unk_id, self.vocab.bos_id]] = LOGIT_BAN
-        return self._argmax_decode(z, max_len, penalty, stop_at_eos=True)
-
-    def _argmax_decode(self, z, max_len: int, penalty: np.ndarray,
-                       stop_at_eos: bool) -> list[int]:
+        penalty = self._ban_vector(allowed_mask)
         g = Graph()
         P = self.lift(g)
         zn = g.leaf(z)
         state = self.dec_init_state(g, P, zn)
         tok = self.vocab.bos_id
         out = []
-        for _ in range(max_len):
+        for _ in range(length):
             emb = gc.embed(P["emb_dec"], np.array([tok]))
             state, logits = self.dec_step(g, P, emb, zn, state)
             tok = int((logits.value[0] + penalty).argmax())
-            if stop_at_eos and tok == self.vocab.eos_id:
-                break
             out.append(tok)
         return out
 

@@ -4,8 +4,7 @@ Two tiny templated grammars stand in for real datasets: a sentiment
 task whose labels a leading negation cue genuinely flips (so prefix
 triggers have something real to find), and a premise/hypothesis
 inference task with entail/neutral/contradict labels. Both are
-deterministic functions of a seed, class-balanced, and ship with a
-membership checker so generated text can be scored for well-formedness.
+deterministic functions of a seed and class-balanced.
 """
 
 from __future__ import annotations
@@ -296,9 +295,6 @@ SENTIMENT_LABELS = (NEGATIVE, POSITIVE)
 NLI_ENTAIL, NLI_NEUTRAL, NLI_CONTRADICT = 0, 1, 2
 NLI_LABELS = (NLI_ENTAIL, NLI_NEUTRAL, NLI_CONTRADICT)
 
-_POS_SET = frozenset(_POS_ADJ)
-_NEG_SET = frozenset(_NEG_ADJ)
-
 
 def sentiment_lexicon() -> set[str]:
     """All polarity-bearing adjectives; the usual trigger exclusion list."""
@@ -336,79 +332,6 @@ def _sentiment_sample(rng) -> tuple[int, list[str]]:
         return 1 - pol, list(_pick(rng, _NEG_CUES)) + core + [adj]
     verb = _pick(rng, ["was", "is"])               # "it was a fresh comedy"
     return pol, ["it", verb, "a", adj, _pick(rng, _NOUNS)]
-
-
-def sentiment_parse(tokens) -> int | None:
-    """Return the grammar label for a well-formed sentence, else None."""
-    toks = list(tokens)
-
-    def adj_pol(t):
-        if t in _POS_SET:
-            return POSITIVE
-        if t in _NEG_SET:
-            return NEGATIVE
-        return None
-
-    def core_then_adj(rest, flip):
-        # DET NOUN VERB [INTENS|NEGWORD] ADJ
-        if len(rest) == 4:
-            det, noun, verb, adj = rest
-            mid = None
-        elif len(rest) == 5:
-            det, noun, verb, mid, adj = rest
-        else:
-            return None
-        if det not in _DETS or noun not in _NOUNS or verb not in _VERBS:
-            return None
-        pol = adj_pol(adj)
-        if pol is None:
-            return None
-        if mid is not None:
-            if mid in _NEG_WORDS:
-                flip = not flip
-            elif mid not in _INTENS:
-                return None
-        return (1 - pol) if flip else pol
-
-    if len(toks) == 5 and toks[0] == "it" and toks[1] in ("was", "is") and toks[2] == "a":
-        pol = adj_pol(toks[3])
-        if pol is not None and toks[4] in _NOUNS:
-            return pol
-        return None
-    if toks and toks[0] in _INTROS:
-        rest = toks[1:]
-        if len(rest) == 4:
-            return core_then_adj(rest, flip=False)
-        return None
-    for cue in _NEG_CUES:
-        k = len(cue)
-        if tuple(toks[:k]) == cue and len(toks) == k + 4:
-            return core_then_adj(toks[k:], flip=True)
-    return core_then_adj(toks, flip=False)
-
-
-def sentiment_vocabulary() -> set[str]:
-    words = set(_DETS) | set(_NOUNS) | set(_VERBS) | set(_POS_ADJ) | set(_NEG_ADJ)
-    words |= set(_INTENS) | set(_INTROS) | set(_NEG_WORDS) | {"it", "a"}
-    for cue in _NEG_CUES:
-        words |= set(cue)
-    return words
-
-
-def grammar_errors(task: str, tokens) -> int:
-    """Error count for one sentence: unknown words each count once, plus one
-    if the remaining structure matches no template. 0 means well-formed."""
-    toks = list(tokens)
-    if task == "sentiment":
-        vocab_words = sentiment_vocabulary()
-        parsed = sentiment_parse(toks) is not None
-    elif task == "nli":
-        vocab_words = nli_vocabulary()
-        parsed = nli_hypothesis_parse(toks) is not None
-    else:
-        raise ContractViolation(f"unknown task {task!r}")
-    oov = sum(1 for t in toks if t not in vocab_words)
-    return oov + (0 if parsed else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,40 +375,6 @@ def _nli_sample(rng) -> tuple[int, list[str], list[str]]:
             other = _pick(rng, [a for a in _NLI_ACTS if a != act])
             hyp = list(who) + ["is", other]
     return label, premise, hyp
-
-
-def nli_vocabulary() -> set[str]:
-    words = {"a", "is", "in", "the", "someone", "has", "likes", "nobody", "not"}
-    for who in _NLI_WHO:
-        words |= set(who)
-    return words | set(_NLI_ACTS) | set(_NLI_PLACES) | set(_NLI_OBJS)
-
-
-def nli_hypothesis_parse(tokens) -> bool | None:
-    """Structural check only (hypothesis shapes); returns True or None."""
-    toks = list(tokens)
-    whos = {w[1] for w in _NLI_WHO}
-
-    def is_who(ts):
-        return len(ts) == 2 and ts[0] == "a" and ts[1] in whos
-
-    if len(toks) == 3 and toks[0] == "someone" and toks[1] == "is" and toks[2] in _NLI_ACTS:
-        return True
-    if len(toks) == 3 and toks[0] == "nobody" and toks[1] == "is" and toks[2] in _NLI_ACTS:
-        return True
-    if is_who(toks[:2]):
-        rest = toks[2:]
-        if len(rest) == 2 and rest[0] == "is" and rest[1] in _NLI_ACTS:
-            return True
-        if len(rest) == 3 and rest[:2] == ["is", "not"] and rest[2] in _NLI_ACTS:
-            return True
-        if len(rest) == 4 and rest[:3] == ["is", "in", "the"] and rest[3] in _NLI_PLACES:
-            return True
-        if len(rest) == 3 and rest[0] == "has" and rest[1] == "a" and rest[2] in _NLI_OBJS:
-            return True
-        if len(rest) == 3 and rest[0] == "likes" and rest[1] == "the" and rest[2] in _NLI_PLACES:
-            return True
-    return None
 
 
 # ---------------------------------------------------------------------------

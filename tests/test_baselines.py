@@ -138,6 +138,14 @@ class TestTokenGradient:
             token_gradient_attack(tiny_victim, tiny_dev, 2,
                                   np.zeros(len(tiny_vocab), dtype=bool))
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_length_below_one_rejected(self, tiny_victim, tiny_dev,
+                                       tiny_vocab, length):
+        with pytest.raises(ContractViolation,
+                           match="trigger_length must be >= 1"):
+            token_gradient_attack(tiny_victim, tiny_dev, length,
+                                  np.ones(len(tiny_vocab), dtype=bool))
+
 
 @pytest.fixture(scope="module")
 def tiny_bundle(tiny_vocab, tiny_victim):
@@ -217,6 +225,16 @@ class TestRandomSequence:
             random_sequence_attack(tiny_vocab,
                                    np.ones(len(tiny_vocab), dtype=bool),
                                    victim, lm, dev, 2, 2, seed=0)
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_length_below_one_rejected(self, tiny_bundle, tiny_dev,
+                                       tiny_vocab, length):
+        _, victim, lm = tiny_bundle
+        with pytest.raises(ContractViolation,
+                           match="trigger_length must be >= 1"):
+            random_sequence_attack(tiny_vocab,
+                                   np.ones(len(tiny_vocab), dtype=bool),
+                                   victim, lm, tiny_dev, 2, length, seed=0)
 
 
 class TestBeamAndBudget:

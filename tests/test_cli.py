@@ -21,7 +21,7 @@ from nutsearch.config import config_hash
 from nutsearch.errors import InputFileError
 from nutsearch.evaluation import evaluate_trigger
 from nutsearch.gradcore import Tensor
-from nutsearch.models import MODEL_KINDS
+from nutsearch.models import MODEL_KINDS, VictimClassifier
 from nutsearch.textdata import sentiment_lexicon
 from nutsearch.trainers import TrainConfig
 
@@ -420,10 +420,64 @@ def test_train_writes_metrics_file(tmp_path, workbench):
     assert all("dev_ce" in r for r in rows)
 
 
-def test_classifier_arch_corpus_mismatch_exits_two(tmp_path, workbench):
-    assert run_cli("train-classifier", "--data-dir", str(workbench["data"]),
-                   "--arch", "pair", "--out", str(tmp_path / "p.ckpt"),
-                   "--epochs", "1") == 2
+@pytest.fixture(scope="module")
+def misfits(workbench, tmp_path_factory):
+    """An untrained pair victim over the workbench's sentiment vocabulary,
+    and an nli corpus: neither fits the workbench's bag victim or corpus."""
+    root = tmp_path_factory.mktemp("misfits")
+    vocab = load_checkpoint(workbench["victim"])[0].vocab
+    save_checkpoint(VictimClassifier(vocab, kind="pair", n_classes=2,
+                                     emb_dim=8, hidden_dim=8),
+                    root / "pair.ckpt")
+    assert run_cli("make-synth", "--out-dir", str(root / "nli"), "--task",
+                   "nli", "--train-size", "12", "--dev-size", "6",
+                   "--test-size", "6") == 0
+    return {"pair": root / "pair.ckpt", "nli": root / "nli"}
+
+
+# a victim of one kind on a corpus of the other: the message each gives
+_MISFIT_ERROR = {"pair": "pair classifier needs an nli corpus",
+                 "bag": "bag classifier needs a single-text corpus",
+                 "lstm2": "lstm2 classifier needs a single-text corpus"}
+
+
+def test_classifier_arch_corpus_mismatch_exits_two(tmp_path, workbench,
+                                                  misfits, caplog, capsys):
+    for arch, message in _MISFIT_ERROR.items():
+        caplog.clear()
+        data = workbench["data"] if arch == "pair" else misfits["nli"]
+        out = tmp_path / arch
+        assert run_cli("train-classifier", "--data-dir", str(data), "--arch",
+                       arch, "--out", str(out / "c.ckpt"),
+                       "--epochs", "1") == 2
+        assert _error_lines(caplog) == [message]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("victim", ["pair", "bag"])
+@pytest.mark.parametrize("command,kind", [
+    ("attack", None), ("attack-baseline", "random-seq"),
+    ("attack-baseline", "token-gradient"), ("evaluate", None),
+    ("transfer", None),
+])
+def test_victim_on_a_corpus_it_does_not_fit_exits_two(
+        tmp_path, workbench, misfits, attack_dir, caplog, capsys, command,
+        kind, victim):
+    """A pair victim on the sentiment corpus, or the bag victim on an nli
+    corpus: exit 2 with one ERROR line, before any search or scoring."""
+    out = tmp_path / "out"
+    data = workbench["data"] if victim == "pair" else misfits["nli"]
+    argv = (list(_baseline_args(workbench, kind, out)) if kind
+            else _command_args(workbench, command, out,
+                               selected=attack_dir / "selected.json"))
+    argv[argv.index("--data-dir") + 1] = str(data)
+    if victim == "pair":
+        argv[argv.index("--victim") + 1] = str(misfits["pair"])
+    assert run_cli(*argv) == 2
+    assert _error_lines(caplog) == [_MISFIT_ERROR[victim]]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

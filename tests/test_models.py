@@ -10,7 +10,7 @@ from nutsearch.errors import ContractViolation
 from nutsearch.models import (ARAEModel, ScoringLM, VictimClassifier,
                               model_from_parts, pad_batch)
 
-from helpers import fd_grad, rel_err
+from helpers import decode_until_eos, fd_grad, rel_err
 
 RNG = np.random.default_rng
 
@@ -150,7 +150,7 @@ class TestARAE:
 
     def test_decode_until_eos_stops_or_caps(self, tiny_arae):
         z = tiny_arae.generate(RNG(8).standard_normal((1, tiny_arae.noise_dim)))
-        toks = tiny_arae.decode_until_eos(z, max_len=7)
+        toks = decode_until_eos(tiny_arae, z, max_len=7)
         assert len(toks) <= 7
         assert tiny_arae.vocab.eos_id not in toks
         assert tiny_arae.vocab.pad_id not in toks

@@ -6,6 +6,8 @@ import pytest
 from nutsearch import textdata as td
 from nutsearch.errors import ContractViolation, InputFileError
 
+from helpers import grammar_errors, nli_hypothesis_parse, sentiment_parse
+
 
 class TestTokenize:
     def test_lowercase_and_split(self):
@@ -156,27 +158,27 @@ class TestSentimentGrammar:
         rng = np.random.default_rng(0)
         for _ in range(500):
             label, toks = td._sentiment_sample(rng)
-            assert td.sentiment_parse(toks) == label, toks
+            assert sentiment_parse(toks) == label, toks
 
     def test_membership_rejects_garbage(self):
-        assert td.sentiment_parse(["movie", "the", "was", "warm"]) is None
-        assert td.sentiment_parse(["the", "movie", "was"]) is None
-        assert td.sentiment_parse([]) is None
+        assert sentiment_parse(["movie", "the", "was", "warm"]) is None
+        assert sentiment_parse(["the", "movie", "was"]) is None
+        assert sentiment_parse([]) is None
 
     def test_negation_cue_flips(self):
-        assert td.sentiment_parse(["the", "movie", "was", "wonderful"]) == td.POSITIVE
-        assert td.sentiment_parse(
+        assert sentiment_parse(["the", "movie", "was", "wonderful"]) == td.POSITIVE
+        assert sentiment_parse(
             ["nobody", "said", "the", "movie", "was", "wonderful"]) == td.NEGATIVE
-        assert td.sentiment_parse(
+        assert sentiment_parse(
             ["no", "one", "thought", "the", "plot", "felt", "dull"]) == td.POSITIVE
 
     def test_post_verb_negation_flips(self):
-        assert td.sentiment_parse(["the", "plot", "was", "not", "dull"]) == td.POSITIVE
+        assert sentiment_parse(["the", "plot", "was", "not", "dull"]) == td.POSITIVE
 
     def test_grammar_errors_counts(self):
-        assert td.grammar_errors("sentiment", ["the", "movie", "was", "warm"]) == 0
-        assert td.grammar_errors("sentiment", ["the", "movie", "was"]) == 1
-        assert td.grammar_errors("sentiment", ["zzz", "movie", "qqq"]) == 3
+        assert grammar_errors("sentiment", ["the", "movie", "was", "warm"]) == 0
+        assert grammar_errors("sentiment", ["the", "movie", "was"]) == 1
+        assert grammar_errors("sentiment", ["zzz", "movie", "qqq"]) == 3
 
     def test_lexicon_is_adjectives_only(self):
         lex = td.sentiment_lexicon()
@@ -189,12 +191,12 @@ class TestNliGrammar:
         rng = np.random.default_rng(1)
         for _ in range(300):
             label, prem, hyp = td._nli_sample(rng)
-            assert td.nli_hypothesis_parse(hyp) is True, hyp
+            assert nli_hypothesis_parse(hyp) is True, hyp
             assert label in td.NLI_LABELS
 
     def test_grammar_errors(self):
-        assert td.grammar_errors("nli", ["nobody", "is", "running"]) == 0
-        assert td.grammar_errors("nli", ["running", "is", "nobody"]) == 1
+        assert grammar_errors("nli", ["nobody", "is", "running"]) == 0
+        assert grammar_errors("nli", ["running", "is", "nobody"]) == 1
 
 
 class TestMakeSynthetic:
@@ -231,7 +233,7 @@ class TestMakeSynthetic:
         split, vocab = td.make_synthetic("sentiment", seed=3, sizes=(80, 20, 20))
         for ex in split.train:
             toks = vocab.decode(ex.text)
-            assert td.sentiment_parse(toks) == ex.label
+            assert sentiment_parse(toks) == ex.label
 
     def test_nli_premise_present(self):
         split, _ = td.make_synthetic("nli", seed=3, sizes=(30, 9, 9))

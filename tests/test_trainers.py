@@ -10,10 +10,12 @@ from nutsearch.config import derive_init_seeds
 from nutsearch.errors import ContractViolation, TrainingDiverged
 from nutsearch.gradcore import Tensor
 from nutsearch.models import ARAEModel, VictimClassifier
-from nutsearch.textdata import Split, grammar_errors
+from nutsearch.textdata import Split
 from nutsearch.trainers import (AE_PARTS, ENC_PARTS, SGD, TrainConfig,
                                 classifier_accuracy, lm_corpus_ce, train_arae,
                                 train_classifier, train_lm)
+
+from helpers import decode_until_eos, grammar_errors
 
 
 class TestTrainConfig:
@@ -252,8 +254,8 @@ class TestARAETraining:
         _, vocab = sentiment_data
         model, _ = arae_sentiment
         rng = np.random.default_rng(123)
-        outs = [tuple(model.decode_until_eos(
-            model.generate(rng.standard_normal((1, model.noise_dim)))))
+        outs = [tuple(decode_until_eos(
+            model, model.generate(rng.standard_normal((1, model.noise_dim)))))
             for _ in range(100)]
         valid = sum(1 for o in outs
                     if grammar_errors("sentiment", vocab.decode(o)) == 0)
